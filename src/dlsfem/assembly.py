@@ -89,11 +89,16 @@ class RowBlock:
 
 @dataclass
 class RectangularRowBlocked:
-    """Row-blocked rectangular matrix; every row belongs to one element."""
+    """Row-blocked rectangular matrix; every row belongs to one element.
+
+    The blocks are not to be changed once ``matvec``/``rmatvec`` has run:
+    the products use an operator built from them on first use.
+    """
 
     n_cols: int
     n_rows: int
     blocks: list
+    _products: Optional[tuple] = dc_field(default=None, init=False, repr=False, compare=False)
 
     def to_coo(self):
         rows, cols, vals = [], [], []
@@ -130,19 +135,32 @@ class RectangularRowBlocked:
             d[blk.cols] += np.sum(np.abs(blk.rows) ** 2, axis=0)
         return d
 
+    def _operator(self):
+        """(B, B*) for products, built once on first use.
+
+        One panel covering the whole matrix (the square system) is used as
+        it is, since a dense product beats a CSR copy of a dense matrix;
+        anything else becomes one CSR matrix and its CSR adjoint.
+        """
+        if self._products is None:
+            blk = self.blocks[0] if len(self.blocks) == 1 else None
+            if (
+                blk is not None
+                and blk.rows.shape == (self.n_rows, self.n_cols)
+                and np.array_equal(blk.cols, np.arange(self.n_cols))
+            ):
+                op = blk.rows
+                self._products = (op, op.conj().T)
+            else:
+                op = self.to_coo().tocsr()
+                self._products = (op, op.conj().T.tocsr())
+        return self._products
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        dtype = np.result_type(x.dtype, self.blocks[0].rows.dtype)
-        out = np.zeros(self.n_rows, dtype=dtype)
-        for blk in self.blocks:
-            out[blk.offset : blk.offset + blk.rows.shape[0]] = blk.rows @ x[blk.cols]
-        return out
+        return self._operator()[0] @ x
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
-        dtype = np.result_type(r.dtype, self.blocks[0].rows.dtype)
-        out = np.zeros(self.n_cols, dtype=dtype)
-        for blk in self.blocks:
-            out[blk.cols] += blk.rows.conj().T @ r[blk.offset : blk.offset + blk.rows.shape[0]]
-        return out
+        return self._operator()[1] @ r
 
 
 @dataclass

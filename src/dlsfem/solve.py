@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -48,6 +49,8 @@ class Solution:
     system in the working precision; ``residual`` is the whitened global
     residual ltilde - Btilde u in element-row order (the discrete Riesz
     representative of the residual, whose element slices give eta_K).
+    ``r_diag_min``/``r_diag_max`` bound the magnitudes of the R diagonal of
+    the system the QR path solved (None for the other paths).
     """
 
     coefficients: np.ndarray
@@ -58,6 +61,8 @@ class Solution:
     system_vector: np.ndarray
     context: AssemblyContext
     residual: np.ndarray = None
+    r_diag_min: Optional[float] = None
+    r_diag_max: Optional[float] = None
 
     def component(self, name: str) -> np.ndarray:
         return self.coefficients[self.context.component_slice(name)]
@@ -192,12 +197,15 @@ def solve_ls(bt: RectangularRowBlocked, ltilde: np.ndarray, ctx: AssemblyContext
         bt, ltilde, scale = precondition_global_rect(bt, ltilde)
     blocks = [(blk.rows, blk.cols) for blk in bt.blocks]
     rhs = [ltilde[blk.offset : blk.offset + blk.rows.shape[0]] for blk in bt.blocks]
-    u, _ = solve_blocked_ls(blocks, rhs, bt.n_cols, sort_keys=ctx.sort_keys())
+    u, r_diag = solve_blocked_ls(blocks, rhs, bt.n_cols, sort_keys=ctx.sort_keys())
     if scale is not None:
         u = u * scale.astype(u.dtype)
     full = _recover(ctx, u, "QR")
     eta, rnorm, gal, rvec = _indicators(ctx, full, lt_global=ltilde)
-    return Solution(full, "QR", eta, rnorm, gal, u, ctx, rvec)
+    sol = Solution(full, "QR", eta, rnorm, gal, u, ctx, rvec)
+    if r_diag.size:
+        sol.r_diag_min, sol.r_diag_max = float(r_diag.min()), float(r_diag.max())
+    return sol
 
 
 def residual_rho(bt: RectangularRowBlocked, ltilde: np.ndarray, solution: Solution) -> float:

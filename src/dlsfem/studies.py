@@ -49,7 +49,14 @@ from .formulation import (
 )
 from .linalg import NotPositiveDefinite, RankDeficient
 from .mesh import uniform_mesh
-from .solve import discrete_norms, error_norms, residual_rho, solve_ls, solve_ne
+from .solve import (
+    ZeroSolution,
+    discrete_norms,
+    error_norms,
+    residual_rho,
+    solve_ls,
+    solve_ne,
+)
 
 STUDIES = ("converge", "condition", "failure", "acoustics", "compare-fosls")
 COND_LIMIT = 5000
@@ -256,7 +263,7 @@ def run_study(config: StudyConfig):
             if bt is not None:
                 try:
                     row.rho = residual_rho(bt, lt, sol_by.get("qr") or pick)
-                except Exception:
+                except ZeroSolution:
                     row.rho = None
         need_cond = config.study in ("condition", "converge", "failure", "acoustics")
         if need_cond:

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlsfem.blockqr import solve_blocked_ls
 from dlsfem.linalg import RankDeficient
 
 
-def random_blocked(rng, ncols, nblocks, dtype=np.float64, kmax=8):
+def random_blocked(rng, ncols, nblocks, dtype=np.float64, kmax=8, max_rows=lambda k: k + 4):
     blocks, rhs = [], []
     for _ in range(nblocks):
         k = int(rng.integers(1, min(ncols, kmax) + 1))
         cols = rng.choice(ncols, size=k, replace=False)
-        m = int(rng.integers(k, k + 5))
+        m = int(rng.integers(k, max_rows(k) + 1))
         rows = rng.standard_normal((m, k))
         r = rng.standard_normal(m)
         if np.issubdtype(dtype, np.complexfloating):
@@ -117,3 +118,66 @@ def test_consistent_system_exact():
         off += rows.shape[0]
     x, _ = solve_blocked_ls(blocks, rhs_cons, ncols)
     np.testing.assert_allclose(x, x_true, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Property tests against dense lstsq: tall blocks, all four dtypes
+# ---------------------------------------------------------------------------
+
+DTYPES = [np.float32, np.float64, np.complex64, np.complex128]
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def tall_problems(draw, dtype):
+    """Random row-blocked problem whose blocks of k columns have k..4k rows."""
+    ncols = draw(st.integers(2, 40))
+    nblocks = draw(st.integers(1, 12))
+    kmax = draw(st.integers(2, 8))
+    row_cap = draw(st.integers(1, 64))     # small caps force many window merges
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks, rhs = random_blocked(rng, ncols, nblocks, dtype, kmax, max_rows=lambda k: 4 * k)
+    return blocks, rhs, ncols, dict(sort_keys=rng.standard_normal((ncols, 2)), row_cap=row_cap)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@PROPERTY
+@given(data=st.data())
+def test_property_matches_dense_lstsq(dtype, data):
+    blocks, rhs, ncols, how = data.draw(tall_problems(dtype))
+    x, rdiag = solve_blocked_ls(blocks, rhs, ncols, **how)
+    assert x.dtype == dtype and rdiag.shape == (ncols,)
+    wide = np.complex128 if np.issubdtype(dtype, np.complexfloating) else np.float64
+    m, v = dense_of(blocks, rhs, ncols, wide)
+    ref = np.linalg.lstsq(m, v, rcond=None)[0]
+    # least-squares forward error bound: u kappa (1 + kappa ||r|| / (||B|| ||x||))
+    sv = np.linalg.svd(m, compute_uv=False)
+    kappa = sv[0] / sv[-1]
+    eta = np.linalg.norm(v - m @ ref) / (sv[0] * np.linalg.norm(ref))
+    bound = 100.0 * np.finfo(dtype).eps * kappa * (1.0 + kappa * eta)
+    assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@PROPERTY
+@given(data=st.data(), kind=st.sampled_from(["zero", "untouched", "scaled copy"]))
+def test_property_rank_deficient_raises(dtype, data, kind):
+    blocks, rhs, ncols, how = data.draw(tall_problems(dtype))
+    i, j = data.draw(st.permutations(range(ncols)))[:2]
+    out = []
+    for rows, cols in blocks:
+        rows, cols = rows.copy(), list(cols)
+        if kind == "untouched" and i in cols:
+            keep = [t for t, c in enumerate(cols) if c != i]
+            rows, cols = rows[:, keep], [cols[t] for t in keep]
+        elif kind == "zero" and i in cols:
+            rows[:, cols.index(i)] = 0.0
+        elif kind == "scaled copy":
+            # column j = 2 * column i in every row: zero where only one occurs
+            if i in cols and j in cols:
+                rows[:, cols.index(j)] = 2.0 * rows[:, cols.index(i)]
+            elif i in cols or j in cols:
+                rows[:, cols.index(i if i in cols else j)] = 0.0
+        out.append((rows, np.array(cols, dtype=np.int64)))
+    with pytest.raises(RankDeficient):
+        solve_blocked_ls(out, rhs, ncols, **how)

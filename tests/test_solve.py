@@ -8,6 +8,7 @@ from dlsfem.assembly import (
     assemble_ne,
     assemble_overdetermined,
     build_context,
+    precondition_global_rect,
 )
 from dlsfem.formulation import ManufacturedCase, make_case, make_formulation
 from dlsfem.interpolate import interpolate_case
@@ -361,3 +362,37 @@ def test_residual_vector_matches_indicators():
         m = rec.cond_ls.rows.shape[0]
         sl = sol.residual[rec.row_offset : rec.row_offset + m]
         assert np.linalg.norm(sl) == pytest.approx(sol.eta[e], rel=1e-10)
+
+
+# the block QR against dense lstsq on assembled (preconditioned) systems
+REAL_SYSTEMS = [
+    ("ultraweak-dpg", 2, 8, "poisson-sine", "double"),
+    ("acoustics-ultraweak", 2, 3, "acoustics-resonance", "double"),
+    ("ultraweak-dpg", 1, 8, "poisson-sine", "single"),
+]
+
+
+@pytest.mark.parametrize("fname,p,n,cname,precision", REAL_SYSTEMS)
+def test_qr_matches_dense_lstsq_on_assembled_system(fname, p, n, cname, precision):
+    form = make_formulation(fname, p=p, dp=1)
+    ctx = build_context(uniform_mesh(n), form, make_case(cname), Options(precision=precision))
+    bt, lt, _ = assemble_overdetermined(ctx)
+    sol = solve_ls(bt, lt, ctx)
+    pbt, plt, scale = precondition_global_rect(bt, lt)
+    dense = pbt.to_dense()
+    wide = np.complex128 if np.iscomplexobj(dense) else np.float64
+    m, v = dense.astype(wide), plt.astype(wide)
+    ref = np.linalg.lstsq(m, v, rcond=None)[0]
+    # least-squares forward error bound: u kappa (1 + kappa ||r|| / (||B|| ||x||))
+    sv = np.linalg.svd(m, compute_uv=False)
+    kappa = sv[0] / sv[-1]
+    eta = np.linalg.norm(v - m @ ref) / (sv[0] * np.linalg.norm(ref))
+    bound = 100.0 * np.finfo(dense.dtype).eps * kappa * (1.0 + kappa * eta)
+    got = sol.system_vector / scale
+    assert np.linalg.norm(got - ref) <= bound * np.linalg.norm(ref)
+    assert 0.0 < sol.r_diag_min <= sol.r_diag_max
+    if precision == "double":
+        a, f, _ = assemble_ne(ctx)
+        sol_ne = solve_ne(a, f, ctx)
+        diff = np.linalg.norm(sol_ne.coefficients - sol.coefficients)
+        assert diff <= 1e-10 * np.linalg.norm(sol.coefficients)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from dlsfem import studies
 from dlsfem.cli import main as cli_main
+from dlsfem.solve import ZeroSolution
 from dlsfem.studies import (
     CSV_HEADER,
     ConfigError,
@@ -66,6 +68,23 @@ class TestRunStudy:
         rows2, path2 = run_study(StudyConfig(out_dir=str(tmp_path / "b"), **cfg))
         strip = lambda p: [ln.rsplit(",", 1)[0] for ln in p.read_text().splitlines()]
         assert strip(path1) == strip(path2)
+
+    @pytest.mark.parametrize("error", [ZeroSolution("zero"), ValueError("bug")])
+    def test_only_zero_solution_leaves_rho_empty(self, tmp_path, monkeypatch, error):
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(studies, "residual_rho", fail)
+        cfg = StudyConfig(
+            study="converge", formulation="ultraweak-dpg", p=1, dp=1,
+            refinements=1, solvers=("qr",), out_dir=str(tmp_path),
+        )
+        if isinstance(error, ZeroSolution):
+            rows, _ = run_study(cfg)
+            assert rows[0].rho is None
+        else:
+            with pytest.raises(ValueError, match="bug"):
+                run_study(cfg)
 
     def test_condition_study_cond_squaring(self, tmp_path):
         cfg = StudyConfig(
