@@ -8,22 +8,24 @@ QR in three steps, each made of LAPACK calls on small dense arrays:
 1. Compression.  Columns are permuted into a geometric (left-to-right)
    order.  Every block [B_K | l_K] with more rows than its k + 1 columns is
    replaced by the k x (k+1) R factor of its local Householder QR, batched
-   over blocks of equal shape.  The dropped rows only carry the local
-   residual, so the minimizer is unchanged and the step is backward stable.
+   with one LAPACK ``?geqrf`` per block in the blocks' own dtype.  The
+   dropped rows only carry the local residual, so the minimizer is
+   unchanged and the step is backward stable.
 2. Triangular window update.  The compressed panels, in the order of their
    first column, are merged batch by batch into an upper-triangular active
    window R over a contiguous column range.  LAPACK ``?tpqrt``
    (triangular-pentagonal QR) folds the new rows into the carried triangle
-   without factoring it again; a window that carries nothing yet starts
-   from a plain Householder QR (``?geqrf``) of its first batch.
+   without factoring it again; a window that carries nothing yet is an
+   all-zero triangle.
 3. Freezing and back-substitution.  Before each batch, the window rows of
    the columns that no later panel touches are final.  They leave the
    window as one block of R rows, and the solution is recovered by one
    triangular solve per frozen block, last block first.
 
 The work stays proportional to (compressed rows) x (window width)^2 instead
-of rows x columns^2.  The factorization runs in the dtype of the blocks
-(single/double, real or complex); no normal equations are formed anywhere.
+of rows x columns^2.  Every LAPACK call runs in the dtype of the blocks
+(single/double, real or complex), so single-precision systems are factored
+in single precision; no normal equations are formed anywhere.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ def _compress(blocks, rhs, rank_of, dtype):
     ``rows`` its rows [B_K | l_K] in that column order, compressed to the
     k rows of the R factor when the block has more than k + 1 rows.
     """
+    geqrf = scipy.linalg.get_lapack_funcs("geqrf", dtype=dtype)
     by_shape: dict = {}
     for i, (rows, cols) in enumerate(blocks):
         if rows.size:
@@ -59,7 +62,8 @@ def _compress(blocks, rhs, rank_of, dtype):
         )
         aug[:, :, k] = np.stack([rhs[i] for i in idx])
         if m > k + 1:
-            aug = np.linalg.qr(aug, mode="r")[:, :k]
+            # not np.linalg.qr, which factors float32/complex64 in double
+            aug = np.triu(np.stack([geqrf(a)[0][:k] for a in aug]))
         panels.extend(zip(np.take_along_axis(pcols, sort, axis=1), aug))
     panels.sort(key=lambda panel: panel[0][0])
     return panels
@@ -82,13 +86,6 @@ def _merge(tri, new):
     width = new.shape[1] - 1
     old = tri.shape[0] - 1
     win = np.zeros((width + 1, width + 1), dtype=new.dtype, order="F")
-    if old == 0:
-        # nothing carried: a plain QR of the rows costs 2/3 of the flops of
-        # ?tpqrt against an all-zero triangle
-        r_new = scipy.linalg.qr(new, overwrite_a=True, mode="r", check_finite=False)[0]
-        k = min(r_new.shape)
-        win[:k] = r_new[:k]
-        return win
     win[:old, :old] = tri[:old, :old]
     win[:old, width] = tri[:old, old]
     tpqrt = scipy.linalg.get_lapack_funcs("tpqrt", dtype=new.dtype)

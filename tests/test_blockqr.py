@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from dlsfem.blockqr import solve_blocked_ls
+from dlsfem.blockqr import _compress, solve_blocked_ls
 from dlsfem.linalg import RankDeficient
 
 
@@ -73,6 +74,28 @@ def test_single_precision_dtype_preserved():
     m, v = dense_of(blocks, rhs, 20, np.float64)
     ref = np.linalg.lstsq(m, v, rcond=None)[0]
     np.testing.assert_allclose(x, ref, atol=1e-4 * np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.complex64])
+def test_compression_runs_in_working_dtype(dtype):
+    """Tall blocks are compressed to the R of a LAPACK QR in their own dtype."""
+    rng = np.random.default_rng(6)
+    k, ncols = 3, 12
+    blocks, rhs = [], []
+    for first in range(0, ncols, k):
+        m = int(rng.integers(k + 2, 4 * k + 1))
+        rows = rng.standard_normal((m, k))
+        if dtype == np.complex64:
+            rows = rows + 1j * rng.standard_normal((m, k))
+        blocks.append((rows.astype(dtype), np.arange(first, first + k)))
+        rhs.append(rng.standard_normal(m).astype(dtype))
+    panels = _compress(blocks, rhs, np.arange(ncols), dtype)
+    geqrf = scipy.linalg.get_lapack_funcs("geqrf", dtype=dtype)
+    for (pcols, got), (rows, cols), r in zip(panels, blocks, rhs):
+        np.testing.assert_array_equal(pcols, cols)
+        assert got.dtype == dtype
+        want = np.triu(geqrf(np.column_stack([rows, r]))[0][:k])
+        np.testing.assert_array_equal(got, want)
 
 
 def test_row_cap_batching_consistent():
