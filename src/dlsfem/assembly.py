@@ -121,13 +121,30 @@ class RectangularRowBlocked:
             out[blk.offset : blk.offset + blk.rows.shape[0], blk.cols] = blk.rows
         return out
 
-    def normal_matrix(self) -> np.ndarray:
-        """Dense Btilde* Btilde, accumulated block by block (diagnostics)."""
-        dtype = self.blocks[0].rows.dtype if self.blocks else np.float64
-        a = np.zeros((self.n_cols, self.n_cols), dtype=dtype)
+    def normal_matrix(self) -> SparseSymmetric:
+        """Sparse Btilde* Btilde, accumulated block by block (diagnostics).
+
+        Each block scatters only the nonzeros of its Gram matrix, so a
+        dense panel that holds a sparse matrix (the square system) adds
+        only the fill of its product.
+        """
+        n = self.n_cols
+        if not self.blocks:
+            return SparseSymmetric(n=n, matrix=scipy.sparse.csr_matrix((n, n)))
+        rows, cols, vals = [], [], []
         for blk in self.blocks:
-            a[np.ix_(blk.cols, blk.cols)] += blk.rows.conj().T @ blk.rows
-        return a
+            gram = blk.rows.conj().T @ blk.rows
+            i, j = np.nonzero(gram)
+            rows.append(blk.cols[i])
+            cols.append(blk.cols[j])
+            vals.append(gram[i, j])
+        coo = scipy.sparse.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n),
+        )
+        csr = coo.tocsr()
+        csr.sum_duplicates()
+        return SparseSymmetric(n=n, matrix=csr)
 
     def col_norms_sq(self) -> np.ndarray:
         d = np.zeros(self.n_cols)

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels used by every other module.
+"""Linear-algebra kernels used by every other module.
 
 All routines are generic over the scalar field (real or complex) and the
 working precision (single or double): they preserve the dtype of their
@@ -7,7 +7,12 @@ adds the contracts the rest of the library relies on (Hermitian checks,
 deterministic QR phases, rank diagnostics, typed failures).
 
 Condition numbers are diagnostics, not part of any solve path, and are
-always evaluated in double precision.
+always evaluated in double precision.  ``hpd_condition_number`` takes a
+sparse Hermitian positive-definite matrix and needs only its two extreme
+eigenvalues: lambda_max by ARPACK Lanczos, lambda_min by Lanczos on the
+inverse (shift-invert at sigma = 0, one sparse LU).  The dense
+``singular_values``/``condition_number`` pair computes the whole spectrum
+and serves as its reference.
 """
 
 from __future__ import annotations
@@ -16,10 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 
 class NotPositiveDefinite(Exception):
-    """Cholesky hit a nonpositive pivot: the matrix is not HPD."""
+    """A Cholesky or LDL* pivot is nonpositive: the matrix is not HPD."""
 
 
 class SingularTriangular(Exception):
@@ -181,6 +188,54 @@ def condition_number(m: np.ndarray) -> float:
     tol = sig[0] * max(m.shape) * eps(np.float64)
     nonzero = sig[sig > tol]
     return float(sig[0] / nonzero[-1])
+
+
+def hpd_condition_number(a) -> float:
+    """lambda_max / lambda_min of a Hermitian positive-definite (sparse) ``a``.
+
+    Evaluated in double precision from the two extreme eigenvalues:
+    lambda_max by ARPACK Lanczos to full precision, lambda_min by Lanczos on
+    A^-1 (shift-invert at sigma = 0) through a sparse LU with diagonal
+    pivots in a symmetric ordering.  The LU pivots are those of LDL*, so an
+    off-diagonal or nonpositive pivot proves the matrix indefinite or
+    singular, and so does lambda_min <= N eps lambda_max; either raises
+    NotPositiveDefinite.  The Lanczos start vector is fixed, so repeated
+    calls are bit-identical.  A matrix too small for ARPACK (N < 3) takes
+    the dense eigvalsh.
+    """
+    dtype = np.complex128 if is_complex(a.dtype) else np.float64
+    a = scipy.sparse.csc_matrix(a, dtype=dtype)
+    n = a.shape[0]
+    if n == 0:
+        raise ZeroMatrix("condition number of an empty matrix")
+    if n < 3:
+        lam = np.linalg.eigvalsh(a.toarray())
+        lam_min, lam_max = lam[0], lam[-1]
+    else:
+        try:
+            lu = scipy.sparse.linalg.splu(
+                a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as err:     # an exactly zero pivot
+            raise NotPositiveDefinite(f"singular matrix: {err}") from err
+        # an HPD matrix never leaves the diagonal for a pivot, and then the
+        # U diagonal holds the LDL* pivots
+        if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(lu.U.diagonal().real <= 0):
+            raise NotPositiveDefinite("nonpositive LDL* pivot: matrix is not HPD")
+        v0 = np.random.default_rng(0).standard_normal(n).astype(dtype)
+        eigsh = scipy.sparse.linalg.eigsh
+        lam_max = eigsh(a, k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False)[0]
+        inverse = scipy.sparse.linalg.LinearOperator(a.shape, matvec=lu.solve, dtype=dtype)
+        lam_min = eigsh(
+            a, k=1, sigma=0.0, which="LM", tol=0, v0=v0, OPinv=inverse,
+            return_eigenvectors=False,
+        )[0]
+    if not lam_min > n * eps(np.float64) * abs(lam_max):
+        raise NotPositiveDefinite(
+            "lambda_min %g <= N eps lambda_max (lambda_max %g)" % (lam_min, lam_max)
+        )
+    return float(lam_max / lam_min)
 
 
 def saddle_solve(a, c, f, d):

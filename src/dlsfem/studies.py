@@ -14,16 +14,19 @@ built around:
 
 Reported error columns are combined relative L2 errors over the field
 components ((u, sigma) for Poisson formulations, (p, u) for acoustics).
-Condition numbers are dense diagnostics, evaluated in double precision
-from a double-precision assembly regardless of the working precision, and
-only up to N <= 5000 columns.
+Condition numbers are diagnostics computed only up to N <= 5000 columns,
+in double precision regardless of the working precision, from the two
+extreme eigenvalues of the sparse preconditioned A and Btilde* Btilde
+(Lanczos for lambda_max, shift-invert Lanczos for lambda_min).  A
+double-precision study reuses the systems it assembled for its solves;
+a single-precision one assembles them once more in double precision.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -41,6 +44,7 @@ from .assembly import (
     precondition_global_rect,
     write_matrix_market,
 )
+from .element import NonpositiveDiagonal
 from .formulation import (
     FORMULATION_NAMES,
     RESONANCE_OMEGA,
@@ -173,36 +177,52 @@ def _build(mesh, form, case, options):
     return build_context(mesh, form, case, options)
 
 
-def _cond_diagnostics(mesh, form, case, options, need_a, need_b):
-    """Condition numbers of the (condensed, preconditioned) matrices.
+def _cond_diagnostics(mesh, form, case, options, need_a, need_b, assembled=None):
+    """Condition numbers of the (condensed, preconditioned) A and Btilde.
 
-    Always computed from a double-precision assembly: the condition number
-    is a property of the discretization, not of the working precision.
+    Evaluated in double precision: the condition number is a property of
+    the discretization, not of the working precision.  ``assembled`` is
+    (ctx, ne, ls), the context ``run_study`` built at this level with the
+    (A, f) and (Btilde, ltilde) it assembled there, None where an assembly
+    failed or did not run.  In double precision these are used as they are
+    and a missing system leaves its cell empty; otherwise a double-precision
+    context is built and assembled here.  Both numbers come from the
+    extreme eigenvalues of A_s and Btilde_s* Btilde_s, so a singular or
+    indefinite matrix leaves its cell empty as well.
     """
-    opts = Options(
-        condense=options.condense,
-        precondition_gram=options.precondition_gram,
-        eliminate_bc=options.eliminate_bc,
-        precision="double",
-    )
-    ctx = _build(mesh, form, case, opts)
-    if ctx.n_solve == 0 or ctx.n_solve > COND_LIMIT:
-        return None, None
+    if assembled is not None and not 0 < assembled[0].n_solve <= COND_LIMIT:
+        return None, None           # the size does not depend on precision
+    if assembled is not None and options.precision == "double":
+        _, ne, ls = assembled
+    else:
+        ctx = _build(mesh, form, case, replace(options, precision="double"))
+        if not 0 < ctx.n_solve <= COND_LIMIT:
+            return None, None
+        ne = _try_assemble(assemble_ne, ctx) if need_a else None
+        ls = _try_assemble(assemble_overdetermined, ctx) if need_b else None
     cond_a = cond_b = None
-    if need_a:
-        a, f, _ = assemble_ne(ctx)
-        a_s, _, _ = precondition_global(a, f)
-        cond_a = linalg.condition_number(a_s.to_dense())
-    if need_b:
-        bt, lt, _ = assemble_overdetermined(ctx)
-        bt_s, _, _ = precondition_global_rect(bt, lt)
-        gram = bt_s.normal_matrix()
-        gram = gram.astype(np.complex128 if np.iscomplexobj(gram) else np.float64)
-        sig = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
-        tol = sig.max() * max(bt_s.n_rows, bt_s.n_cols) * linalg.eps(np.float64)
-        nz = sig[sig > tol]
-        cond_b = float(sig.max() / nz.min())
+    if ne is not None:
+        try:
+            a_s, _, _ = precondition_global(*ne)
+            cond_a = linalg.hpd_condition_number(a_s.matrix)
+        except (NotPositiveDefinite, NonpositiveDiagonal):
+            pass
+    if ls is not None:
+        try:
+            bt_s, _, _ = precondition_global_rect(*ls)
+            cond_b = math.sqrt(linalg.hpd_condition_number(bt_s.normal_matrix().matrix))
+        except (NotPositiveDefinite, NonpositiveDiagonal):
+            pass
     return cond_a, cond_b
+
+
+def _try_assemble(assemble, ctx):
+    """(matrix, load) of one assembly path, or None when the assembly fails."""
+    try:
+        mat, load, _ = assemble(ctx)
+    except AssemblyError:
+        return None
+    return mat, load
 
 
 def run_study(config: StudyConfig):
@@ -234,7 +254,7 @@ def run_study(config: StudyConfig):
         ctx = _build(mesh, form, case, options)
         row = StudyRow(n=n, h=mesh.h, n_trial=int(ctx.n_free))
         sol_by = {}
-        bt = lt = None
+        bt = lt = a = f = None
         if "qr" in config.solvers:
             try:
                 bt, lt, _ = assemble_overdetermined(ctx)
@@ -271,6 +291,11 @@ def run_study(config: StudyConfig):
                 mesh, form, case, options,
                 need_a="ne" in config.solvers,
                 need_b="qr" in config.solvers,
+                assembled=(
+                    ctx,
+                    None if a is None else (a, f),
+                    None if bt is None else (bt, lt),
+                ),
             )
         if config.dump_matrices:
             if "ne" in config.solvers and "ne" not in row.failed:

@@ -346,7 +346,7 @@ def test_ac9_invariant_suites():
                     ctx = build_context(uniform_mesh(n), form, form_case)
                     a, f, _ = assemble_ne(ctx)
                     bt, lt, _ = assemble_overdetermined(ctx)
-                    an = bt.normal_matrix()
+                    an = bt.normal_matrix().to_dense()
                     worst_x = max(
                         worst_x,
                         float(np.linalg.norm(a.to_dense() - an) / np.linalg.norm(an)),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from dlsfem import linalg
 from dlsfem.linalg import (
@@ -12,6 +13,7 @@ from dlsfem.linalg import (
     condition_number,
     eps,
     householder_qr,
+    hpd_condition_number,
     least_squares_qr,
     saddle_solve,
     solve_spd,
@@ -194,6 +196,58 @@ class TestConditionNumber:
         m = rng.standard_normal((9, 4))
         ref = np.linalg.cond(m)
         assert condition_number(m) == pytest.approx(ref, rel=1e-9)
+
+
+class TestHpdConditionNumber:
+    """Extreme-eigenvalue condition number against the dense reference.
+
+    Both routes carry an absolute lambda_min error of order eps ||A||, so
+    they may differ by a modest multiple of cond * eps relative.
+    """
+
+    @staticmethod
+    def assert_matches_dense(a):
+        ref = condition_number(a)
+        got = hpd_condition_number(scipy.sparse.csr_matrix(a))
+        assert abs(got - ref) <= 100.0 * ref * eps(np.float64) * ref
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 40])
+    def test_matches_dense_condition_number(self, dtype, n):
+        rng = np.random.default_rng(n)
+        self.assert_matches_dense(random_spd(rng, n, dtype, shift=1e-2))
+
+    @pytest.mark.parametrize("target", [1e2, 1e6, 1e10])
+    def test_graded_spectrum(self, target):
+        rng = np.random.default_rng(int(np.log10(target)))
+        q = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+        a = q @ np.diag(np.geomspace(1.0, 1.0 / target, 30)) @ q.T
+        self.assert_matches_dense((a + a.T) / 2)
+
+    def test_single_precision_input_evaluated_in_double(self):
+        a = np.diag(np.geomspace(1.0, 1e-6, 10))
+        got = hpd_condition_number(scipy.sparse.csr_matrix(a.astype(np.float32)))
+        ref = float(a[0, 0] / a.astype(np.float32).astype(np.float64)[-1, -1])
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_repeat_calls_bit_identical(self):
+        a = scipy.sparse.csr_matrix(random_spd(np.random.default_rng(3), 60, np.complex128))
+        assert hpd_condition_number(a) == hpd_condition_number(a)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.diag([1.0, -1.0, 2.0, 3.0]),            # negative pivot
+            np.diag([1.0, 0.0, 2.0, 3.0]),             # exactly singular
+            np.diag([1.0, 1e-17, 2.0, 3.0]),           # numerically singular
+            np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.diag([1.0, -1.0]),                      # dense small-N route
+        ],
+        ids=["negative", "singular", "near-singular", "off-diagonal-pivot", "small"],
+    )
+    def test_not_hpd_raises(self, a):
+        with pytest.raises(NotPositiveDefinite):
+            hpd_condition_number(scipy.sparse.csr_matrix(a))
 
 
 class TestSaddleSolve:

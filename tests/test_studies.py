@@ -1,13 +1,26 @@
 import numpy as np
 import pytest
 
-from dlsfem import studies
+from dlsfem import linalg, studies
+from dlsfem.assembly import (
+    AssemblyError,
+    Options,
+    assemble_ne,
+    assemble_overdetermined,
+    build_context,
+    build_square_context,
+    precondition_global,
+    precondition_global_rect,
+)
 from dlsfem.cli import main as cli_main
+from dlsfem.formulation import RESONANCE_OMEGA, make_case, make_formulation
+from dlsfem.mesh import uniform_mesh
 from dlsfem.solve import ZeroSolution
 from dlsfem.studies import (
     CSV_HEADER,
     ConfigError,
     StudyConfig,
+    _cond_diagnostics,
     compare_fosls,
     run_study,
 )
@@ -203,3 +216,102 @@ def test_acoustics_study_complex_cond_squaring(tmp_path):
     rows, _ = run_study(cfg)
     for row in rows:
         assert 0.99 <= row.cond_a / row.cond_btilde**2 <= 1.01
+
+
+class TestCondDiagnostics:
+    CASES = {
+        "ultraweak-p2-n8": ("ultraweak-dpg", "poisson-sine", 8),
+        "acoustics-n3": ("acoustics-ultraweak", "acoustics-resonance", 3),
+        "acoustics-n6": ("acoustics-ultraweak", "acoustics-resonance", 6),
+        "bubnov-p2-n6": ("bubnov-galerkin", "poisson-sine10", 6),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_dense_reference(self, name):
+        fname, cname, n = self.CASES[name]
+        kwargs = {"omega": RESONANCE_OMEGA} if cname == "acoustics-resonance" else {}
+        form = make_formulation(fname, 2, 0 if fname == "bubnov-galerkin" else 1, **kwargs)
+        case = make_case(cname, **kwargs)
+        mesh = uniform_mesh(n)
+        build = build_square_context if form.test_conforming else build_context
+        ctx = build(mesh, form, case, Options())
+        a, f, _ = assemble_ne(ctx)
+        bt, lt, _ = assemble_overdetermined(ctx)
+        ref_a = linalg.condition_number(precondition_global(a, f)[0].to_dense())
+        ref_b = linalg.condition_number(precondition_global_rect(bt, lt)[0].to_dense())
+        cond_a, cond_b = _cond_diagnostics(mesh, form, case, Options(), True, True)
+        # the lambda_min of either route is off by about eps ||A_s||
+        tol = 100.0 * ref_a * linalg.eps(np.float64)
+        assert abs(cond_a - ref_a) <= tol * ref_a
+        assert abs(cond_b - ref_b) <= tol * ref_b
+        reused = _cond_diagnostics(
+            mesh, form, case, Options(), True, True, assembled=(ctx, (a, f), (bt, lt))
+        )
+        assert reused == (cond_a, cond_b)
+
+    def test_single_precision_reports_double_precision_cond(self, tmp_path):
+        cfg = dict(
+            study="converge", formulation="ultraweak-dpg", p=1, dp=1,
+            refinements=2, solvers=("ne", "qr"),
+        )
+        single, _ = run_study(StudyConfig(precision="single", out_dir=str(tmp_path / "s"), **cfg))
+        double, _ = run_study(StudyConfig(precision="double", out_dir=str(tmp_path / "d"), **cfg))
+        for rs, rd in zip(single, double):
+            assert rs.cond_a is not None and rs.cond_a == rd.cond_a
+            assert rs.cond_btilde is not None and rs.cond_btilde == rd.cond_btilde
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_failed_assembly_leaves_cell_empty(self, tmp_path, monkeypatch, precision):
+        def fail(ctx):
+            raise AssemblyError("element 0: forced")
+
+        monkeypatch.setattr(studies, "assemble_ne", fail)
+        cfg = StudyConfig(
+            study="converge", formulation="ultraweak-dpg", p=1, dp=1,
+            refinements=2, solvers=("ne", "qr"), precision=precision,
+            out_dir=str(tmp_path),
+        )
+        rows, _ = run_study(cfg)
+        assert len(rows) == 2
+        for row in rows:
+            assert "forced" in row.failed["ne"]
+            assert row.cond_a is None and row.err_ne is None
+            assert row.cond_btilde is not None and row.err_qr is not None
+
+    def test_not_hpd_leaves_cells_empty(self, tmp_path, monkeypatch):
+        def fail(a):
+            raise linalg.NotPositiveDefinite("forced")
+
+        monkeypatch.setattr(linalg, "hpd_condition_number", fail)
+        cfg = StudyConfig(
+            study="condition", formulation="fosls-strong", p=1, dp=1,
+            refinements=2, out_dir=str(tmp_path),
+        )
+        rows, _ = run_study(cfg)
+        assert len(rows) == 2
+        for row in rows:
+            assert row.cond_a is None and row.cond_btilde is None
+            assert row.err_ne is not None and row.err_qr is not None
+
+    @pytest.mark.parametrize(
+        "precision,limit,builds",
+        [("double", 5000, 2), ("single", 5000, 4), ("single", 0, 2)],
+    )
+    def test_contexts_built_per_study(self, tmp_path, monkeypatch, precision, limit, builds):
+        calls = []
+        build = studies._build
+
+        def counting(*args):
+            calls.append(args[3].precision)
+            return build(*args)
+
+        monkeypatch.setattr(studies, "_build", counting)
+        monkeypatch.setattr(studies, "COND_LIMIT", limit)
+        cfg = StudyConfig(
+            study="converge", formulation="ultraweak-dpg", p=1, dp=1,
+            refinements=2, solvers=("ne", "qr"), precision=precision,
+            out_dir=str(tmp_path),
+        )
+        rows, _ = run_study(cfg)
+        assert len(calls) == builds
+        assert all((row.cond_a is None) == (limit == 0) for row in rows)
