@@ -1,20 +1,22 @@
 """Global system construction.
 
-Two assembly paths share one per-element pipeline (compute, Gram
-preconditioning, precision cast, whitening, Dirichlet modification,
-condensation):
+One element pipeline (compute, Gram preconditioning, precision cast,
+whitening, Dirichlet modification, condensation) feeds two assembly paths:
 
 * ``assemble_ne``  accumulates the element normal equations
   A_K = Btilde_K* Btilde_K into one sparse Hermitian matrix (standard
   conforming-FEM accumulation).
 * ``assemble_overdetermined`` stacks the whitened rectangular element
   blocks row by row; the broken test space means no two elements touch the
-  same row, so blocks are simply concatenated.
+  same row, so element e simply owns rows e*M .. e*M + M - 1.
 
-Uniform meshes allow heavy sharing: the master element system is computed
-once, and elements whose Dirichlet column pattern agrees (all interior
-elements, for instance) share their whitened/condensed matrices, leaving
-only load vectors element specific.
+The pipeline runs on element classes, not on single elements.  The master
+element system is computed once; the elements whose Dirichlet column
+pattern agrees (interior, four edge and four corner classes on a uniform
+mesh) form one :class:`ElementClass`, which holds one whitened matrix and
+the stacked loads and global indices of its elements.  Each layer does a
+few array operations per class: a variable coefficient turns the shared
+matrix into a per-element stack that the same calls accept.
 
 Single-precision studies compute element matrices in double and convert
 them to the working precision just before whitening; everything from the
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -33,7 +36,7 @@ import scipy.sparse
 
 from . import basis, element, linalg
 from .basis import gauss_rule
-from .element import NonpositiveDiagonal
+from .element import NonpositiveDiagonal, RankDeficientBubbles, SingularBubbleBlock
 from .formulation import Formulation, ManufacturedCase
 from .mesh import Mesh, build_layout
 
@@ -180,20 +183,53 @@ class RectangularRowBlocked:
         return self._operator()[1] @ r
 
 
-@dataclass
-class ElementRecord:
-    """Per-element whitened data kept for recovery and error indicators."""
+@dataclass(frozen=True, eq=False)
+class ElementClass:
+    """Elements that share one Dirichlet column signature, with stacked data.
 
-    gdofs: np.ndarray          # local -> global trial ids (full local set)
+    With constant coefficients the class shares one whitened matrix ``bt``
+    (M, k); a variable coefficient makes it a stack (E, M, k).  Loads are
+    always stacked, (E, M).  The condensation factors depend on ``bt`` and
+    ``lt`` only; they are computed for the whole class on first use and
+    kept, so every assembler and solver of a context sees the same ones.
+    Threads that reach a factor at the same time may each compute it; the
+    results are equal, so it does not matter whose is kept.
+    """
+
+    elements: np.ndarray       # (E,) element ids, increasing
+    gdofs: np.ndarray          # (E, nloc) local -> global trial ids (full local set)
     free_local: np.ndarray     # local positions that survived BC elimination
-    bt: np.ndarray             # whitened, BC-modified matrix (M x n_free)
-    lt: np.ndarray             # whitened, BC-modified load (M,)
     bubble_pos: np.ndarray     # positions within free columns
     interf_pos: np.ndarray
-    row_offset: int = 0
-    cond_ls: object = None     # element.CondensedElement (shared per class)
-    cond_ne: object = None     # element.SchurElement matrix part (shared)
-    f_ne: Optional[np.ndarray] = None  # element NE rhs (full free set)
+    bt: np.ndarray             # whitened, BC-modified matrix (M, k) or (E, M, k)
+    lt: np.ndarray             # whitened, BC-modified loads (E, M)
+    square: bool = False       # bt is the square matrix of a conforming test space
+
+    @property
+    def free_ids(self) -> np.ndarray:
+        return self.gdofs[:, self.free_local]
+
+    @property
+    def interface_ids(self) -> np.ndarray:
+        return self.gdofs[:, self.free_local[self.interf_pos]]
+
+    @property
+    def bubble_ids(self) -> np.ndarray:
+        return self.gdofs[:, self.free_local[self.bubble_pos]]
+
+    @cached_property
+    def cond_ls(self) -> element.CondensedElement:
+        """Least-squares condensation: projected rows, bubble QR factors."""
+        return element.condense_ls(self.bt, self.lt, self.bubble_pos, self.interf_pos)
+
+    @cached_property
+    def cond_ne(self) -> element.SchurElement:
+        """Schur condensation of the element normal equation (A_K, f_K).
+
+        The square matrix of a conforming test space is condensed as it is.
+        """
+        a, f = (self.bt, self.lt) if self.square else element.element_ne(self.bt, self.lt)
+        return element.condense_ne(a, f, self.bubble_pos, self.interf_pos)
 
 
 @dataclass
@@ -215,7 +251,8 @@ class AssemblyContext:
     solve_index: np.ndarray        # n_total -> position in solve_ids or -1
     bubble_mask: np.ndarray
     positions: np.ndarray          # (n_total, 2)
-    records: list = dc_field(default_factory=list)
+    classes: list = dc_field(default_factory=list)   # ElementClass per BC signature
+    records: tuple = ()            # kept empty for bench/tracing.py, which counts len(records)
     wall_assemble_s: float = 0.0
     square_data: Optional[dict] = None   # conforming-test (square) systems only
 
@@ -310,16 +347,21 @@ def build_context(
     case: ManufacturedCase,
     options: Optional[Options] = None,
 ) -> AssemblyContext:
-    """Run the per-element pipeline for the whole mesh.
+    """Run the element pipeline for the whole mesh, one element class at a time.
 
     The separate NE/overdetermined assemblers consume the resulting
     context; for a given context both views of the problem are guaranteed
     to come from identical whitened element data.
+
+    A conforming-test (Bubnov-Galerkin) formulation runs the same pipeline:
+    its Gram matrix is the identity, so whitening leaves the square
+    stiffness matrix as it is, and the test functions of fixed DOFs are
+    dropped with their columns.  Its context also carries the square
+    system, scattered from the (condensed) element matrices.
     """
     options = options or Options()
-    if form.test_conforming:
-        raise ValueError("conforming-test formulations use build_square_context")
     t0 = time.perf_counter()
+    square = form.test_conforming
     rule = gauss_rule(form.quadrature_order)
     kern = form.kernels(mesh.h, rule)
     layouts, offsets = trial_layouts(mesh, form)
@@ -367,9 +409,8 @@ def build_context(
 
     positions = np.concatenate([lay.positions for lay in layouts], axis=0)
 
-    # --- master element data -------------------------------------------
+    # --- master element data, whitened loads of every element -------------
     wdtype = options.working_dtype(form)
-    rdtype = options.real_dtype()
     g_master = kern["G"]
     b_master = kern["B"]
     if options.precondition_gram:
@@ -380,8 +421,6 @@ def build_context(
     else:
         g_scaled, b_scaled = g_master, b_master
         row_scale = np.ones(form.n_test_local)
-    gw = g_scaled.astype(rdtype)
-    chol = linalg.cholesky(gw)
 
     ne, m_test = mesh.n_elements, form.n_test_local
     origins = mesh.element_origins()
@@ -395,60 +434,61 @@ def build_context(
         "ip,ep->ei", kern["load_table"] * rule.weights, fvals
     )
     l_all *= row_scale[None, :]
-    lt_all = linalg.triangular_solve(chol, l_all.astype(wdtype).T).T
 
-    variable = kern["alpha_var"] is not None
-    if variable:
+    if kern["alpha_var"] is not None:
         av = kern["alpha_var"]
         avals = form.alpha(px, py)
-        delta = av["scale"] * np.einsum(
-            "ip,ep,jp->eij", av["test_tab"] * rule.weights, avals, av["trial_tab"]
+        b_scaled = np.repeat(b_scaled[None], ne, axis=0)
+        b_scaled[:, av["rows"], av["cols"]] += (
+            av["scale"]
+            * np.einsum("ip,ep,jp->eij", av["test_tab"] * rule.weights, avals, av["trial_tab"])
+            * row_scale[av["rows"], None]
         )
-    else:
-        bw_master = (b_scaled).astype(wdtype)
-        bt_master = linalg.triangular_solve(chol, bw_master)
+    bt_full, lt_all = element.whiten(
+        g_scaled.astype(options.real_dtype()), b_scaled.astype(wdtype), l_all.astype(wdtype)
+    )
 
-    # --- per-element BC modification and storage ------------------------
-    records = []
-    class_cache: dict = {}
-    local_range = np.arange(form.n_trial_local)
-    for e in range(ne):
-        gdofs = gdofs_all[e]
-        if variable:
-            b_e = b_scaled.copy()
-            b_e[av["rows"], av["cols"]] += delta[e] * row_scale[av["rows"], None]
-            bt_full = linalg.triangular_solve(chol, b_e.astype(wdtype))
-        else:
-            bt_full = bt_master
-
-        elem_fixed = np.flatnonzero(fixed_mask[gdofs])
-        lt = lt_all[e]
-        if elem_fixed.size:
-            lift_local = lift_full[gdofs]
-            lt = lt - (bt_full[:, elem_fixed] @ lift_local[elem_fixed].astype(wdtype))
-
-        sig = tuple(elem_fixed.tolist())
-        cache_key = None if variable else sig
-        if cache_key is not None and cache_key in class_cache:
-            bt_free, free_local, bubble_pos, interf_pos = class_cache[cache_key]
-        else:
-            free_local = np.setdiff1d(local_range, elem_fixed)
-            bt_free = np.ascontiguousarray(bt_full[:, free_local])
-            bub = bubble_mask[gdofs[free_local]]
-            bubble_pos = np.flatnonzero(bub)
-            interf_pos = np.flatnonzero(~bub)
-            if cache_key is not None:
-                class_cache[cache_key] = (bt_free, free_local, bubble_pos, interf_pos)
-        records.append(
-            ElementRecord(
-                gdofs=gdofs,
+    # --- element classes: BC modification once per Dirichlet signature -----
+    fixed_local = fixed_mask[gdofs_all]
+    # signatures as byte strings: np.unique(fixed_local, axis=0) compares
+    # them field by field, about 25x slower
+    packed = np.packbits(fixed_local, axis=1)
+    signatures, which = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_inverse=True)
+    classes = []
+    for i in range(signatures.size):
+        els = np.flatnonzero(which == i)
+        bt, lt, free_local = element.apply_dirichlet(
+            bt_full if bt_full.ndim == 2 else bt_full[els],
+            lt_all[els],
+            np.flatnonzero(fixed_local[els[0]]),
+            lift_full[gdofs_all[els]],
+        )
+        if square:
+            bt, lt = bt[..., free_local, :], lt[:, free_local]
+        bub = bubble_mask[gdofs_all[els[0], free_local]]
+        classes.append(
+            ElementClass(
+                elements=els,
+                gdofs=gdofs_all[els],
                 free_local=free_local,
-                bt=bt_free,
+                bubble_pos=np.flatnonzero(bub),
+                interf_pos=np.flatnonzero(~bub),
+                bt=bt,
                 lt=lt,
-                bubble_pos=bubble_pos,
-                interf_pos=interf_pos,
+                square=square,
             )
         )
+
+    square_data = None
+    if square:
+        n_solve = solve_ids.size
+        s_dense = np.zeros((n_solve, n_solve), dtype=wdtype)
+        rhs = np.zeros(n_solve, dtype=wdtype)
+        for c in classes:
+            mat, vec, cols = _class_system(c, options.condense, solve_index, ls=False)
+            np.add.at(s_dense, (cols[:, :, None], cols[:, None, :]), mat)
+            np.add.at(rhs, cols, vec)
+        square_data = {"matrix": s_dense, "rhs": rhs}
 
     ctx = AssemblyContext(
         formulation=form,
@@ -466,7 +506,8 @@ def build_context(
         solve_index=solve_index,
         bubble_mask=bubble_mask,
         positions=positions,
-        records=records,
+        classes=classes,
+        square_data=square_data,
     )
     ctx.wall_assemble_s = time.perf_counter() - t0
     return ctx
@@ -492,122 +533,31 @@ def build_square_context(
     (squaring the condition number, as forming normal equations of a
     traditional method must).
     """
-    options = options or Options()
-    t0 = time.perf_counter()
-    rule = gauss_rule(form.quadrature_order)
-    kern = form.kernels(mesh.h, rule)
-    layouts, offsets = trial_layouts(mesh, form)
-    n_total = int(offsets[-1] + layouts[-1].n_total)
-    lay = layouts[0]
-    gdofs_all = lay.element_dofs
+    if not form.test_conforming:
+        raise ValueError("build_square_context needs a conforming-test formulation")
+    return build_context(mesh, form, case, options)
 
-    fixed_mask = np.zeros(n_total, dtype=bool)
-    lift_full = np.zeros(n_total, dtype=form.dtype)
-    if options.eliminate_bc:
-        fixed_mask[lay.boundary_dofs] = True
-        if case.boundary_value is not None:
-            lift = _edge_lift_coefficients(form, mesh, lay, 0, case)
-            lift_full[lay.boundary_dofs] = lift[lay.boundary_dofs]
 
-    bubble_mask = np.zeros(n_total, dtype=bool)
-    n_int = lay.counts.get("interior", 0)
-    if n_int:
-        bubble_mask[n_total - n_int :] = True
+def _class_system(c: ElementClass, condense: bool, solve_index, ls: bool):
+    """(matrix, loads, solve columns) that one class adds to an assembled system.
 
-    free_mask = ~fixed_mask
-    free_ids = np.flatnonzero(free_mask)
-    solve_ids = np.flatnonzero(free_mask & ~bubble_mask) if options.condense else free_ids
-    solve_index = np.full(n_total, -1, dtype=np.int64)
-    solve_index[solve_ids] = np.arange(solve_ids.size)
-
-    wdtype = options.working_dtype(form)
-    b_master = kern["B"].astype(wdtype)
-    ne = mesh.n_elements
-    origins = mesh.element_origins()
-    px = origins[:, 0:1] + mesh.h * rule.points[None, :, 0]
-    py = origins[:, 1:2] + mesh.h * rule.points[None, :, 1]
-    fvals = case.f(px, py)
-    l_all = (
-        kern["load_scale"]
-        * np.einsum("ip,ep->ei", kern["load_table"] * rule.weights, fvals)
-    ).astype(wdtype)
-
-    n_solve = solve_ids.size
-    s_dense = np.zeros((n_solve, n_solve), dtype=wdtype)
-    rhs = np.zeros(n_solve, dtype=wdtype)
-    records = []
-    local_range = np.arange(form.n_trial_local)
-    schur_cache: dict = {}
-    for e in range(ne):
-        gdofs = gdofs_all[e]
-        elem_fixed = np.flatnonzero(fixed_mask[gdofs])
-        lt = l_all[e]
-        if elem_fixed.size:
-            lt = lt - b_master[:, elem_fixed] @ lift_full[gdofs][elem_fixed].astype(wdtype)
-        free_local = np.setdiff1d(local_range, elem_fixed)
-        b_free = b_master[np.ix_(free_local, free_local)]
-        lt = lt[free_local]
-        bub = bubble_mask[gdofs[free_local]]
-        bubble_pos = np.flatnonzero(bub)
-        interf_pos = np.flatnonzero(~bub)
-        sig = tuple(elem_fixed.tolist())
-        if options.condense:
-            schur = schur_cache.get(sig)
-            if schur is None:
-                schur = element.condense_ne(
-                    b_free, np.zeros(b_free.shape[0], dtype=wdtype), bubble_pos, interf_pos
-                )
-                schur_cache[sig] = schur
-            f_b = lt[bubble_pos]
-            if bubble_pos.size:
-                y = linalg.triangular_solve(schur.chol_bb, f_b)
-                rhs_e = lt[interf_pos] - (
-                    linalg.triangular_solve(schur.chol_bb, schur.a_bi).conj().T @ y
-                )
-            else:
-                rhs_e = lt[interf_pos]
-            cols = solve_index[gdofs[free_local[interf_pos]]]
-            s_dense[np.ix_(cols, cols)] += schur.schur
-            rhs[cols] += rhs_e
-            rec = ElementRecord(
-                gdofs=gdofs, free_local=free_local, bt=b_free, lt=lt,
-                bubble_pos=bubble_pos, interf_pos=interf_pos,
-            )
-            rec.cond_ne = element.SchurElement(
-                schur=schur.schur, rhs=None, chol_bb=schur.chol_bb,
-                a_bi=schur.a_bi, f_bubb=f_b,
-            )
+    ``ls`` selects the rows of the overdetermined system, otherwise the
+    element normal equation (the square matrix itself for a conforming
+    test space).  Condensed systems keep the interface columns only.
+    """
+    try:
+        if condense:
+            cond = c.cond_ls if ls else c.cond_ne
+            mat = cond.rows if ls else cond.schur
+            vec, ids = cond.rhs, c.interface_ids
         else:
-            cols = solve_index[gdofs[free_local]]
-            s_dense[np.ix_(cols, cols)] += b_free
-            rhs[cols] += lt
-            rec = ElementRecord(
-                gdofs=gdofs, free_local=free_local, bt=b_free, lt=lt,
-                bubble_pos=bubble_pos, interf_pos=interf_pos,
-            )
-        records.append(rec)
-
-    ctx = AssemblyContext(
-        formulation=form,
-        mesh=mesh,
-        case=case,
-        options=options,
-        rule=rule,
-        layouts=layouts,
-        offsets=offsets,
-        n_total=n_total,
-        fixed_mask=fixed_mask,
-        lift_full=lift_full,
-        free_ids=free_ids,
-        solve_ids=solve_ids,
-        solve_index=solve_index,
-        bubble_mask=bubble_mask,
-        positions=lay.positions,
-        records=records,
-        square_data={"matrix": s_dense, "rhs": rhs},
-    )
-    ctx.wall_assemble_s = time.perf_counter() - t0
-    return ctx
+            mat, vec = (c.bt, c.lt) if ls or c.square else element.element_ne(c.bt, c.lt)
+            ids = c.free_ids
+    except (RankDeficientBubbles, SingularBubbleBlock, linalg.NotPositiveDefinite) as err:
+        raise AssemblyError(
+            f"element {c.elements[0]} (class of {c.elements.size}): {err}"
+        ) from err
+    return mat, vec, solve_index[ids]
 
 
 def assemble_overdetermined(
@@ -631,49 +581,18 @@ def assemble_overdetermined(
         blk = RowBlock(rows=s, cols=np.arange(ctx.n_solve), offset=0)
         bt = RectangularRowBlocked(n_cols=ctx.n_solve, n_rows=s.shape[0], blocks=[blk])
         return bt, ctx.square_data["rhs"].copy(), ctx
-    condense = ctx.options.condense
-    blocks = []
-    rhs = []
-    offset = 0
-    cond_cache: dict = {}
-    for e, rec in enumerate(ctx.records):
-        try:
-            if condense:
-                # matrix factors are shared per BC-signature class; only the
-                # load is element specific
-                key = id(rec.bt)
-                base = cond_cache.get(key)
-                if base is None:
-                    base = element.condense_ls(
-                        rec.bt, rec.lt, rec.bubble_pos, rec.interf_pos
-                    )
-                    cond_cache[key] = base
-                qb = base.q_bubb
-                rhs_e = rec.lt - qb @ (qb.conj().T @ rec.lt)
-                rec.cond_ls = element.CondensedElement(
-                    rows=base.rows,
-                    rhs=rhs_e,
-                    q_bubb=qb,
-                    r_bubb=base.r_bubb,
-                    b_interf=base.b_interf,
-                    ltilde=rec.lt,
-                )
-                cols = ctx.solve_index[rec.gdofs[rec.free_local[rec.interf_pos]]]
-                rows_mat = rec.cond_ls.rows
-                rhs_vec = rhs_e
-            else:
-                cols = ctx.solve_index[rec.gdofs[rec.free_local]]
-                rows_mat = rec.bt
-                rhs_vec = rec.lt
-        except (element.RankDeficientBubbles, linalg.NotPositiveDefinite) as err:
-            raise AssemblyError(f"element {e}: {err}") from err
-        blocks.append(RowBlock(rows=rows_mat, cols=cols, offset=offset))
-        rec.row_offset = offset
-        rhs.append(rhs_vec)
-        offset += rows_mat.shape[0]
-    bt = RectangularRowBlocked(n_cols=ctx.n_solve, n_rows=offset, blocks=blocks)
-    ltilde = np.concatenate(rhs) if rhs else np.zeros(0)
-    return bt, ltilde, ctx
+    ne, m = ctx.mesh.n_elements, ctx.formulation.n_test_local
+    blocks = [None] * ne
+    ltilde = np.zeros((ne, m), dtype=ctx.options.working_dtype(ctx.formulation))
+    for c in ctx.classes:
+        mat, vec, cols = _class_system(c, ctx.options.condense, ctx.solve_index, ls=True)
+        ltilde[c.elements] = vec
+        # element e owns rows e*m .. e*m + m - 1; a shared matrix is one view
+        mats = np.broadcast_to(mat, (c.elements.size,) + mat.shape[-2:])
+        for e, rows, k in zip(c.elements.tolist(), mats, cols):
+            blocks[e] = RowBlock(rows=rows, cols=k, offset=e * m)
+    bt = RectangularRowBlocked(n_cols=ctx.n_solve, n_rows=ne * m, blocks=blocks)
+    return bt, ltilde.ravel(), ctx
 
 
 def assemble_ne(
@@ -696,65 +615,22 @@ def assemble_ne(
         a = s.conj().T @ s
         f = s.conj().T @ ctx.square_data["rhs"]
         return SparseSymmetric(n=ctx.n_solve, matrix=scipy.sparse.csr_matrix(a)), f, ctx
-    condense = ctx.options.condense
-    rows_idx, cols_idx, vals = [], [], []
-    fvec = np.zeros(ctx.n_solve, dtype=ctx.options.working_dtype(ctx.formulation))
-    ne_cache: dict = {}
-    for e, rec in enumerate(ctx.records):
-        try:
-            key = id(rec.bt)
-            a_k = ne_cache.get(("a", key))
-            if a_k is None:
-                a_k = rec.bt.conj().T @ rec.bt
-                ne_cache[("a", key)] = a_k
-            f_k = rec.bt.conj().T @ rec.lt
-            rec.f_ne = f_k
-            if condense:
-                schur = ne_cache.get(("s", key))
-                if schur is None:
-                    schur = element.condense_ne(
-                        a_k, np.zeros(a_k.shape[0], dtype=a_k.dtype),
-                        rec.bubble_pos, rec.interf_pos,
-                    )
-                    ne_cache[("s", key)] = schur
-                rec.cond_ne = element.SchurElement(
-                    schur=schur.schur,
-                    rhs=None,
-                    chol_bb=schur.chol_bb,
-                    a_bi=schur.a_bi,
-                    f_bubb=f_k[rec.bubble_pos],
-                )
-                f_b = f_k[rec.bubble_pos]
-                f_i = f_k[rec.interf_pos]
-                if rec.bubble_pos.size:
-                    y = linalg.triangular_solve(schur.chol_bb, f_b)
-                    yb = linalg.triangular_solve(schur.chol_bb, schur.a_bi)
-                    rhs_e = f_i - yb.conj().T @ y
-                else:
-                    rhs_e = f_i
-                a_scatter = schur.schur
-                cols = ctx.solve_index[rec.gdofs[rec.free_local[rec.interf_pos]]]
-            else:
-                a_scatter = a_k
-                rhs_e = f_k
-                cols = ctx.solve_index[rec.gdofs[rec.free_local]]
-        except (element.SingularBubbleBlock, linalg.NotPositiveDefinite) as err:
-            raise AssemblyError(f"element {e}: {err}") from err
-        k = cols.size
-        rows_idx.append(np.repeat(cols, k))
-        cols_idx.append(np.tile(cols, k))
-        vals.append(a_scatter.ravel())
-        fvec[cols] += rhs_e
     n = ctx.n_solve
-    if rows_idx:
-        coo = scipy.sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
-            shape=(n, n),
-        )
-        csr = coo.tocsr()
-        csr.sum_duplicates()
-    else:
-        csr = scipy.sparse.csr_matrix((n, n))
+    rows_idx, cols_idx, vals = [], [], []
+    fvec = np.zeros(n, dtype=ctx.options.working_dtype(ctx.formulation))
+    for c in ctx.classes:
+        mat, vec, cols = _class_system(c, ctx.options.condense, ctx.solve_index, ls=False)
+        e, k = cols.shape
+        rows_idx.append(np.repeat(cols, k, axis=1).ravel())
+        cols_idx.append(np.tile(cols, (1, k)).ravel())
+        vals.append(np.broadcast_to(mat, (e, k, k)).ravel())
+        np.add.at(fvec, cols, vec)
+    coo = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
+        shape=(n, n),
+    )
+    csr = coo.tocsr()
+    csr.sum_duplicates()
     return SparseSymmetric(n=n, matrix=csr), fvec, ctx
 
 

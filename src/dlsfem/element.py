@@ -1,4 +1,4 @@
-"""Per-element pipeline: Gram preconditioning, whitening, boundary
+"""Element pipeline: Gram preconditioning, whitening, boundary
 modification, and static condensation in least-squares and
 normal-equation flavors.
 
@@ -12,6 +12,12 @@ single element) either by the orthogonal projector I - Q_b Q_b* obtained
 from a QR of the bubble block (least-squares flavor) or by the Schur
 complement of the element normal equation; Appendix-style equivalence of
 the two is covered by the test suite.
+
+Every function takes one element or a whole element class at once.  Loads
+and coefficient vectors may carry leading batch axes, (E, M) for E
+elements; matrices are either shared by the batch, (M, k), or stacked per
+element, (E, M, k).  A shared factor solves for all E elements in one
+triangular solve with E right-hand sides.
 """
 
 from __future__ import annotations
@@ -83,14 +89,14 @@ def whiten(g, b, l):
     """Cholesky whitening: returns (Btilde, ltilde) with G = L L*."""
     ell_factor = linalg.cholesky(np.asarray(g))
     bt = linalg.triangular_solve(ell_factor, np.asarray(b))
-    lt = linalg.triangular_solve(ell_factor, np.asarray(l))
+    lt = linalg.triangular_solve(ell_factor, np.asarray(l)[..., None])[..., 0]
     return bt, lt
 
 
 def element_ne(bt, lt):
     """Element normal equation: A_K = Btilde* Btilde, f_K = Btilde* ltilde."""
-    bt = np.asarray(bt)
-    return bt.conj().T @ bt, bt.conj().T @ np.asarray(lt)
+    bth = linalg.adjoint(bt)
+    return bth @ np.asarray(bt), linalg.matvec(bth, lt)
 
 
 def apply_dirichlet(bt, lt, fixed_local, lift_local=None):
@@ -103,12 +109,12 @@ def apply_dirichlet(bt, lt, fixed_local, lift_local=None):
     """
     bt = np.asarray(bt)
     lt = np.asarray(lt).copy()
-    n = bt.shape[1]
+    n = bt.shape[-1]
     fixed_local = np.asarray(fixed_local, dtype=np.int64)
     free = np.setdiff1d(np.arange(n), fixed_local)
     if lift_local is not None and np.any(lift_local != 0):
-        lt = lt - bt @ np.asarray(lift_local).astype(lt.dtype)
-    return bt[:, free], lt, free
+        lt = lt - linalg.matvec(bt, np.asarray(lift_local).astype(lt.dtype))
+    return bt[..., free], lt, free
 
 
 def condense_ls(bt, lt, bubble_idx, interface_idx):
@@ -122,35 +128,33 @@ def condense_ls(bt, lt, bubble_idx, interface_idx):
     lt = np.asarray(lt)
     bubble_idx = np.asarray(bubble_idx, dtype=np.int64)
     interface_idx = np.asarray(interface_idx, dtype=np.int64)
-    b_bubb = bt[:, bubble_idx]
-    b_int = bt[:, interface_idx]
-    if bubble_idx.size == 0:
-        z = np.zeros((bt.shape[0], 0), dtype=bt.dtype)
-        r0 = np.zeros((0, 0), dtype=bt.dtype)
-        return CondensedElement(b_int.copy(), lt.copy(), z, r0, b_int, lt)
+    b_bubb = bt[..., bubble_idx]
+    b_int = bt[..., interface_idx]
     qr = linalg.householder_qr(b_bubb)
-    diag = np.abs(np.diag(qr.r))
-    if diag.size and (
-        diag.max() == 0.0
-        or diag.min() < bt.shape[0] * linalg.eps(bt.dtype) * diag.max()
+    if bubble_idx.size == 0:
+        return CondensedElement(b_int.copy(), lt.copy(), qr.q, qr.r, b_int, lt)
+    diag = np.abs(np.diagonal(qr.r, axis1=-2, axis2=-1))
+    dmax = diag.max(axis=-1)
+    if np.any(dmax == 0.0) or np.any(
+        diag.min(axis=-1) < bt.shape[-2] * linalg.eps(bt.dtype) * dmax
     ):
         raise RankDeficientBubbles(
             "bubble block rank deficient (min diag %g)" % diag.min()
         )
     qb = qr.q
-    rows = b_int - qb @ (qb.conj().T @ b_int)
-    rhs = lt - qb @ (qb.conj().T @ lt)
+    qbh = linalg.adjoint(qb)
+    rows = b_int - qb @ (qbh @ b_int)
+    rhs = lt - linalg.matvec(qb, linalg.matvec(qbh, lt))
     return CondensedElement(rows, rhs, qb, qr.r, b_int, lt)
 
 
 def recover_bubbles(cond: CondensedElement, u_interf):
     """Bubble coefficients minimizing the local residual at fixed interface."""
-    if cond.r_bubb.shape[0] == 0:
-        return np.zeros(0, dtype=cond.rows.dtype)
-    resid = cond.ltilde - cond.b_interf @ np.asarray(u_interf, dtype=cond.rows.dtype)
+    resid = cond.ltilde - linalg.matvec(cond.b_interf, np.asarray(u_interf, dtype=cond.rows.dtype))
+    y = linalg.matvec(linalg.adjoint(cond.q_bubb), resid)
     return linalg.triangular_solve(
-        cond.r_bubb.conj().T, cond.q_bubb.conj().T @ resid, trans="C"
-    )
+        linalg.adjoint(cond.r_bubb), y[..., None], trans="C"
+    )[..., 0]
 
 
 @dataclass
@@ -170,35 +174,33 @@ def condense_ne(a, f, bubble_idx, interface_idx):
     f = np.asarray(f)
     bubble_idx = np.asarray(bubble_idx, dtype=np.int64)
     interface_idx = np.asarray(interface_idx, dtype=np.int64)
-    a_bb = a[np.ix_(bubble_idx, bubble_idx)]
-    a_bi = a[np.ix_(bubble_idx, interface_idx)]
-    a_ii = a[np.ix_(interface_idx, interface_idx)]
-    f_b = f[bubble_idx]
-    f_i = f[interface_idx]
+    a_bb = a[..., bubble_idx[:, None], bubble_idx]
+    a_bi = a[..., bubble_idx[:, None], interface_idx]
+    a_ii = a[..., interface_idx[:, None], interface_idx]
+    f_b = f[..., bubble_idx]
+    f_i = f[..., interface_idx]
     if bubble_idx.size == 0:
-        z = np.zeros((0, 0), dtype=a.dtype)
-        return SchurElement(a_ii.copy(), f_i.copy(), z, a_bi, f_b)
+        return SchurElement(a_ii.copy(), f_i.copy(), a_bb, a_bi, f_b)
     try:
         chol = linalg.cholesky(a_bb)
     except NotPositiveDefinite as err:
         raise SingularBubbleBlock(str(err)) from err
     # A_ib A_bb^-1 A_bi via the triangular factor
     y = linalg.triangular_solve(chol, a_bi)
-    yf = linalg.triangular_solve(chol, f_b)
-    schur = a_ii - y.conj().T @ y
-    rhs = f_i - y.conj().T @ yf
+    yf = linalg.triangular_solve(chol, f_b[..., None])
+    yh = linalg.adjoint(y)
+    schur = a_ii - yh @ y
+    rhs = f_i - (yh @ yf)[..., 0]
     return SchurElement(schur, rhs, chol, a_bi, f_b)
 
 
 def recover_bubbles_ne(schur_elem: SchurElement, u_interf):
     """Bubble recovery for the Schur flavor: u_b = A_bb^-1 (f_b - A_bi u_i)."""
-    if schur_elem.chol_bb.shape[0] == 0:
-        return np.zeros(0, dtype=schur_elem.schur.dtype)
-    rhs = schur_elem.f_bubb - schur_elem.a_bi @ np.asarray(
-        u_interf, dtype=schur_elem.schur.dtype
+    rhs = schur_elem.f_bubb - linalg.matvec(
+        schur_elem.a_bi, np.asarray(u_interf, dtype=schur_elem.schur.dtype)
     )
-    y = linalg.triangular_solve(schur_elem.chol_bb, rhs)
-    return linalg.triangular_solve(schur_elem.chol_bb, y, trans="C")
+    y = linalg.triangular_solve(schur_elem.chol_bb, rhs[..., None])
+    return linalg.triangular_solve(schur_elem.chol_bb, y, trans="C")[..., 0]
 
 
 def compute_element(form, mesh_obj, elem: int, case, rule) -> ElementSystem:

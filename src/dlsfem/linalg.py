@@ -2,8 +2,11 @@
 
 All routines are generic over the scalar field (real or complex) and the
 working precision (single or double): they preserve the dtype of their
-inputs.  Factorizations are delegated to LAPACK through scipy; this module
-adds the contracts the rest of the library relies on (Hermitian checks,
+inputs.  ``cholesky``, ``triangular_solve`` and ``householder_qr`` also
+take stacks (..., m, n) of matrices, one factorization per matrix, which
+is how the element pipeline treats whole element classes at once.
+Factorizations are delegated to LAPACK through scipy; this module adds
+the contracts the rest of the library relies on (Hermitian checks,
 deterministic QR phases, rank diagnostics, typed failures).
 
 Condition numbers are diagnostics, not part of any solve path, and are
@@ -58,27 +61,38 @@ def fro(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
+def adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    return np.swapaxes(np.asarray(m), -1, -2).conj()
+
+
+def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for a matrix or a stack of matrices and a batch of vectors (..., n)."""
+    return (m @ np.asarray(x)[..., None])[..., 0]
+
+
 def hermitian_defect(g) -> float:
-    """Relative Frobenius distance of ``g`` from its conjugate transpose."""
+    """Relative Frobenius distance of ``g`` (or a stack) from its adjoint."""
     g = np.asarray(g)
     scale = fro(g)
     if scale == 0.0:
         return 0.0
-    return fro(g - g.conj().T) / scale
+    return fro(g - adjoint(g)) / scale
 
 
 def cholesky(g: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L* = g for Hermitian positive-definite g.
 
+    ``g`` may be a stack (..., n, n); every matrix is factored on its own.
     Raises NotPositiveDefinite on a nonpositive pivot, which in this library
     signals a broken or ill-posed test inner product.
     """
     g = np.asarray(g)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise ValueError("cholesky expects a square matrix")
     if hermitian_defect(g) > 100.0 * eps(g.dtype):
         raise ValueError("matrix is not Hermitian to working tolerance")
-    if g.shape[0] == 0:
+    if g.shape[-1] == 0:
         return g.copy()
     try:
         return scipy.linalg.cholesky(g, lower=True, check_finite=False)
@@ -87,21 +101,30 @@ def cholesky(g: np.ndarray) -> np.ndarray:
 
 
 def triangular_solve(ell: np.ndarray, m: np.ndarray, trans: str = "N") -> np.ndarray:
-    """Solve L X = M (or L* X = M with ``trans='C'``) for lower-triangular L."""
+    """Solve L X = M (or L* X = M with ``trans='C'``) for lower-triangular L.
+
+    A stack of factors (..., n, n) solves against a matching stack of
+    right-hand sides.  One factor (n, n) against a stack (..., n, c) solves
+    all of them as the columns of a single right-hand side, in one call.
+    """
     ell = np.asarray(ell)
     m = np.asarray(m)
-    if ell.shape[0] != ell.shape[1]:
+    n = ell.shape[-1]
+    if ell.shape[-2] != n:
         raise ValueError("triangular factor must be square")
-    if np.any(np.diag(ell) == 0):
+    if np.any(np.diagonal(ell, axis1=-2, axis2=-1) == 0):
         raise SingularTriangular("zero diagonal entry in triangular factor")
-    if ell.shape[0] == 0:
+    if n == 0:
         return m.copy()
-    vec = m.ndim == 1
-    rhs = m[:, None] if vec else m
-    x = scipy.linalg.solve_triangular(
-        ell, rhs, lower=True, trans=0 if trans == "N" else 2, check_finite=False
+    if m.ndim == 1:
+        return triangular_solve(ell, m[:, None], trans)[:, 0]
+    if ell.ndim == 2 and m.ndim > 2:
+        cols = np.moveaxis(m, -2, 0)
+        x = triangular_solve(ell, cols.reshape(n, -1), trans)
+        return np.moveaxis(x.reshape(cols.shape), 0, -2)
+    return scipy.linalg.solve_triangular(
+        ell, m, lower=True, trans=0 if trans == "N" else 2, check_finite=False
     )
-    return x[:, 0] if vec else x
 
 
 @dataclass
@@ -117,19 +140,21 @@ class QrFactors:
 
 
 def householder_qr(m: np.ndarray) -> QrFactors:
-    """Householder QR of an m-by-n matrix with m >= n, without pivoting."""
+    """Householder QR of an m-by-n matrix (or a stack) with m >= n, without pivoting."""
     m = np.asarray(m)
-    rows, cols = m.shape
+    *batch, rows, cols = m.shape
     if rows < cols:
         raise ValueError("householder_qr expects rows >= cols")
     if cols == 0:
-        return QrFactors(np.zeros((rows, 0), dtype=m.dtype), np.zeros((0, 0), dtype=m.dtype))
+        return QrFactors(
+            np.zeros((*batch, rows, 0), dtype=m.dtype), np.zeros((*batch, 0, 0), dtype=m.dtype)
+        )
     q, r = scipy.linalg.qr(m, mode="economic", check_finite=False)
     # normalize so diag(r) >= 0
-    d = np.diag(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     phase = np.where(np.abs(d) == 0, 1.0, d / np.where(np.abs(d) == 0, 1.0, np.abs(d)))
-    q = q * phase[None, :]
-    r = r * np.conj(phase)[:, None]
+    q = q * phase[..., None, :]
+    r = r * np.conj(phase)[..., :, None]
     return QrFactors(q=q, r=r)
 
 

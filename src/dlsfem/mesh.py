@@ -87,46 +87,29 @@ def uniform_mesh(n: int) -> Mesh:
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def vid(ix, iy):
-        return iy * (n + 1) + ix
-
     ne = n * n
-    elements = np.empty((ne, 4), dtype=np.int64)
-    element_edges = np.empty((ne, 4), dtype=np.int64)
     n_h = n * (n + 1)  # horizontal edges (rows iy = 0..n of n each)
+    ey, ex = np.divmod(np.arange(ne, dtype=np.int64), n)
+    v0 = ey * (n + 1) + ex                       # lower-left vertex
+    elements = np.column_stack([v0, v0 + 1, v0 + n + 2, v0 + n + 1])
+    element_edges = np.column_stack(
+        [
+            ey * n + ex,                         # bottom
+            n_h + ey * (n + 1) + ex + 1,         # right
+            (ey + 1) * n + ex,                   # top
+            n_h + ey * (n + 1) + ex,             # left
+        ]
+    )
 
-    def hedge(ix, iy):
-        return iy * n + ix
-
-    def vedge(ix, iy):
-        return n_h + iy * (n + 1) + ix
-
-    for ey in range(n):
-        for ex in range(n):
-            e = ey * n + ex
-            elements[e] = (vid(ex, ey), vid(ex + 1, ey), vid(ex + 1, ey + 1), vid(ex, ey + 1))
-            element_edges[e] = (
-                hedge(ex, ey),       # bottom
-                vedge(ex + 1, ey),   # right
-                hedge(ex, ey + 1),   # top
-                vedge(ex, ey),       # left
-            )
-
-    nedges = 2 * n * (n + 1)
+    nedges = 2 * n_h
     orientation = np.zeros(nedges, dtype=np.int64)
     orientation[n_h:] = 1
-    midpoints = np.empty((nedges, 2))
-    on_boundary = np.zeros(nedges, dtype=bool)
-    for iy in range(n + 1):
-        for ix in range(n):
-            eid = hedge(ix, iy)
-            midpoints[eid] = ((ix + 0.5) * h, iy * h)
-            on_boundary[eid] = iy in (0, n)
-    for iy in range(n):
-        for ix in range(n + 1):
-            eid = vedge(ix, iy)
-            midpoints[eid] = (ix * h, (iy + 0.5) * h)
-            on_boundary[eid] = ix in (0, n)
+    hy, hx = np.divmod(np.arange(n_h), n)        # horizontal edge iy * n + ix
+    vy, vx = np.divmod(np.arange(n_h), n + 1)    # vertical edge n_h + iy * (n + 1) + ix
+    midpoints = np.concatenate(
+        [np.column_stack([(hx + 0.5) * h, hy * h]), np.column_stack([vx * h, (vy + 0.5) * h])]
+    )
+    on_boundary = np.concatenate([(hy == 0) | (hy == n), (vx == 0) | (vx == n)])
 
     vertex_on_boundary = (
         np.isclose(vertices[:, 0], 0.0)
@@ -171,51 +154,47 @@ class DofLayout:
         return self.element_dofs.shape[1]
 
 
+def _edge_dofs(mesh: Mesh, per_edge: int, base: int = 0) -> np.ndarray:
+    """(ne, 4 * per_edge) ids of the element edges' DOFs, edge by edge."""
+    ids = base + mesh.element_edges[:, :, None] * per_edge + np.arange(per_edge)
+    return ids.reshape(mesh.n_elements, 4 * per_edge)
+
+
+def _boundary_edge_dofs(mesh: Mesh, per_edge: int, base: int = 0) -> np.ndarray:
+    bedges = np.flatnonzero(mesh.edge_on_boundary)
+    return (base + bedges[:, None] * per_edge + np.arange(per_edge)).ravel()
+
+
+def _interior_dofs(mesh: Mesh, per_element: int, base: int) -> np.ndarray:
+    """(ne, per_element) ids of element-interior DOFs numbered element by element."""
+    return base + per_element * np.arange(mesh.n_elements)[:, None] + np.arange(per_element)
+
+
 def _h1_like_layout(mesh: Mesh, p: int, with_interior: bool) -> DofLayout:
     """Shared constructor for the h1 and trace_h1 layouts."""
     n = mesh.n
     nv = (n + 1) * (n + 1)
     nedge = mesh.n_edges
     ker = p - 1
-    n_total = nv + nedge * ker + (with_interior ) * mesh.n_elements * ker * ker
+    n_int = ker * ker if with_interior else 0
     interior_base = nv + nedge * ker
+    n_total = interior_base + mesh.n_elements * n_int
 
-    nloc = 4 + 4 * ker + (ker * ker if with_interior else 0)
-    dofs = np.empty((mesh.n_elements, nloc), dtype=np.int64)
-    positions = np.empty((n_total, 2))
-    positions[:nv] = mesh.vertices
-    for eid in range(nedge):
-        positions[nv + eid * ker : nv + (eid + 1) * ker] = mesh.edge_midpoints[eid]
-
-    for e in range(mesh.n_elements):
-        cols = list(mesh.elements[e])
-        for le in range(4):
-            eid = mesh.element_edges[e, le]
-            cols.extend(nv + eid * ker + k for k in range(ker))
-        if with_interior:
-            base = interior_base + e * ker * ker
-            cols.extend(base + k for k in range(ker * ker))
-            positions[base : base + ker * ker] = mesh.element_origin(e) + 0.5 * mesh.h
-        dofs[e] = cols
-
-    boundary = np.concatenate(
+    dofs = np.concatenate(
+        [mesh.elements, _edge_dofs(mesh, ker, nv), _interior_dofs(mesh, n_int, interior_base)],
+        axis=1,
+    )
+    positions = np.concatenate(
         [
-            np.flatnonzero(mesh.vertex_on_boundary),
-            np.concatenate(
-                [
-                    nv + eid * ker + np.arange(ker)
-                    for eid in np.flatnonzero(mesh.edge_on_boundary)
-                ]
-            )
-            if ker > 0
-            else np.zeros(0, dtype=np.int64),
+            mesh.vertices,
+            np.repeat(mesh.edge_midpoints, ker, axis=0),
+            np.repeat(mesh.element_origins() + 0.5 * mesh.h, n_int, axis=0),
         ]
     )
-    counts = {
-        "vertex": nv,
-        "edge": nedge * ker,
-        "interior": (mesh.n_elements * ker * ker) if with_interior else 0,
-    }
+    boundary = np.concatenate(
+        [np.flatnonzero(mesh.vertex_on_boundary), _boundary_edge_dofs(mesh, ker, nv)]
+    )
+    counts = {"vertex": nv, "edge": nedge * ker, "interior": mesh.n_elements * n_int}
     return DofLayout(
         kind="h1" if with_interior else "trace_h1",
         p=p,
@@ -231,26 +210,17 @@ def _h1_like_layout(mesh: Mesh, p: int, with_interior: bool) -> DofLayout:
 def _hdiv_layout(mesh: Mesh, p: int) -> DofLayout:
     nedge = mesh.n_edges
     n_int = 2 * p * (p - 1)
-    n_total = nedge * p + mesh.n_elements * n_int
     interior_base = nedge * p
+    n_total = interior_base + mesh.n_elements * n_int
 
-    nloc = 4 * p + n_int
-    dofs = np.empty((mesh.n_elements, nloc), dtype=np.int64)
-    positions = np.empty((n_total, 2))
-    for eid in range(nedge):
-        positions[eid * p : (eid + 1) * p] = mesh.edge_midpoints[eid]
-    for e in range(mesh.n_elements):
-        cols = []
-        for le in range(4):
-            eid = mesh.element_edges[e, le]
-            cols.extend(eid * p + k for k in range(p))
-        base = interior_base + e * n_int
-        cols.extend(base + k for k in range(n_int))
-        positions[base : base + n_int] = mesh.element_origin(e) + 0.5 * mesh.h
-        dofs[e] = cols
-
-    boundary = np.concatenate(
-        [eid * p + np.arange(p) for eid in np.flatnonzero(mesh.edge_on_boundary)]
+    dofs = np.concatenate(
+        [_edge_dofs(mesh, p), _interior_dofs(mesh, n_int, interior_base)], axis=1
+    )
+    positions = np.concatenate(
+        [
+            np.repeat(mesh.edge_midpoints, p, axis=0),
+            np.repeat(mesh.element_origins() + 0.5 * mesh.h, n_int, axis=0),
+        ]
     )
     return DofLayout(
         kind="hdiv",
@@ -258,7 +228,7 @@ def _hdiv_layout(mesh: Mesh, p: int) -> DofLayout:
         n_total=n_total,
         element_dofs=dofs,
         element_signs=np.ones_like(dofs, dtype=np.float64),
-        boundary_dofs=np.unique(boundary),
+        boundary_dofs=np.unique(_boundary_edge_dofs(mesh, p)),
         positions=positions,
         counts={"edge": nedge * p, "interior": mesh.n_elements * n_int},
     )
@@ -266,27 +236,16 @@ def _hdiv_layout(mesh: Mesh, p: int) -> DofLayout:
 
 def _flux_layout(mesh: Mesh, p: int) -> DofLayout:
     """Skeleton flux traces: p single-valued DOFs per edge."""
-    nedge = mesh.n_edges
-    n_total = nedge * p
-    dofs = np.empty((mesh.n_elements, 4 * p), dtype=np.int64)
-    positions = np.repeat(mesh.edge_midpoints, p, axis=0)
-    for e in range(mesh.n_elements):
-        cols = []
-        for le in range(4):
-            eid = mesh.element_edges[e, le]
-            cols.extend(eid * p + k for k in range(p))
-        dofs[e] = cols
-    boundary = np.concatenate(
-        [eid * p + np.arange(p) for eid in np.flatnonzero(mesh.edge_on_boundary)]
-    )
+    n_total = mesh.n_edges * p
+    dofs = _edge_dofs(mesh, p)
     return DofLayout(
         kind="trace_flux",
         p=p,
         n_total=n_total,
         element_dofs=dofs,
         element_signs=np.ones_like(dofs, dtype=np.float64),
-        boundary_dofs=np.unique(boundary),
-        positions=positions,
+        boundary_dofs=np.unique(_boundary_edge_dofs(mesh, p)),
+        positions=np.repeat(mesh.edge_midpoints, p, axis=0),
         counts={"edge": n_total},
     )
 

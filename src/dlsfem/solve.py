@@ -5,8 +5,10 @@
 ones); ``solve_ls`` solves the row-blocked rectangular system by
 Householder QR through :mod:`dlsfem.blockqr`.  Both return a
 :class:`Solution` with the full coefficient vector (lift re-inserted,
-bubbles recovered element by element) and the per-element residual
-indicators eta_K.
+bubbles recovered) and the per-element residual indicators eta_K.
+Bubble recovery and the indicators run once per element class of the
+context: a class's bubble factor solves for all its elements in one
+triangular solve, and its residuals come from one stacked product.
 
 Constrained variants implement the method of weighting (stacked alpha*C
 rows) and the KKT saddle system; they are intended for desk-scale
@@ -84,26 +86,26 @@ def _recover(ctx: AssemblyContext, u_solve: np.ndarray, solver: str) -> np.ndarr
     full = lift.copy()
     full[ctx.solve_ids] += u_solve.astype(out_dtype)
     if ctx.options.condense:
-        square = ctx.square_data is not None
-        for rec in ctx.records:
-            ids_i = rec.gdofs[rec.free_local[rec.interf_pos]]
-            u_i_hom = (full[ids_i] - lift[ids_i]).astype(rec.bt.dtype)
-            if solver == "QR" and not square:
-                u_b = element.recover_bubbles(rec.cond_ls, u_i_hom)
+        for c in ctx.classes:
+            ids_i = c.interface_ids
+            u_i_hom = (full[ids_i] - lift[ids_i]).astype(c.bt.dtype)
+            if solver == "QR" and not c.square:
+                u_b = element.recover_bubbles(c.cond_ls, u_i_hom)
             else:
-                u_b = element.recover_bubbles_ne(rec.cond_ne, u_i_hom)
-            ids_b = rec.gdofs[rec.free_local[rec.bubble_pos]]
+                u_b = element.recover_bubbles_ne(c.cond_ne, u_i_hom)
+            ids_b = c.bubble_ids
             full[ids_b] = lift[ids_b] + u_b.astype(out_dtype)
     return full
 
 
-def _indicators(ctx: AssemblyContext, full: np.ndarray, lt_global=None):
+def _indicators(ctx: AssemblyContext, full: np.ndarray, solver: str, lt_global=None):
     """Per-element whitened residual norms plus global residual data.
 
     eta_K is always measured on the uncondensed element system with the
     recovered local coefficients; the global residual norm is taken from
-    the system that was actually solved (condensed rows when condensation
-    is on), so the sum identity is a genuine cross-check.
+    the system that was actually solved (condensed rows when the QR path
+    solved a condensed system), so the sum identity is a genuine
+    cross-check.
 
     For uncondensed systems a caller-supplied global load vector takes
     precedence over the stored element loads (constraint and consistency
@@ -111,9 +113,8 @@ def _indicators(ctx: AssemblyContext, full: np.ndarray, lt_global=None):
     to the loads they were assembled with, since bubble recovery needs the
     unprojected element load.
     """
-    ne = len(ctx.records)
+    ne = ctx.mesh.n_elements
     eta = np.zeros(ne)
-    resid_sq = 0.0
     gal = np.zeros(ctx.n_solve, dtype=np.complex128 if ctx.formulation.field == "complex" else np.float64)
     if ctx.square_data is not None:
         # conforming test space: no localizable residual decomposition
@@ -122,32 +123,28 @@ def _indicators(ctx: AssemblyContext, full: np.ndarray, lt_global=None):
         hom = (full - ctx.lift_full)[ctx.solve_ids].astype(s.dtype)
         r = rhs - s @ hom
         return eta, float(np.linalg.norm(r)), float(np.linalg.norm(s.conj().T @ r)), r
+    condensed_qr = solver == "QR" and ctx.options.condense
     hom_full = full - ctx.lift_full.astype(full.dtype)
-    rvecs = []
-    for e, rec in enumerate(ctx.records):
-        u_free = hom_full[rec.gdofs[rec.free_local]].astype(rec.bt.dtype)
-        if ctx.options.condense and rec.cond_ls is not None:
-            r = rec.lt - rec.bt @ u_free
-            eta[e] = np.linalg.norm(r)
-            u_i = hom_full[rec.gdofs[rec.free_local[rec.interf_pos]]].astype(rec.bt.dtype)
-            r_sys = rec.cond_ls.rhs - rec.cond_ls.rows @ u_i
-            cols = ctx.solve_index[rec.gdofs[rec.free_local[rec.interf_pos]]]
-            gal[cols] += rec.cond_ls.rows.conj().T @ r_sys
-            resid_sq += float(np.sum(np.abs(r_sys) ** 2))
-            rvecs.append(r_sys)
+    # element e owns rows e*M .. e*M + M - 1 of the residual, as in Btilde
+    rvec = np.empty((ne, ctx.formulation.n_test_local), dtype=ctx.options.working_dtype(ctx.formulation))
+    for c in ctx.classes:
+        u_free = hom_full[c.free_ids].astype(c.bt.dtype)
+        lt = c.lt
+        if lt_global is not None and not condensed_qr:
+            lt = lt_global.reshape(ne, -1)[c.elements]
+        r = lt - linalg.matvec(c.bt, u_free)
+        eta[c.elements] = np.linalg.norm(r, axis=-1)
+        if condensed_qr:
+            mat, ids = c.cond_ls.rows, c.interface_ids
+            r = c.cond_ls.rhs - linalg.matvec(mat, u_free[:, c.interf_pos])
         else:
-            lt = rec.lt
-            if lt_global is not None:
-                lt = lt_global[rec.row_offset : rec.row_offset + rec.bt.shape[0]]
-            r = lt - rec.bt @ u_free
-            eta[e] = np.linalg.norm(r)
-            cols = ctx.solve_index[rec.gdofs[rec.free_local]]
-            ok = cols >= 0
-            gal[cols[ok]] += (rec.bt.conj().T @ r)[ok]
-            resid_sq += float(np.sum(np.abs(r) ** 2))
-            rvecs.append(r)
-    rvec = np.concatenate(rvecs) if rvecs else np.zeros(0)
-    return eta, math.sqrt(resid_sq), float(np.linalg.norm(gal)), rvec
+            mat, ids = c.bt, c.free_ids
+        cols = ctx.solve_index[ids]
+        ok = cols >= 0
+        np.add.at(gal, cols[ok], linalg.matvec(linalg.adjoint(mat), r)[ok])
+        rvec[c.elements] = r
+    resid = math.sqrt(float(np.sum(np.abs(rvec) ** 2, dtype=np.float64)))
+    return eta, resid, float(np.linalg.norm(gal)), rvec.ravel()
 
 
 def _banded_cholesky_solve(a: SparseSymmetric, f: np.ndarray, keys: np.ndarray):
@@ -186,7 +183,7 @@ def solve_ne(a: SparseSymmetric, f: np.ndarray, ctx: AssemblyContext, preconditi
     if scale is not None:
         u = u * scale.astype(u.dtype)
     full = _recover(ctx, u, "NE")
-    eta, rnorm, gal, rvec = _indicators(ctx, full)
+    eta, rnorm, gal, rvec = _indicators(ctx, full, "NE")
     return Solution(full, "NE", eta, rnorm, gal, u, ctx, rvec)
 
 
@@ -201,7 +198,7 @@ def solve_ls(bt: RectangularRowBlocked, ltilde: np.ndarray, ctx: AssemblyContext
     if scale is not None:
         u = u * scale.astype(u.dtype)
     full = _recover(ctx, u, "QR")
-    eta, rnorm, gal, rvec = _indicators(ctx, full, lt_global=ltilde)
+    eta, rnorm, gal, rvec = _indicators(ctx, full, "QR", lt_global=ltilde)
     sol = Solution(full, "QR", eta, rnorm, gal, u, ctx, rvec)
     if r_diag.size:
         sol.r_diag_min, sol.r_diag_max = float(r_diag.min()), float(r_diag.max())
@@ -282,7 +279,7 @@ def solve_weighted_constraints(
         rhs = np.concatenate([(cons.alpha * cons.d).astype(dtype), ltilde.astype(dtype)])
     u = linalg.least_squares_qr(stack, rhs)
     full = _recover(ctx, u, "QR")
-    eta, rnorm, gal, rvec = _indicators(ctx, full, lt_global=ltilde)
+    eta, rnorm, gal, rvec = _indicators(ctx, full, "QR", lt_global=ltilde)
     return Solution(full, "QR", eta, rnorm, gal, u, ctx, rvec)
 
 
@@ -295,7 +292,7 @@ def solve_saddle_constraints(
     """KKT system [[A, C*], [C, 0]]; returns (Solution, multipliers)."""
     u, w = linalg.saddle_solve(a.to_dense(), cons.c, f, cons.d)
     full = _recover(ctx, u, "NE")
-    eta, rnorm, gal, rvec = _indicators(ctx, full)
+    eta, rnorm, gal, rvec = _indicators(ctx, full, "NE")
     return Solution(full, "NE", eta, rnorm, gal, u, ctx, rvec), w
 
 

@@ -367,8 +367,7 @@ def test_ac9_invariant_suites():
     )
     scale = math.sqrt(float(bt.col_norms_sq().sum())) * np.linalg.norm(lt)
     checks["galerkin-orthogonality"] = sol.galerkin_residual <= 1000 * 2.3e-16 * scale
-    rec = ctx.records[0]
-    qb = rec.cond_ls.q_bubb
+    qb = ctx.classes[0].cond_ls.q_bubb
     pb = qb @ qb.conj().T
     checks["projector-idempotence"] = (
         np.linalg.norm(pb @ pb - pb) <= 1e-12 and np.linalg.norm(pb - pb.conj().T) <= 1e-12

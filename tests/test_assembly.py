@@ -56,9 +56,9 @@ class TestStructure:
         case = _case_for("fosls-strong")
         ctx = build_context(uniform_mesh(1), form, case, Options(condense=False))
         a, f, _ = assemble_ne(ctx)
-        rec = ctx.records[0]
-        a_k = rec.bt.conj().T @ rec.bt
-        perm = ctx.solve_index[rec.gdofs[rec.free_local]]
+        cls = ctx.classes[0]
+        a_k = cls.bt.conj().T @ cls.bt
+        perm = ctx.solve_index[cls.gdofs[0, cls.free_local]]
         dense = a.to_dense()
         np.testing.assert_allclose(dense[np.ix_(perm, perm)], a_k, atol=1e-14)
 

@@ -224,8 +224,8 @@ def test_consistency_interpolant_residual_decreases(fname, cname):
         ctx = build_context(uniform_mesh(n), form, case)
         ui = interpolate_case(ctx, case)
         r2 = 0.0
-        for rec in ctx.records:
-            r = rec.lt - rec.bt @ ui[rec.gdofs[rec.free_local]]
+        for cls in ctx.classes:
+            r = cls.lt - ui[cls.free_ids] @ cls.bt.T
             r2 += float(np.sum(np.abs(r) ** 2))
         resids.append(np.sqrt(r2))
     assert resids[1] < resids[0] and resids[2] < resids[1]

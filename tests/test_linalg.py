@@ -113,6 +113,53 @@ class TestHouseholderQr:
         assert np.all(np.isreal(diag)) and np.all(np.real(diag) >= 0)
 
 
+class TestStacks:
+    """Stacks of matrices give what one call per matrix gives, in their dtype."""
+
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    @pytest.mark.parametrize("trans", ["N", "C"])
+    def test_stack_matches_one_call_per_matrix(self, dtype, trans):
+        rng = np.random.default_rng(21)
+        g = np.stack([random_spd(rng, 5, dtype) for _ in range(3)])
+        rhs = np.stack([random_matrix(rng, 5, 2, dtype) for _ in range(3)])
+        m = np.stack([random_matrix(rng, 7, 4, dtype) for _ in range(3)])
+        ell = cholesky(g)
+        x = triangular_solve(ell, rhs, trans)
+        qr = householder_qr(m)
+        tol = 100 * eps(dtype)
+        for out in (ell, x, qr.q, qr.r):
+            assert out.dtype == dtype
+        for i in range(3):
+            ell_i = cholesky(g[i])
+            kappa = np.linalg.cond(ell_i)
+            assert np.linalg.norm(ell[i] - ell_i) <= tol * kappa * np.linalg.norm(ell_i)
+            x_i = triangular_solve(ell_i, rhs[i], trans)
+            assert np.linalg.norm(x[i] - x_i) <= tol * kappa * np.linalg.norm(x_i)
+            qr_i = householder_qr(m[i])
+            kappa = np.linalg.cond(m[i])
+            assert np.linalg.norm(qr.q[i] - qr_i.q) <= tol * kappa
+            assert np.linalg.norm(qr.r[i] - qr_i.r) <= tol * kappa * np.linalg.norm(m[i])
+
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    @pytest.mark.parametrize("trans", ["N", "C"])
+    def test_one_factor_solves_a_stack_of_right_hand_sides(self, dtype, trans):
+        rng = np.random.default_rng(22)
+        ell = cholesky(random_spd(rng, 6, dtype))
+        rhs = random_matrix(rng, 48, 1, dtype).reshape(4, 6, 2)
+        x = triangular_solve(ell, rhs, trans)
+        assert x.shape == rhs.shape and x.dtype == dtype
+        kappa = np.linalg.cond(ell)
+        for i in range(4):
+            x_i = triangular_solve(ell, rhs[i], trans)
+            assert np.linalg.norm(x[i] - x_i) <= 100 * eps(dtype) * kappa * np.linalg.norm(x_i)
+
+    def test_empty_bubble_stacks(self):
+        qr = householder_qr(np.zeros((3, 5, 0)))
+        assert qr.q.shape == (3, 5, 0) and qr.r.shape == (3, 0, 0)
+        x = triangular_solve(np.zeros((0, 0)), np.zeros((3, 0, 1)))
+        assert x.shape == (3, 0, 1)
+
+
 class TestLeastSquares:
     def test_square_preimage(self):
         rng = np.random.default_rng(5)

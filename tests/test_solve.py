@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -143,8 +144,10 @@ class TestLiftIndependence:
         )
         perturb[free_u] = rng.standard_normal(free_u.size)
         ctx2.lift_full = ctx2.lift_full + perturb
-        for rec in ctx2.records:
-            rec.lt = rec.lt - rec.bt @ perturb[rec.gdofs[rec.free_local]]
+        ctx2.classes = [
+            dataclasses.replace(cls, lt=cls.lt - perturb[cls.free_ids] @ cls.bt.T)
+            for cls in ctx2.classes
+        ]
         bt2, lt2, _ = assemble_overdetermined(ctx2)
         sol_b = solve_ls(bt2, lt2, ctx2)
         diff = np.linalg.norm(sol_a.coefficients - sol_b.coefficients)
@@ -358,10 +361,11 @@ def test_residual_vector_matches_indicators():
     assert sol.residual is not None and sol.residual.size == bt.n_rows
     assert np.linalg.norm(sol.residual) == pytest.approx(sol.residual_norm, rel=1e-14)
     # element slices of the residual reproduce eta_K
-    for e, rec in enumerate(ctx.records):
-        m = rec.cond_ls.rows.shape[0]
-        sl = sol.residual[rec.row_offset : rec.row_offset + m]
-        assert np.linalg.norm(sl) == pytest.approx(sol.eta[e], rel=1e-10)
+    for cls in ctx.classes:
+        m = cls.cond_ls.rows.shape[0]
+        for e in cls.elements:
+            sl = sol.residual[e * m : (e + 1) * m]
+            assert np.linalg.norm(sl) == pytest.approx(sol.eta[e], rel=1e-10)
 
 
 # the block QR against dense lstsq on assembled (preconditioned) systems
