@@ -103,77 +103,60 @@ class RectangularRowBlocked:
     blocks: list
     _products: Optional[tuple] = dc_field(default=None, init=False, repr=False, compare=False)
 
+    def _stacks(self):
+        """The blocks grouped by shape, each group as
+        (positions in ``blocks``, rows (E, m, k), cols (E, k), offsets (E,))."""
+        by_shape: dict = {}
+        for i, blk in enumerate(self.blocks):
+            by_shape.setdefault(blk.rows.shape, []).append(i)
+        for idx in by_shape.values():
+            blks = [self.blocks[i] for i in idx]
+            (m, k), e = blks[0].rows.shape, len(blks)
+            yield (
+                idx,
+                np.concatenate([b.rows for b in blks]).reshape(e, m, k),
+                np.concatenate([b.cols for b in blks]).reshape(e, k),
+                np.array([b.offset for b in blks]),
+            )
+
     def to_coo(self):
-        rows, cols, vals = [], [], []
-        for blk in self.blocks:
-            m, k = blk.rows.shape
-            rows.append(np.repeat(np.arange(m) + blk.offset, k))
-            cols.append(np.tile(blk.cols, m))
-            vals.append(blk.rows.ravel())
-        if not rows:
-            return scipy.sparse.coo_matrix((self.n_rows, self.n_cols))
-        return scipy.sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_rows, self.n_cols),
-        )
+        # filled group by group: only one group's stack is held besides the output
+        nnz = sum(blk.rows.size for blk in self.blocks)
+        vals = np.empty(nnz, dtype=self.blocks[0].rows.dtype if self.blocks else np.float64)
+        rows, cols = np.empty(nnz, dtype=np.int64), np.empty(nnz, dtype=np.int64)
+        pos = 0
+        for _, panel, pcols, offs in self._stacks():
+            e, m, k = panel.shape
+            end = pos + panel.size
+            vals[pos:end] = panel.ravel()
+            rows[pos:end].reshape(e, m, k)[...] = (offs[:, None] + np.arange(m))[:, :, None]
+            cols[pos:end].reshape(e, m, k)[...] = pcols[:, None, :]
+            pos = end
+        return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(self.n_rows, self.n_cols))
 
     def to_dense(self) -> np.ndarray:
-        dtype = self.blocks[0].rows.dtype if self.blocks else np.float64
-        out = np.zeros((self.n_rows, self.n_cols), dtype=dtype)
-        for blk in self.blocks:
-            out[blk.offset : blk.offset + blk.rows.shape[0], blk.cols] = blk.rows
-        return out
+        return self.to_coo().toarray()
 
     def normal_matrix(self) -> SparseSymmetric:
-        """Sparse Btilde* Btilde, accumulated block by block (diagnostics).
-
-        Each block scatters only the nonzeros of its Gram matrix, so a
-        dense panel that holds a sparse matrix (the square system) adds
-        only the fill of its product.
-        """
-        n = self.n_cols
-        if not self.blocks:
-            return SparseSymmetric(n=n, matrix=scipy.sparse.csr_matrix((n, n)))
-        rows, cols, vals = [], [], []
-        for blk in self.blocks:
-            gram = blk.rows.conj().T @ blk.rows
-            i, j = np.nonzero(gram)
-            rows.append(blk.cols[i])
-            cols.append(blk.cols[j])
-            vals.append(gram[i, j])
-        coo = scipy.sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
-        csr = coo.tocsr()
-        csr.sum_duplicates()
-        return SparseSymmetric(n=n, matrix=csr)
+        """Sparse Btilde* Btilde, the sum of the blocks' Gram matrices (diagnostics)."""
+        grams = [
+            (pcols, panel.conj().transpose(0, 2, 1) @ panel)
+            for _, panel, pcols, _ in self._stacks()
+        ]
+        return SparseSymmetric(n=self.n_cols, matrix=_sum_blocks(self.n_cols, grams))
 
     def col_norms_sq(self) -> np.ndarray:
         d = np.zeros(self.n_cols)
-        for blk in self.blocks:
-            d[blk.cols] += np.sum(np.abs(blk.rows) ** 2, axis=0)
+        for _, panel, pcols, _ in self._stacks():
+            sq = np.sum(np.abs(panel) ** 2, axis=1)
+            d += np.bincount(pcols.ravel(), weights=sq.ravel(), minlength=self.n_cols)
         return d
 
     def _operator(self):
-        """(B, B*) for products, built once on first use.
-
-        One panel covering the whole matrix (the square system) is used as
-        it is, since a dense product beats a CSR copy of a dense matrix;
-        anything else becomes one CSR matrix and its CSR adjoint.
-        """
+        """(B, B*) as CSR matrices for products, built once on first use."""
         if self._products is None:
-            blk = self.blocks[0] if len(self.blocks) == 1 else None
-            if (
-                blk is not None
-                and blk.rows.shape == (self.n_rows, self.n_cols)
-                and np.array_equal(blk.cols, np.arange(self.n_cols))
-            ):
-                op = blk.rows
-                self._products = (op, op.conj().T)
-            else:
-                op = self.to_coo().tocsr()
-                self._products = (op, op.conj().T.tocsr())
+            op = self.to_coo().tocsr()
+            self._products = (op, op.conj().T.tocsr())
         return self._products
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -292,6 +275,12 @@ def _edge_lift_coefficients(form: Formulation, mesh: Mesh, layout, offset, case)
     q1 = gauss_rule(p + 3)
     t, w = q1.points_1d, q1.weights_1d
     bedges = np.flatnonzero(mesh.edge_on_boundary)
+    # every boundary edge at once: unit direction (E, 2) and quadrature points (E, nq)
+    along = np.where(mesh.edge_orientation[bedges, None] == 0, [[1.0, 0.0]], [[0.0, 1.0]])
+    start = mesh.edge_midpoints[bedges] - 0.5 * mesh.h * along
+    end = mesh.edge_midpoints[bedges] + 0.5 * mesh.h * along
+    x = start[:, :1] + mesh.h * t * along[:, :1]
+    y = start[:, 1:] + mesh.h * t * along[:, 1:]
     if layout.kind in ("h1", "trace_h1"):
         bv = np.flatnonzero(mesh.vertex_on_boundary)
         vx, vy = mesh.vertices[bv, 0], mesh.vertices[bv, 1]
@@ -300,42 +289,17 @@ def _edge_lift_coefficients(form: Formulation, mesh: Mesh, layout, offset, case)
         if ker > 0:
             hats, _ = basis.h1_hierarchical(p, t)
             gram = np.einsum("ip,p,jp->ij", hats[2:], w, hats[2:])
+            u0 = case.boundary_value(start[:, 0], start[:, 1])[:, None]
+            u1 = case.boundary_value(end[:, 0], end[:, 1])[:, None]
+            resid = case.boundary_value(x, y) - (u0 * hats[0] + u1 * hats[1])
+            rhs = np.einsum("ip,ep->ie", hats[2:], w * resid)
             nv = (mesh.n + 1) ** 2
-            for eid in bedges:
-                mid = mesh.edge_midpoints[eid]
-                horiz = mesh.edge_orientation[eid] == 0
-                if horiz:
-                    x = mid[0] - 0.5 * mesh.h + mesh.h * t
-                    y = np.full_like(x, mid[1])
-                    x0, y0 = mid[0] - 0.5 * mesh.h, mid[1]
-                    x1, y1 = mid[0] + 0.5 * mesh.h, mid[1]
-                else:
-                    y = mid[1] - 0.5 * mesh.h + mesh.h * t
-                    x = np.full_like(y, mid[0])
-                    x0, y0 = mid[0], mid[1] - 0.5 * mesh.h
-                    x1, y1 = mid[0], mid[1] + 0.5 * mesh.h
-                vals = case.boundary_value(x, y)
-                u0 = case.boundary_value(np.array([x0]), np.array([y0]))[0]
-                u1 = case.boundary_value(np.array([x1]), np.array([y1]))[0]
-                resid = vals - (u0 * hats[0] + u1 * hats[1])
-                rhs = np.einsum("ip,p->i", hats[2:], w * resid)
-                coeffs = np.linalg.solve(gram, rhs)
-                lift[nv + eid * ker : nv + eid * ker + ker] = coeffs
+            lift[nv + bedges[:, None] * ker + np.arange(ker)] = np.linalg.solve(gram, rhs).T
     elif layout.kind == "trace_flux":
         leg, _ = basis.legendre_shifted(p - 1, t)
-        for eid in bedges:
-            mid = mesh.edge_midpoints[eid]
-            horiz = mesh.edge_orientation[eid] == 0
-            if horiz:
-                x = mid[0] - 0.5 * mesh.h + mesh.h * t
-                y = np.full_like(x, mid[1])
-                nx, ny = 0.0, 1.0   # global edge normal
-            else:
-                y = mid[1] - 0.5 * mesh.h + mesh.h * t
-                x = np.full_like(y, mid[0])
-                nx, ny = 1.0, 0.0
-            vals = case.boundary_flux(x, y, nx, ny)
-            lift[eid * p : (eid + 1) * p] = np.einsum("ip,p->i", leg, w * vals)
+        # global edge normals: +y on horizontal edges, +x on vertical ones
+        vals = case.boundary_flux(x, y, along[:, 1:], along[:, :1])
+        lift[bedges[:, None] * p + np.arange(p)] = np.einsum("ip,ep->ei", leg, w * vals)
     else:
         raise ValueError(f"no lift rule for {layout.kind}")
     return lift
@@ -357,7 +321,7 @@ def build_context(
     its Gram matrix is the identity, so whitening leaves the square
     stiffness matrix as it is, and the test functions of fixed DOFs are
     dropped with their columns.  Its context also carries the square
-    system, scattered from the (condensed) element matrices.
+    system as a sparse matrix, summed from the (condensed) element matrices.
     """
     options = options or Options()
     t0 = time.perf_counter()
@@ -481,14 +445,8 @@ def build_context(
 
     square_data = None
     if square:
-        n_solve = solve_ids.size
-        s_dense = np.zeros((n_solve, n_solve), dtype=wdtype)
-        rhs = np.zeros(n_solve, dtype=wdtype)
-        for c in classes:
-            mat, vec, cols = _class_system(c, options.condense, solve_index, ls=False)
-            np.add.at(s_dense, (cols[:, :, None], cols[:, None, :]), mat)
-            np.add.at(rhs, cols, vec)
-        square_data = {"matrix": s_dense, "rhs": rhs}
+        s, rhs = _accumulate(classes, solve_ids.size, options.condense, solve_index, wdtype)
+        square_data = {"matrix": s, "rhs": rhs}
 
     ctx = AssemblyContext(
         formulation=form,
@@ -528,10 +486,11 @@ def build_square_context(
     The test space equals the trial space, the Gram matrix is the
     identity, and the 'whitened' system is the square stiffness matrix
     itself.  Static condensation is the classical per-element Schur
-    elimination of interior DOFs; the least-squares view is the square
-    condensed matrix solved by QR, and the normal equation is S* S
-    (squaring the condition number, as forming normal equations of a
-    traditional method must).
+    elimination of interior DOFs.  The condensed matrix S is kept sparse
+    (CSR in ``square_data``): the least-squares view hands its rows to the
+    block QR as one-row panels, and the normal equation is the sparse
+    product S* S (squaring the condition number, as forming normal
+    equations of a traditional method must).
     """
     if not form.test_conforming:
         raise ValueError("build_square_context needs a conforming-test formulation")
@@ -577,9 +536,14 @@ def assemble_overdetermined(
         else build_context(mesh_or_ctx, form, case, options)
     )
     if ctx.square_data is not None:
+        # one panel per row of S, over the row's nonzero columns
         s = ctx.square_data["matrix"]
-        blk = RowBlock(rows=s, cols=np.arange(ctx.n_solve), offset=0)
-        bt = RectangularRowBlocked(n_cols=ctx.n_solve, n_rows=s.shape[0], blocks=[blk])
+        bounds = s.indptr.tolist()
+        blocks = [
+            RowBlock(rows=s.data[None, a:b], cols=s.indices[a:b], offset=i)
+            for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
+        ]
+        bt = RectangularRowBlocked(n_cols=ctx.n_solve, n_rows=s.shape[0], blocks=blocks)
         return bt, ctx.square_data["rhs"].copy(), ctx
     ne, m = ctx.mesh.n_elements, ctx.formulation.n_test_local
     blocks = [None] * ne
@@ -611,27 +575,45 @@ def assemble_ne(
         else build_context(mesh_or_ctx, form, case, options)
     )
     if ctx.square_data is not None:
-        s = ctx.square_data["matrix"]
-        a = s.conj().T @ s
-        f = s.conj().T @ ctx.square_data["rhs"]
-        return SparseSymmetric(n=ctx.n_solve, matrix=scipy.sparse.csr_matrix(a)), f, ctx
-    n = ctx.n_solve
+        s, rhs = ctx.square_data["matrix"], ctx.square_data["rhs"]
+        s_adj = s.conj().T
+        return SparseSymmetric(n=ctx.n_solve, matrix=(s_adj @ s).tocsr()), s_adj @ rhs, ctx
+    a, f = _accumulate(
+        ctx.classes, ctx.n_solve, ctx.options.condense, ctx.solve_index,
+        ctx.options.working_dtype(ctx.formulation),
+    )
+    return SparseSymmetric(n=ctx.n_solve, matrix=a), f, ctx
+
+
+def _accumulate(classes, n, condense, solve_index, dtype):
+    """Sparse sum of the classes' element normal equations (for a conforming
+    test space, their square matrices) and of their loads, (CSR, vector)."""
+    parts = []
+    fvec = np.zeros(n, dtype=dtype)
+    for c in classes:
+        mat, vec, cols = _class_system(c, condense, solve_index, ls=False)
+        parts.append((cols, mat))
+        np.add.at(fvec, cols, vec)
+    return _sum_blocks(n, parts), fvec
+
+
+def _sum_blocks(n, parts):
+    """(n, n) CSR sum of dense blocks: ``parts`` holds (cols (E, k), mats (k, k) or (E, k, k))."""
+    if not parts:
+        return scipy.sparse.csr_matrix((n, n))
     rows_idx, cols_idx, vals = [], [], []
-    fvec = np.zeros(n, dtype=ctx.options.working_dtype(ctx.formulation))
-    for c in ctx.classes:
-        mat, vec, cols = _class_system(c, ctx.options.condense, ctx.solve_index, ls=False)
+    for cols, mats in parts:
         e, k = cols.shape
         rows_idx.append(np.repeat(cols, k, axis=1).ravel())
         cols_idx.append(np.tile(cols, (1, k)).ravel())
-        vals.append(np.broadcast_to(mat, (e, k, k)).ravel())
-        np.add.at(fvec, cols, vec)
+        vals.append(np.broadcast_to(mats, (e, k, k)).ravel())
     coo = scipy.sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
         shape=(n, n),
     )
     csr = coo.tocsr()
     csr.sum_duplicates()
-    return SparseSymmetric(n=n, matrix=csr), fvec, ctx
+    return csr
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +645,10 @@ def precondition_global_rect(bt: RectangularRowBlocked, ltilde: np.ndarray):
         raise NonpositiveDiagonal("zero column in Btilde (disconnected DOF?)")
     dtype = bt.blocks[0].rows.dtype if bt.blocks else np.float64
     s = (1.0 / np.sqrt(d)).astype(dtype)
-    blocks = [
-        RowBlock(rows=blk.rows * s[blk.cols][None, :], cols=blk.cols, offset=blk.offset)
-        for blk in bt.blocks
-    ]
+    blocks = list(bt.blocks)
+    for idx, panel, pcols, _ in bt._stacks():
+        for i, rows in zip(idx, panel * s[pcols][:, None, :]):
+            blocks[i] = RowBlock(rows=rows, cols=blocks[i].cols, offset=blocks[i].offset)
     return RectangularRowBlocked(bt.n_cols, bt.n_rows, blocks), ltilde, s
 
 

@@ -1,11 +1,11 @@
 """Global solution paths and post-processing.
 
-``solve_ne`` factors the assembled Hermitian normal equation by Cholesky
-(dense at small sizes, banded after a geometric reordering at larger
-ones); ``solve_ls`` solves the row-blocked rectangular system by
-Householder QR through :mod:`dlsfem.blockqr`.  Both return a
-:class:`Solution` with the full coefficient vector (lift re-inserted,
-bubbles recovered) and the per-element residual indicators eta_K.
+``solve_ne`` factors the assembled Hermitian normal equation by banded
+Cholesky after a geometric bandwidth-reducing reordering; ``solve_ls``
+solves the row-blocked rectangular system by Householder QR through
+:mod:`dlsfem.blockqr`.  Both return a :class:`Solution` with the full
+coefficient vector (lift re-inserted, bubbles recovered) and the
+per-element residual indicators eta_K.
 Bubble recovery and the indicators run once per element class of the
 context: a class's bubble factor solves for all its elements in one
 triangular solve, and its residuals come from one stacked product.
@@ -34,8 +34,6 @@ from .assembly import (
 )
 from .blockqr import solve_blocked_ls
 from .linalg import NotPositiveDefinite, RankDeficient
-
-DENSE_NE_LIMIT = 2600
 
 
 class ZeroSolution(Exception):
@@ -174,12 +172,7 @@ def solve_ne(a: SparseSymmetric, f: np.ndarray, ctx: AssemblyContext, preconditi
     scale = None
     if precondition and a.n:
         a, f, scale = precondition_global(a, f)
-    if a.n == 0:
-        u = np.zeros(0, dtype=f.dtype)
-    elif a.n <= DENSE_NE_LIMIT:
-        u = linalg.solve_spd(a.to_dense(), f)
-    else:
-        u = _banded_cholesky_solve(a, f, ctx.sort_keys())
+    u = _banded_cholesky_solve(a, f, ctx.sort_keys()) if a.n else np.zeros(0, dtype=f.dtype)
     if scale is not None:
         u = u * scale.astype(u.dtype)
     full = _recover(ctx, u, "NE")
@@ -314,49 +307,62 @@ def _field_tables(form, comp, rule):
 
 
 def _accumulate_norms(form, mesh_obj, coeffs, ctx_layouts, offsets, rule, exact=None, case=None):
-    """Element-quadrature L2/H1/H(div) norms of u_h - u_exact per component."""
+    """Element-quadrature L2/H1/H(div) norms per component, in two dicts:
+    those of u_h - u_exact, and those of u_exact (u_h = 0, bit for bit)."""
     h = mesh_obj.h
     w = rule.weights * h * h
     origins = mesh_obj.element_origins()
     px = origins[:, 0:1] + h * rule.points[None, :, 0]
     py = origins[:, 1:2] + h * rule.points[None, :, 1]
-    out = {}
-    sig_parts = {}
+    sq, sq_exact = {}, {}
+
+    def integrate(key, pairs):
+        """Quadrature of sum |f_h - f|^2 and of sum |f|^2 over (f_h, f) pairs."""
+        sq[key] = float(np.sum(w * sum(np.abs(fh - f) ** 2 for fh, f in pairs)))
+        sq_exact[key] = float(
+            np.sum(w * sum(np.abs(np.broadcast_to(f, fh.shape)) ** 2 for fh, f in pairs))
+        )
+
+    def field(name):
+        return exact[name](px, py) if exact and name in exact else 0.0
+
+    comps = [c for c in form.trial if c.kind in ("l2", "h1", "hdiv")]
     for comp, lay, off in zip(form.trial, ctx_layouts, offsets):
         if comp.kind not in ("l2", "h1", "hdiv"):
             continue
         tabs = _field_tables(form, comp, rule)
         call = coeffs[off + lay.element_dofs]  # (ne, nloc)
         if comp.kind in ("l2", "h1"):
-            vals_h = np.einsum("ei,ip->ep", call, tabs["values"])
-            ex = exact[comp.name](px, py) if exact and comp.name in exact else 0.0
-            out[f"{comp.name}_l2"] = math.sqrt(abs(float(np.sum(w * np.abs(vals_h - ex) ** 2))))
+            integrate(comp.name, [(np.einsum("ei,ip->ep", call, tabs["values"]), field(comp.name))])
             if comp.kind == "h1":
                 gx = np.einsum("ei,ip->ep", call, tabs["grad"][:, 0, :]) / h
                 gy = np.einsum("ei,ip->ep", call, tabs["grad"][:, 1, :]) / h
-                ex_gx = exact["sigx"](px, py) if exact and "sigx" in exact else 0.0
-                ex_gy = exact["sigy"](px, py) if exact and "sigy" in exact else 0.0
-                semi = float(np.sum(w * (np.abs(gx - ex_gx) ** 2 + np.abs(gy - ex_gy) ** 2)))
-                out[f"{comp.name}_h1"] = math.sqrt(abs(out[f"{comp.name}_l2"] ** 2 + semi))
+                integrate(comp.name + "_grad", [(gx, field("sigx")), (gy, field("sigy"))])
         else:  # hdiv vector component
             vx = np.einsum("ei,ip->ep", call, tabs["values"][:, 0, :]) / h
             vy = np.einsum("ei,ip->ep", call, tabs["values"][:, 1, :]) / h
             dv = np.einsum("ei,ip->ep", call, tabs["div"]) / (h * h)
-            ex_x = exact["sigx"](px, py) if exact and "sigx" in exact else 0.0
-            ex_y = exact["sigy"](px, py) if exact and "sigy" in exact else 0.0
             if exact is not None and case is not None and case.kind == "poisson":
                 ex_d = case.div_sigma(px, py)
             else:
                 ex_d = 0.0
-            l2sq = float(np.sum(w * (np.abs(vx - ex_x) ** 2 + np.abs(vy - ex_y) ** 2)))
-            divsq = float(np.sum(w * np.abs(dv - ex_d) ** 2))
-            out[f"{comp.name}_l2"] = math.sqrt(abs(l2sq))
-            out[f"{comp.name}_hdiv"] = math.sqrt(abs(l2sq + divsq))
-        sig_parts[comp.name] = out[f"{comp.name}_l2"] ** 2
-    out["fields_l2"] = math.sqrt(sum(sig_parts.values()))
-    if form.name == "fosls-strong":
-        out["U"] = math.sqrt(out["u_h1"] ** 2 + out["sigma_hdiv"] ** 2)
-    return out
+            integrate(comp.name, [(vx, field("sigx")), (vy, field("sigy"))])
+            integrate(comp.name + "_div", [(dv, ex_d)])
+
+    def norms(sq):
+        out = {}
+        for comp in comps:
+            out[f"{comp.name}_l2"] = math.sqrt(abs(sq[comp.name]))
+            if comp.kind == "h1":
+                out[f"{comp.name}_h1"] = math.sqrt(abs(out[f"{comp.name}_l2"] ** 2 + sq[comp.name + "_grad"]))
+            elif comp.kind == "hdiv":
+                out[f"{comp.name}_hdiv"] = math.sqrt(abs(sq[comp.name] + sq[comp.name + "_div"]))
+        out["fields_l2"] = math.sqrt(sum(out[f"{comp.name}_l2"] ** 2 for comp in comps))
+        if form.name == "fosls-strong":
+            out["U"] = math.sqrt(out["u_h1"] ** 2 + out["sigma_hdiv"] ** 2)
+        return out
+
+    return norms(sq), norms(sq_exact)
 
 
 def error_norms(solution: Solution, case, form, mesh_obj, extra_order: int = 2) -> dict:
@@ -367,14 +373,9 @@ def error_norms(solution: Solution, case, form, mesh_obj, extra_order: int = 2) 
     """
     ctx = solution.context
     rule = basis.gauss_rule(form.quadrature_order + extra_order)
-    errs = _accumulate_norms(
+    errs, refs = _accumulate_norms(
         form, mesh_obj, solution.coefficients, ctx.layouts, ctx.offsets, rule,
         exact=case.fields, case=case,
-    )
-    # norms of the exact solution for normalization: use zero coefficients
-    zero = np.zeros_like(solution.coefficients)
-    refs = _accumulate_norms(
-        form, mesh_obj, zero, ctx.layouts, ctx.offsets, rule, exact=case.fields, case=case
     )
     out = dict(errs)
     for key, val in errs.items():
@@ -386,4 +387,4 @@ def error_norms(solution: Solution, case, form, mesh_obj, extra_order: int = 2) 
 def discrete_norms(form, mesh_obj, ctx: AssemblyContext, coeffs: np.ndarray, extra_order: int = 2) -> dict:
     """Norms of a discrete function given by trial coefficients."""
     rule = basis.gauss_rule(form.quadrature_order + extra_order)
-    return _accumulate_norms(form, mesh_obj, coeffs, ctx.layouts, ctx.offsets, rule)
+    return _accumulate_norms(form, mesh_obj, coeffs, ctx.layouts, ctx.offsets, rule)[0]

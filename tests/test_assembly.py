@@ -228,7 +228,7 @@ class TestSquareContext:
         s = ctx.square_data["matrix"]
         # n=2, p=1: single interior vertex; classical 5-point value 8/3
         assert s.shape == (1, 1)
-        assert s[0, 0] == pytest.approx(8.0 / 3.0)
+        assert s.toarray()[0, 0] == pytest.approx(8.0 / 3.0)
 
     def test_bg_ne_squares_condition(self):
         from dlsfem.linalg import condition_number
@@ -238,6 +238,6 @@ class TestSquareContext:
         ctx = build_square_context(uniform_mesh(4), form, case)
         a, _, _ = assemble_ne(ctx)
         bt, _, _ = assemble_overdetermined(ctx)
-        cond_s = condition_number(bt.blocks[0].rows)
+        cond_s = condition_number(bt.to_dense())
         cond_a = condition_number(a.to_dense())
         assert cond_a == pytest.approx(cond_s**2, rel=1e-3)

@@ -163,11 +163,30 @@ def tall_problems(draw, dtype):
     return blocks, rhs, ncols, dict(sort_keys=rng.standard_normal((ncols, 2)), row_cap=row_cap)
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
-@PROPERTY
-@given(data=st.data())
-def test_property_matches_dense_lstsq(dtype, data):
-    blocks, rhs, ncols, how = data.draw(tall_problems(dtype))
+@st.composite
+def row_problems(draw, dtype):
+    """Random one-row panels of varying width, the shape of a square sparse
+    system's rows: row i always holds column i, so every column is reached."""
+    ncols = draw(st.integers(2, 40))
+    nrows = ncols + draw(st.integers(0, 10))
+    kmax = draw(st.integers(1, 8))
+    row_cap = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks, rhs = [], []
+    for i in range(nrows):
+        k = int(rng.integers(1, min(ncols, kmax) + 1))
+        others = rng.permutation(np.delete(np.arange(ncols), i % ncols))[: k - 1]
+        cols = np.concatenate([[i % ncols], others])
+        row, r = rng.standard_normal((1, k)), rng.standard_normal(1)
+        if np.issubdtype(dtype, np.complexfloating):
+            row, r = row + 1j * rng.standard_normal((1, k)), r + 1j * rng.standard_normal(1)
+        blocks.append((row.astype(dtype), cols))
+        rhs.append(r.astype(dtype))
+    return blocks, rhs, ncols, dict(sort_keys=rng.standard_normal((ncols, 2)), row_cap=row_cap)
+
+
+def check_matches_dense_lstsq(dtype, problem):
+    blocks, rhs, ncols, how = problem
     x, rdiag = solve_blocked_ls(blocks, rhs, ncols, **how)
     assert x.dtype == dtype and rdiag.shape == (ncols,)
     wide = np.complex128 if np.issubdtype(dtype, np.complexfloating) else np.float64
@@ -181,12 +200,8 @@ def test_property_matches_dense_lstsq(dtype, data):
     assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
-@PROPERTY
-@given(data=st.data(), kind=st.sampled_from(["zero", "untouched", "scaled copy"]))
-def test_property_rank_deficient_raises(dtype, data, kind):
-    blocks, rhs, ncols, how = data.draw(tall_problems(dtype))
-    i, j = data.draw(st.permutations(range(ncols)))[:2]
+def check_rank_deficient_raises(problem, kind, i, j):
+    blocks, rhs, ncols, how = problem
     out = []
     for rows, cols in blocks:
         rows, cols = rows.copy(), list(cols)
@@ -204,3 +219,35 @@ def test_property_rank_deficient_raises(dtype, data, kind):
         out.append((rows, np.array(cols, dtype=np.int64)))
     with pytest.raises(RankDeficient):
         solve_blocked_ls(out, rhs, ncols, **how)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@PROPERTY
+@given(data=st.data())
+def test_property_matches_dense_lstsq(dtype, data):
+    check_matches_dense_lstsq(dtype, data.draw(tall_problems(dtype)))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@PROPERTY
+@given(data=st.data(), kind=st.sampled_from(["zero", "untouched", "scaled copy"]))
+def test_property_rank_deficient_raises(dtype, data, kind):
+    problem = data.draw(tall_problems(dtype))
+    i, j = data.draw(st.permutations(range(problem[2])))[:2]
+    check_rank_deficient_raises(problem, kind, i, j)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@PROPERTY
+@given(data=st.data())
+def test_property_one_row_panels_match_dense_lstsq(dtype, data):
+    check_matches_dense_lstsq(dtype, data.draw(row_problems(dtype)))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@PROPERTY
+@given(data=st.data(), kind=st.sampled_from(["zero", "untouched", "scaled copy"]))
+def test_property_one_row_panels_rank_deficient_raises(dtype, data, kind):
+    problem = data.draw(row_problems(dtype))
+    i, j = data.draw(st.permutations(range(problem[2])))[:2]
+    check_rank_deficient_raises(problem, kind, i, j)

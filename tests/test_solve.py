@@ -1,14 +1,19 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
+from dlsfem import linalg
 from dlsfem.assembly import (
     Options,
     assemble_ne,
     assemble_overdetermined,
     build_context,
+    build_square_context,
+    precondition_global,
     precondition_global_rect,
 )
 from dlsfem.formulation import ManufacturedCase, make_case, make_formulation
@@ -400,3 +405,79 @@ def test_qr_matches_dense_lstsq_on_assembled_system(fname, p, n, cname, precisio
         sol_ne = solve_ne(a, f, ctx)
         diff = np.linalg.norm(sol_ne.coefficients - sol.coefficients)
         assert diff <= 1e-10 * np.linalg.norm(sol.coefficients)
+
+
+def _wide(x):
+    return x.astype(np.complex128 if np.iscomplexobj(x) else np.float64)
+
+
+# the banded Cholesky against the dense one it replaced at small sizes:
+# both are backward stable, so they agree to the forward error 100 u kappa(A)
+NE_SYSTEMS = [
+    ("ultraweak-dpg", 1, 8, "poisson-sine", "double", np.float64),
+    ("ultraweak-dpg", 1, 8, "poisson-sine", "single", np.float32),
+    ("acoustics-ultraweak", 2, 3, "acoustics-resonance", "double", np.complex128),
+    ("acoustics-ultraweak", 2, 3, "acoustics-resonance", "single", np.complex64),
+]
+
+
+@pytest.mark.parametrize("fname,p,n,cname,precision,dtype", NE_SYSTEMS)
+def test_banded_ne_matches_dense_cholesky(fname, p, n, cname, precision, dtype):
+    form = make_formulation(fname, p=p, dp=1)
+    ctx = build_context(uniform_mesh(n), form, make_case(cname), Options(precision=precision))
+    a, f, _ = assemble_ne(ctx)
+    sol = solve_ne(a, f, ctx)
+    assert sol.system_vector.dtype == dtype
+    a_s, f_s, scale = precondition_global(a, f)
+    dense = linalg.solve_spd(a_s.to_dense(), f_s)
+    assert dense.dtype == dtype
+    got = _wide(sol.system_vector) / scale
+    bound = 100.0 * np.finfo(dtype).eps * np.linalg.cond(_wide(a_s.to_dense()))
+    assert bound < 0.1
+    assert np.linalg.norm(got - dense) <= bound * np.linalg.norm(_wide(dense))
+
+
+# the sparse square (Bubnov-Galerkin) system, solved by QR on its rows and by
+# Cholesky on S* S, against a dense solve of S: 100 u kappa of the system
+# each route factors, kappa(S D^-1/2) and its square
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("precision", ["double", "single"])
+def test_sparse_square_system_matches_dense_solve(p, precision):
+    form = make_formulation("bubnov-galerkin", p=p, dp=0)
+    ctx = build_square_context(uniform_mesh(8), form, make_case("poisson-sine10"), Options(precision=precision))
+    s = ctx.square_data["matrix"]
+    assert scipy.sparse.issparse(s)
+    dense = s.toarray().astype(np.float64)
+    ref = np.linalg.solve(dense, ctx.square_data["rhs"].astype(np.float64))
+    scale = 1.0 / np.linalg.norm(dense, axis=0)
+    kappa = np.linalg.cond(dense * scale)
+    eps = np.finfo(s.dtype).eps
+    a, f, _ = assemble_ne(ctx)
+    bt, lt, _ = assemble_overdetermined(ctx)
+    for sol, k in ((solve_ls(bt, lt, ctx), kappa), (solve_ne(a, f, ctx), kappa**2)):
+        assert sol.system_vector.dtype == s.dtype
+        err = np.linalg.norm((sol.system_vector.astype(np.float64) - ref) / scale)
+        assert 100.0 * eps * k < 0.1
+        assert err <= 100.0 * eps * k * np.linalg.norm(ref / scale)
+
+
+def test_square_path_memory_grows_with_the_unknowns():
+    """Build, both assemblies and both solves of the square system stay
+    sparse: from n=16 to n=32 (4x the unknowns) the traced peak grows less
+    than 6x, where a dense S would grow 16x."""
+    form = make_formulation("bubnov-galerkin", p=2, dp=0)
+    case = make_case("poisson-sine10")
+    peaks = []
+    for n in (16, 32):
+        tracemalloc.start()
+        try:
+            ctx = build_square_context(uniform_mesh(n), form, case)
+            assert scipy.sparse.issparse(ctx.square_data["matrix"])
+            a, f, _ = assemble_ne(ctx)
+            bt, lt, _ = assemble_overdetermined(ctx)
+            solve_ne(a, f, ctx)
+            solve_ls(bt, lt, ctx)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 6 * peaks[0]
