@@ -6,9 +6,11 @@ whitening, Dirichlet modification, condensation) feeds two assembly paths:
 * ``assemble_ne``  accumulates the element normal equations
   A_K = Btilde_K* Btilde_K into one sparse Hermitian matrix (standard
   conforming-FEM accumulation).
-* ``assemble_overdetermined`` stacks the whitened rectangular element
-  blocks row by row; the broken test space means no two elements touch the
-  same row, so element e simply owns rows e*M .. e*M + M - 1.
+* ``assemble_overdetermined`` gives the whitened rectangular system as one
+  :class:`RowStack` per element class: its shared panel with the columns
+  and row offsets of its elements (the broken test space means no two
+  elements share a row, so element e owns rows e*M .. e*M + M - 1).  A
+  square system is one stack of one-row panels per row width of S.
 
 The pipeline runs on element classes, not on single elements.  The master
 element system is computed once; the elements whose Dirichlet column
@@ -36,6 +38,7 @@ import scipy.sparse
 
 from . import basis, element, linalg
 from .basis import gauss_rule
+from .blockqr import RowStack
 from .element import NonpositiveDiagonal, RankDeficientBubbles, SingularBubbleBlock
 from .formulation import Formulation, ManufacturedCase
 from .mesh import Mesh, build_layout
@@ -82,55 +85,33 @@ class SparseSymmetric:
 
 
 @dataclass
-class RowBlock:
-    """One element's rows of the global rectangular system."""
-
-    rows: np.ndarray     # (m, k) dense panel
-    cols: np.ndarray     # (k,) global column ids
-    offset: int          # global row offset
-
-
-@dataclass
 class RectangularRowBlocked:
-    """Row-blocked rectangular matrix; every row belongs to one element.
+    """Row-blocked rectangular matrix B D: B as :class:`RowStack` s (one per
+    element class, or per row width of a square S), D the diagonal column
+    ``scale`` (scaling the columns shares the panels).
 
-    The blocks are not to be changed once ``matvec``/``rmatvec`` has run:
-    the products use an operator built from them on first use.
+    Not to be changed once ``matvec``/``rmatvec`` has run: the products
+    use an operator built on first use.
     """
 
     n_cols: int
     n_rows: int
-    blocks: list
+    stacks: list
+    scale: np.ndarray              # (n_cols,) in the panels' dtype
     _products: Optional[tuple] = dc_field(default=None, init=False, repr=False, compare=False)
 
-    def _stacks(self):
-        """The blocks grouped by shape, each group as
-        (positions in ``blocks``, rows (E, m, k), cols (E, k), offsets (E,))."""
-        by_shape: dict = {}
-        for i, blk in enumerate(self.blocks):
-            by_shape.setdefault(blk.rows.shape, []).append(i)
-        for idx in by_shape.values():
-            blks = [self.blocks[i] for i in idx]
-            (m, k), e = blks[0].rows.shape, len(blks)
-            yield (
-                idx,
-                np.concatenate([b.rows for b in blks]).reshape(e, m, k),
-                np.concatenate([b.cols for b in blks]).reshape(e, k),
-                np.array([b.offset for b in blks]),
-            )
-
     def to_coo(self):
-        # filled group by group: only one group's stack is held besides the output
-        nnz = sum(blk.rows.size for blk in self.blocks)
-        vals = np.empty(nnz, dtype=self.blocks[0].rows.dtype if self.blocks else np.float64)
+        # filled stack by stack: only one stack's panels are held besides the output
+        nnz = sum(st.cols.size * st.panel.shape[-2] for st in self.stacks)
+        vals = np.empty(nnz, dtype=self.scale.dtype)
         rows, cols = np.empty(nnz, dtype=np.int64), np.empty(nnz, dtype=np.int64)
         pos = 0
-        for _, panel, pcols, offs in self._stacks():
-            e, m, k = panel.shape
+        for st in self.stacks:
+            panel = st.panel * self.scale[st.cols][:, None, :]
             end = pos + panel.size
             vals[pos:end] = panel.ravel()
-            rows[pos:end].reshape(e, m, k)[...] = (offs[:, None] + np.arange(m))[:, :, None]
-            cols[pos:end].reshape(e, m, k)[...] = pcols[:, None, :]
+            rows[pos:end].reshape(panel.shape)[...] = st.rows[:, :, None]
+            cols[pos:end].reshape(panel.shape)[...] = st.cols[:, None, :]
             pos = end
         return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(self.n_rows, self.n_cols))
 
@@ -138,22 +119,23 @@ class RectangularRowBlocked:
         return self.to_coo().toarray()
 
     def normal_matrix(self) -> SparseSymmetric:
-        """Sparse Btilde* Btilde, the sum of the blocks' Gram matrices (diagnostics)."""
-        grams = [
-            (pcols, panel.conj().transpose(0, 2, 1) @ panel)
-            for _, panel, pcols, _ in self._stacks()
-        ]
+        """Sparse (B D)* (B D), the sum of the panels' scaled Gram matrices (diagnostics)."""
+        grams = []
+        for st in self.stacks:
+            s = self.scale[st.cols]
+            gram = st.panel.conj().swapaxes(-1, -2) @ st.panel
+            grams.append((st.cols, s.conj()[:, :, None] * gram * s[:, None, :]))
         return SparseSymmetric(n=self.n_cols, matrix=_sum_blocks(self.n_cols, grams))
 
     def col_norms_sq(self) -> np.ndarray:
         d = np.zeros(self.n_cols)
-        for _, panel, pcols, _ in self._stacks():
-            sq = np.sum(np.abs(panel) ** 2, axis=1)
-            d += np.bincount(pcols.ravel(), weights=sq.ravel(), minlength=self.n_cols)
+        for st in self.stacks:
+            sq = np.sum(np.abs(st.panel) ** 2, axis=-2) * np.abs(self.scale[st.cols]) ** 2
+            d += np.bincount(st.cols.ravel(), weights=sq.ravel(), minlength=self.n_cols)
         return d
 
     def _operator(self):
-        """(B, B*) as CSR matrices for products, built once on first use."""
+        """(B D, (B D)*) as CSR matrices for products, built once on first use."""
         if self._products is None:
             op = self.to_coo().tocsr()
             self._products = (op, op.conj().T.tocsr())
@@ -535,27 +517,27 @@ def assemble_overdetermined(
         if isinstance(mesh_or_ctx, AssemblyContext)
         else build_context(mesh_or_ctx, form, case, options)
     )
+    dtype = ctx.options.working_dtype(ctx.formulation)
     if ctx.square_data is not None:
-        # one panel per row of S, over the row's nonzero columns
+        # one stack of one-row panels per row width of S, over the nonzeros
         s = ctx.square_data["matrix"]
-        bounds = s.indptr.tolist()
-        blocks = [
-            RowBlock(rows=s.data[None, a:b], cols=s.indices[a:b], offset=i)
-            for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
-        ]
-        bt = RectangularRowBlocked(n_cols=ctx.n_solve, n_rows=s.shape[0], blocks=blocks)
+        width = np.diff(s.indptr)
+        stacks = []
+        for w in np.unique(width):
+            rows = np.flatnonzero(width == w)
+            at = s.indptr[rows, None] + np.arange(w)
+            stacks.append(RowStack(panel=s.data[at][:, None, :], cols=s.indices[at], offsets=rows))
+        bt = RectangularRowBlocked(ctx.n_solve, s.shape[0], stacks, np.ones(ctx.n_solve, dtype=dtype))
         return bt, ctx.square_data["rhs"].copy(), ctx
     ne, m = ctx.mesh.n_elements, ctx.formulation.n_test_local
-    blocks = [None] * ne
-    ltilde = np.zeros((ne, m), dtype=ctx.options.working_dtype(ctx.formulation))
+    ltilde = np.zeros((ne, m), dtype=dtype)
+    stacks = []
     for c in ctx.classes:
         mat, vec, cols = _class_system(c, ctx.options.condense, ctx.solve_index, ls=True)
         ltilde[c.elements] = vec
-        # element e owns rows e*m .. e*m + m - 1; a shared matrix is one view
-        mats = np.broadcast_to(mat, (c.elements.size,) + mat.shape[-2:])
-        for e, rows, k in zip(c.elements.tolist(), mats, cols):
-            blocks[e] = RowBlock(rows=rows, cols=k, offset=e * m)
-    bt = RectangularRowBlocked(n_cols=ctx.n_solve, n_rows=ne * m, blocks=blocks)
+        # element e owns rows e*m .. e*m + m - 1
+        stacks.append(RowStack(panel=mat, cols=cols, offsets=c.elements * m))
+    bt = RectangularRowBlocked(ctx.n_solve, ne * m, stacks, np.ones(ctx.n_solve, dtype=dtype))
     return bt, ltilde.ravel(), ctx
 
 
@@ -643,13 +625,8 @@ def precondition_global_rect(bt: RectangularRowBlocked, ltilde: np.ndarray):
     d = bt.col_norms_sq()
     if np.any(d <= 0):
         raise NonpositiveDiagonal("zero column in Btilde (disconnected DOF?)")
-    dtype = bt.blocks[0].rows.dtype if bt.blocks else np.float64
-    s = (1.0 / np.sqrt(d)).astype(dtype)
-    blocks = list(bt.blocks)
-    for idx, panel, pcols, _ in bt._stacks():
-        for i, rows in zip(idx, panel * s[pcols][:, None, :]):
-            blocks[i] = RowBlock(rows=rows, cols=blocks[i].cols, offset=blocks[i].offset)
-    return RectangularRowBlocked(bt.n_cols, bt.n_rows, blocks), ltilde, s
+    s = (1.0 / np.sqrt(d)).astype(bt.scale.dtype)
+    return RectangularRowBlocked(bt.n_cols, bt.n_rows, bt.stacks, bt.scale * s), ltilde, s
 
 
 # ---------------------------------------------------------------------------

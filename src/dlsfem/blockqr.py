@@ -1,34 +1,39 @@
 """Least-squares solver for row-blocked rectangular systems.
 
-Solves min ||B u - l||_2 where B is stored as independent dense row
-blocks, each touching a small set of columns (the element panels produced
-by the overdetermined assembly).  The algorithm is a sequential Householder
+Solves min ||B D u - l||_2 for a column scale D > 0 and B given as stacks
+of dense row panels (:class:`RowStack`): the elements of a class share one
+panel over their own columns.  The algorithm is a sequential Householder
 QR in three steps, each made of LAPACK calls on small dense arrays:
 
 1. Compression.  Columns are permuted into a geometric (left-to-right)
-   order.  Every block [B_K | l_K] with more rows than its k + 1 columns is
-   replaced by the k x (k+1) R factor of its local Householder QR, batched
-   with one LAPACK ``?geqrf`` per block in the blocks' own dtype.  The
-   dropped rows only carry the local residual, so the minimizer is
-   unchanged and the step is backward stable.
+   order.  Panels with more rows than their k + 1 columns are replaced by
+   the k rows [R D_e | (Q* l_e)_k] of their local QR B_K = Q R: as
+   B_K D_e = Q (R D_e), one LAPACK ``?geqrf`` per distinct unscaled panel
+   (once per class for a shared one) and one ``?ormqr``/``?unmqr`` for all
+   its loads suffice, in the panels' own dtype.  The dropped rows only
+   carry the local residual, so the minimizer is unchanged and the step
+   is backward stable.
 2. Triangular window update.  The compressed panels, in the order of their
    first column, are merged batch by batch into an upper-triangular active
    window R over a contiguous column range.  LAPACK ``?tpqrt``
-   (triangular-pentagonal QR) folds the new rows into the carried triangle
-   without factoring it again; a window that carries nothing yet is an
-   all-zero triangle.
+   (triangular-pentagonal QR with l = 0, so the new rows may come in any
+   column order) folds the new rows into the carried triangle without
+   factoring it again; a window that carries nothing yet is an all-zero
+   triangle.
 3. Freezing and back-substitution.  Before each batch, the window rows of
    the columns that no later panel touches are final.  They leave the
    window as one block of R rows, and the solution is recovered by one
    triangular solve per frozen block, last block first.
 
 The work stays proportional to (compressed rows) x (window width)^2 instead
-of rows x columns^2.  Every LAPACK call runs in the dtype of the blocks
+of rows x columns^2.  Every LAPACK call runs in the dtype of the panels
 (single/double, real or complex), so single-precision systems are factored
 in single precision; no normal equations are formed anywhere.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -40,33 +45,51 @@ from .linalg import RankDeficient, eps
 TPQRT_BLOCK = 32
 
 
-def _compress(blocks, rhs, rank_of, dtype):
-    """Augmented panels (pcols, rows) in the order of their first column.
+@dataclass(frozen=True, eq=False)
+class RowStack:
+    """E row panels: panel i is ``panel`` (m, k) (shared) or ``panel[i]`` of
+    an (E, m, k) stack, on the rows offsets[i]..offsets[i]+m-1 and columns cols[i]."""
 
-    ``pcols`` are the block's permuted column ids in increasing order and
-    ``rows`` its rows [B_K | l_K] in that column order, compressed to the
-    k rows of the R factor when the block has more than k + 1 rows.
+    panel: np.ndarray
+    cols: np.ndarray           # (E, k)
+    offsets: np.ndarray        # (E,)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """(E, m) global row ids."""
+        return self.offsets[:, None] + np.arange(self.panel.shape[-2])
+
+
+def _compress(stacks, rhs, scale, rank_of, dtype):
+    """Augmented stacks (pcols (E, k), rows (E, r, k + 1)) of the nonempty stacks.
+
+    ``pcols`` are the permuted column ids of the panels and ``rows`` their
+    rows [B_e D_e | l_e], compressed to r = k rows when m > k + 1.
     """
-    geqrf = scipy.linalg.get_lapack_funcs("geqrf", dtype=dtype)
-    by_shape: dict = {}
-    for i, (rows, cols) in enumerate(blocks):
-        if rows.size:
-            by_shape.setdefault(rows.shape, []).append(i)
-    panels = []
-    for (m, k), idx in by_shape.items():
-        pcols = rank_of[np.stack([blocks[i][1] for i in idx])]
-        sort = np.argsort(pcols, axis=1, kind="stable")
-        aug = np.empty((len(idx), m, k + 1), dtype=dtype)
-        aug[:, :, :k] = np.take_along_axis(
-            np.stack([blocks[i][0] for i in idx]), sort[:, None, :], axis=2
-        )
-        aug[:, :, k] = np.stack([rhs[i] for i in idx])
-        if m > k + 1:
-            # not np.linalg.qr, which factors float32/complex64 in double
-            aug = np.triu(np.stack([geqrf(a)[0][:k] for a in aug]))
-        panels.extend(zip(np.take_along_axis(pcols, sort, axis=1), aug))
-    panels.sort(key=lambda panel: panel[0][0])
-    return panels
+    geqrf, ormqr = scipy.linalg.get_lapack_funcs(("geqrf", "ormqr"), dtype=dtype)
+    trans = "C" if np.issubdtype(dtype, np.complexfloating) else "T"
+    out = []
+    for st in stacks:
+        (e, k), m = st.cols.shape, st.panel.shape[-2]
+        if not st.panel.size:
+            continue
+        col_scale, loads = scale[st.cols][:, None, :], rhs[st.rows]
+        if m <= k + 1:
+            rows = np.concatenate([st.panel * col_scale, loads[:, :, None]], axis=2)
+        else:
+            # one factorization per distinct panel; its loads share the projection
+            distinct = st.panel.reshape(-1, m, k)
+            rows = np.empty((e, k, k + 1), dtype=dtype)
+            f, lwork = len(distinct), None
+            for a, ell, r in zip(distinct, loads.reshape(f, -1, m), rows.reshape(f, -1, k, k + 1)):
+                # not np.linalg.qr, which factors float32/complex64 in double
+                qr, tau = geqrf(a)[:2]
+                lwork = lwork or int(ormqr("L", trans, qr, tau, ell.T, -1)[1][0].real)
+                r[:, :, :k] = np.triu(qr[:k])
+                r[:, :, k] = ormqr("L", trans, qr, tau, ell.T, lwork)[0][:k].T
+            rows[:, :, :k] *= col_scale
+        out.append((rank_of[st.cols], rows))
+    return out
 
 
 def _gather(panels, lo, width, dtype):
@@ -92,31 +115,21 @@ def _merge(tri, new):
     return tpqrt(0, min(TPQRT_BLOCK, width + 1), win, new, overwrite_a=1, overwrite_b=1)[0]
 
 
-def solve_blocked_ls(blocks, rhs, n_cols, sort_keys=None, row_cap=256):
-    """Minimize ||B u - l||_2 for a row-blocked B.
+def solve_blocked_ls(stacks, rhs, n_cols, scale=None, sort_keys=None, row_cap=256):
+    """Minimize ||B D u - l||_2 for B given as a list of :class:`RowStack`.
 
-    Parameters
-    ----------
-    blocks : list of (rows, cols)
-        Dense panels with their global column index lists.
-    rhs : list of ndarray
-        Right-hand-side slice for each block.
-    n_cols : int
-        Global column dimension.
-    sort_keys : (n_cols, k) array, optional
-        Lexicographic keys (primary first) used to order columns; geometric
-        keys keep the active window small.  Identity order when omitted.
-    row_cap : int
-        Maximum number of incoming (compressed) rows merged in one LAPACK call.
-
-    Returns
-    -------
-    x : ndarray (n_cols,)
-    r_diag : ndarray (n_cols,) magnitudes of the R diagonal (rank diagnostics)
+    ``rhs`` is the load l over the rows of B and ``scale`` the positive
+    column scale D (the identity when omitted).  ``sort_keys`` (n_cols, k)
+    are lexicographic keys (primary first) that order the columns;
+    geometric keys keep the active window small (identity order when
+    omitted).  At most ``row_cap`` incoming (compressed) rows are merged in
+    one LAPACK call.  Returns (x, r_diag): the solution and the magnitudes
+    of the R diagonal (rank diagnostics), both of length n_cols.
     """
     if n_cols == 0:
         return np.zeros(0), np.zeros(0)
-    dtype = blocks[0][0].dtype if blocks else np.float64
+    dtype = stacks[0].panel.dtype if stacks else np.float64
+    scale = np.ones(n_cols, dtype=dtype) if scale is None else np.asarray(scale, dtype=dtype)
     if sort_keys is None:
         order = np.arange(n_cols)
     else:
@@ -125,7 +138,14 @@ def solve_blocked_ls(blocks, rhs, n_cols, sort_keys=None, row_cap=256):
     rank_of = np.empty(n_cols, dtype=np.int64)
     rank_of[order] = np.arange(n_cols)
 
-    panels = _compress(blocks, rhs, rank_of, dtype)
+    comp = _compress(stacks, rhs, scale, rank_of, dtype)
+    # (first column, last column, stack, position) of every panel, by first column
+    table = np.concatenate([np.zeros((0, 4), dtype=np.int64)] + [
+        np.column_stack([pc.min(1), pc.max(1), np.full(len(pc), s), np.arange(len(pc))])
+        for s, (pc, _) in enumerate(comp)
+    ])
+    first_col, last_col, which, pos = table[np.argsort(table[:, 0], kind="stable")].T.tolist()
+    stack_rows = [rows.shape[1] for _, rows in comp]
     frozen = []                          # (first column, final R rows, rhs last)
     tri = np.zeros((1, 1), dtype=dtype)  # window R; the last column is the rhs
     lo = 0                               # permuted column id of tri[:, 0]
@@ -141,21 +161,22 @@ def solve_blocked_ls(blocks, rhs, n_cols, sort_keys=None, row_cap=256):
         lo = new_lo
 
     idx = 0
-    while idx < len(panels):
-        freeze_below(int(panels[idx][0][0]))
-        hi = max(lo + tri.shape[0] - 1, int(panels[idx][0][-1]) + 1)
+    while idx < len(first_col):
+        freeze_below(first_col[idx])
+        hi = max(lo + tri.shape[0] - 1, last_col[idx] + 1)
         # growing the window is what costs; adding rows at fixed width is cheap
         width_cap = max(256, int(1.25 * (hi - lo)) + 64)
         # always consume at least one panel so the loop advances
-        stop, nrows = idx + 1, panels[idx][1].shape[0]
-        while stop < len(panels) and nrows < row_cap:
-            new_hi = max(hi, int(panels[stop][0][-1]) + 1)
+        stop, nrows = idx + 1, stack_rows[which[idx]]
+        while stop < len(first_col) and nrows < row_cap:
+            new_hi = max(hi, last_col[stop] + 1)
             if new_hi - lo > width_cap:
                 break
             hi = new_hi
-            nrows += panels[stop][1].shape[0]
+            nrows += stack_rows[which[stop]]
             stop += 1
-        tri = _merge(tri, _gather(panels[idx:stop], lo, hi - lo, dtype))
+        batch = [(comp[s][0][i], comp[s][1][i]) for s, i in zip(which[idx:stop], pos[idx:stop])]
+        tri = _merge(tri, _gather(batch, lo, hi - lo, dtype))
         idx = stop
     freeze_below(n_cols)
 

@@ -43,15 +43,6 @@ class SingularBubbleBlock(Exception):
 
 
 @dataclass
-class ElementSystem:
-    """Raw element triple (G_K, B_K, l_K) with its local layout metadata."""
-
-    g: np.ndarray
-    b: np.ndarray
-    l: np.ndarray
-
-
-@dataclass
 class CondensedElement:
     """Interface-only element rows plus the factors needed for recovery."""
 
@@ -201,10 +192,3 @@ def recover_bubbles_ne(schur_elem: SchurElement, u_interf):
     )
     y = linalg.triangular_solve(schur_elem.chol_bb, rhs[..., None])
     return linalg.triangular_solve(schur_elem.chol_bb, y, trans="C")[..., 0]
-
-
-def compute_element(form, mesh_obj, elem: int, case, rule) -> ElementSystem:
-    """Raw element system (G_K, B_K, l_K) for one mesh element."""
-    origin = mesh_obj.element_origin(elem)
-    g, b, l = form.eval_forms(mesh_obj.h, rule, origin=origin, case=case)
-    return ElementSystem(g=g, b=b, l=l)

@@ -127,33 +127,6 @@ class Formulation:
             self._cache[key] = _build_kernels(self, h, rule)
         return self._cache[key]
 
-    def eval_forms(self, h: float, rule: QuadratureRule, origin=None, case=None):
-        """Element contributions (G_K, B_K, l_K) for one element.
-
-        ``origin`` is the element's lower-left corner; it is required
-        whenever the load or a variable coefficient must be evaluated.
-        """
-        ker = self.kernels(h, rule)
-        g = ker["G"].copy()
-        b = ker["B"].copy()
-        n_test = self.n_test_local
-        ell = np.zeros(n_test, dtype=self.dtype)
-        if origin is not None:
-            x = origin[0] + h * rule.points[:, 0]
-            y = origin[1] + h * rule.points[:, 1]
-            if ker["alpha_var"] is not None:
-                av = ker["alpha_var"]
-                avals = self.alpha(x, y)
-                b[av["rows"], av["cols"]] += av["scale"] * np.einsum(
-                    "ip,p,jp->ij", av["test_tab"], rule.weights * avals, av["trial_tab"]
-                )
-            if case is not None:
-                fvals = case.f(x, y)
-                ell[ker["load_rows"]] = ker["load_scale"] * np.einsum(
-                    "ip,p->i", ker["load_table"], rule.weights * fvals
-                )
-        return g, b, ell
-
 
 def _slices(sizes, names):
     out = {}

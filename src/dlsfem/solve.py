@@ -185,9 +185,7 @@ def solve_ls(bt: RectangularRowBlocked, ltilde: np.ndarray, ctx: AssemblyContext
     scale = None
     if precondition and bt.n_cols:
         bt, ltilde, scale = precondition_global_rect(bt, ltilde)
-    blocks = [(blk.rows, blk.cols) for blk in bt.blocks]
-    rhs = [ltilde[blk.offset : blk.offset + blk.rows.shape[0]] for blk in bt.blocks]
-    u, r_diag = solve_blocked_ls(blocks, rhs, bt.n_cols, sort_keys=ctx.sort_keys())
+    u, r_diag = solve_blocked_ls(bt.stacks, ltilde, bt.n_cols, bt.scale, sort_keys=ctx.sort_keys())
     if scale is not None:
         u = u * scale.astype(u.dtype)
     full = _recover(ctx, u, "QR")

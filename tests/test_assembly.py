@@ -66,17 +66,26 @@ class TestStructure:
         form = make_formulation("primal-dpg", p=1, dp=1)
         ctx = build_context(uniform_mesh(1), form, _case_for("primal-dpg"), Options(condense=False))
         bt, lt, _ = assemble_overdetermined(ctx)
-        assert len(bt.blocks) == 1
+        assert [st.cols.shape[0] for st in bt.stacks] == [1]
         assert bt.n_rows == form.n_test_local
+
+    @staticmethod
+    def _assert_rows_partition(bt):
+        """The stacks' row ranges cover 0..n_rows-1, every row exactly once."""
+        rows = np.concatenate([st.rows.ravel() for st in bt.stacks])
+        np.testing.assert_array_equal(np.sort(rows), np.arange(bt.n_rows))
 
     def test_rows_partition_and_counts(self):
         form = make_formulation("ultraweak-dpg", p=2, dp=1)
         ctx = build_context(uniform_mesh(2), form, _case_for("ultraweak-dpg"))
         bt, lt, _ = assemble_overdetermined(ctx)
         assert bt.n_rows == 4 * 40 == 160
-        offsets = sorted(b.offset for b in bt.blocks)
-        sizes = [b.rows.shape[0] for b in bt.blocks]
-        assert offsets == list(np.cumsum([0] + sizes[:-1]))
+        self._assert_rows_partition(bt)
+        form = make_formulation("bubnov-galerkin", p=2, dp=0)
+        ctx = build_square_context(uniform_mesh(4), form, _case_for("bubnov-galerkin"))
+        bt, lt, _ = assemble_overdetermined(ctx)
+        assert bt.n_rows == ctx.n_solve == ctx.square_data["matrix"].shape[0]
+        self._assert_rows_partition(bt)
 
     def test_condensation_reduces_columns_not_rows(self):
         form = make_formulation("ultraweak-dpg", p=2, dp=1)
@@ -164,6 +173,10 @@ class TestGlobalPreconditioning:
         np.testing.assert_allclose(
             bt1.normal_matrix().diagonal(), 1.0, atol=1e-12
         )
+        # the scaled system shares the panels and scales the columns
+        for st, st1 in zip(bt.stacks, bt1.stacks, strict=True):
+            assert np.shares_memory(st.panel, st1.panel)
+        np.testing.assert_array_equal(bt1.to_dense(), bt.to_dense() * s_od)
 
     def test_zero_column_raises(self):
         import scipy.sparse

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from dlsfem.blockqr import _compress, solve_blocked_ls
+from dlsfem.blockqr import RowStack, _compress, solve_blocked_ls
 from dlsfem.linalg import RankDeficient
 
 
@@ -30,15 +30,25 @@ def random_blocked(rng, ncols, nblocks, dtype=np.float64, kmax=8, max_rows=lambd
     return blocks, rhs
 
 
-def dense_of(blocks, rhs, ncols, dtype):
-    nrows = sum(b[0].shape[0] for b in blocks)
-    m = np.zeros((nrows, ncols), dtype=dtype)
-    v = np.concatenate(rhs)
-    off = 0
-    for rows, cols in blocks:
-        m[off : off + rows.shape[0], cols] = rows
-        off += rows.shape[0]
-    return m, v
+def as_stacks(blocks, rhs):
+    """Every block as a stack of one panel, on consecutive rows: (stacks, load)."""
+    offsets = np.cumsum([0] + [rows.shape[0] for rows, _ in blocks])
+    stacks = [
+        RowStack(panel=rows, cols=np.asarray(cols)[None], offsets=offsets[i : i + 1])
+        for i, (rows, cols) in enumerate(blocks)
+    ]
+    return stacks, np.concatenate(rhs) if rhs else np.zeros(0)
+
+
+def dense_of(stacks, rhs, ncols, dtype, scale=None):
+    """Dense B D and l of a stacked system."""
+    scale = np.ones(ncols) if scale is None else scale
+    m = np.zeros((rhs.size, ncols), dtype=dtype)
+    for st in stacks:
+        panels = np.broadcast_to(st.panel, st.cols.shape[:1] + st.panel.shape[-2:])
+        for rows, cols, panel in zip(st.rows, st.cols, panels):
+            m[np.ix_(rows, cols)] = panel * scale[cols]
+    return m, rhs.astype(dtype)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -47,8 +57,8 @@ def test_matches_dense_lstsq(seed):
     ncols = int(rng.integers(4, 80))
     blocks, rhs = random_blocked(rng, ncols, int(rng.integers(2, 30)))
     keys = rng.standard_normal((ncols, 2))
-    x, rdiag = solve_blocked_ls(blocks, rhs, ncols, sort_keys=keys)
-    m, v = dense_of(blocks, rhs, ncols, np.float64)
+    x, rdiag = solve_blocked_ls(*as_stacks(blocks, rhs), ncols, sort_keys=keys)
+    m, v = dense_of(*as_stacks(blocks, rhs), ncols, np.float64)
     ref = np.linalg.lstsq(m, v, rcond=None)[0]
     np.testing.assert_allclose(x, ref, atol=1e-11 * max(np.linalg.norm(ref), 1.0))
     assert rdiag.shape == (ncols,)
@@ -58,8 +68,8 @@ def test_complex_matches_dense(seed=3):
     rng = np.random.default_rng(seed)
     ncols = 40
     blocks, rhs = random_blocked(rng, ncols, 25, dtype=np.complex128)
-    x, _ = solve_blocked_ls(blocks, rhs, ncols)
-    m, v = dense_of(blocks, rhs, ncols, np.complex128)
+    x, _ = solve_blocked_ls(*as_stacks(blocks, rhs), ncols)
+    m, v = dense_of(*as_stacks(blocks, rhs), ncols, np.complex128)
     ref = np.linalg.lstsq(m, v, rcond=None)[0]
     np.testing.assert_allclose(x, ref, atol=1e-11 * np.linalg.norm(ref))
 
@@ -69,16 +79,17 @@ def test_single_precision_dtype_preserved():
     blocks, rhs = random_blocked(rng, 20, 10, dtype=np.float64)
     blocks32 = [(b.astype(np.float32), c) for b, c in blocks]
     rhs32 = [r.astype(np.float32) for r in rhs]
-    x, _ = solve_blocked_ls(blocks32, rhs32, 20)
+    x, _ = solve_blocked_ls(*as_stacks(blocks32, rhs32), 20)
     assert x.dtype == np.float32
-    m, v = dense_of(blocks, rhs, 20, np.float64)
+    m, v = dense_of(*as_stacks(blocks, rhs), 20, np.float64)
     ref = np.linalg.lstsq(m, v, rcond=None)[0]
     np.testing.assert_allclose(x, ref, atol=1e-4 * np.linalg.norm(ref))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
 def test_compression_runs_in_working_dtype(dtype):
-    """Tall blocks are compressed to the R of a LAPACK QR in their own dtype."""
+    """Tall blocks are compressed to the R and projected load of a LAPACK QR
+    in their own dtype."""
     rng = np.random.default_rng(6)
     k, ncols = 3, 12
     blocks, rhs = [], []
@@ -89,21 +100,26 @@ def test_compression_runs_in_working_dtype(dtype):
             rows = rows + 1j * rng.standard_normal((m, k))
         blocks.append((rows.astype(dtype), np.arange(first, first + k)))
         rhs.append(rng.standard_normal(m).astype(dtype))
-    panels = _compress(blocks, rhs, np.arange(ncols), dtype)
-    geqrf = scipy.linalg.get_lapack_funcs("geqrf", dtype=dtype)
-    for (pcols, got), (rows, cols), r in zip(panels, blocks, rhs):
-        np.testing.assert_array_equal(pcols, cols)
+    stacks, load = as_stacks(blocks, rhs)
+    comp = _compress(stacks, load, np.ones(ncols, dtype=dtype), np.arange(ncols), dtype)
+    geqrf, ormqr = scipy.linalg.get_lapack_funcs(("geqrf", "ormqr"), dtype=dtype)
+    trans = "C" if dtype == np.complex64 else "T"
+    for (pcols, got), (rows, cols), r in zip(comp, blocks, rhs, strict=True):
+        np.testing.assert_array_equal(pcols, [cols])
         assert got.dtype == dtype
-        want = np.triu(geqrf(np.column_stack([rows, r]))[0][:k])
-        np.testing.assert_array_equal(got, want)
+        qr, tau = geqrf(rows)[:2]
+        lwork = int(ormqr("L", trans, qr, tau, r[:, None], -1)[1][0].real)
+        qtr = ormqr("L", trans, qr, tau, r[:, None], lwork)[0]
+        want = np.column_stack([np.triu(qr[:k]), qtr[:k]])
+        np.testing.assert_array_equal(got, [want])
 
 
 def test_row_cap_batching_consistent():
     rng = np.random.default_rng(9)
     blocks, rhs = random_blocked(rng, 50, 40)
     keys = np.column_stack([np.arange(50) % 7, np.arange(50)])
-    x1, _ = solve_blocked_ls(blocks, rhs, 50, sort_keys=keys, row_cap=4)
-    x2, _ = solve_blocked_ls(blocks, rhs, 50, sort_keys=keys, row_cap=4096)
+    x1, _ = solve_blocked_ls(*as_stacks(blocks, rhs), 50, sort_keys=keys, row_cap=4)
+    x2, _ = solve_blocked_ls(*as_stacks(blocks, rhs), 50, sort_keys=keys, row_cap=4096)
     np.testing.assert_allclose(x1, x2, atol=1e-10 * np.linalg.norm(x2))
 
 
@@ -111,7 +127,7 @@ def test_untouched_column_raises():
     rng = np.random.default_rng(2)
     blocks = [(rng.standard_normal((4, 2)), np.array([0, 1]))]
     with pytest.raises(RankDeficient):
-        solve_blocked_ls(blocks, [np.zeros(4)], 3)
+        solve_blocked_ls(*as_stacks(blocks, [np.zeros(4)]), 3)
 
 
 def test_dependent_columns_raise():
@@ -119,11 +135,11 @@ def test_dependent_columns_raise():
     rows = rng.standard_normal((6, 1))
     blocks = [(np.hstack([rows, rows]), np.array([0, 1]))]
     with pytest.raises(RankDeficient):
-        solve_blocked_ls(blocks, [np.zeros(6)], 2)
+        solve_blocked_ls(*as_stacks(blocks, [np.zeros(6)]), 2)
 
 
 def test_empty_system():
-    x, rd = solve_blocked_ls([], [], 0)
+    x, rd = solve_blocked_ls([], np.zeros(0), 0)
     assert x.size == 0
 
 
@@ -131,7 +147,7 @@ def test_consistent_system_exact():
     rng = np.random.default_rng(11)
     ncols = 25
     blocks, rhs = random_blocked(rng, ncols, 12)
-    m, _ = dense_of(blocks, rhs, ncols, np.float64)
+    m, _ = dense_of(*as_stacks(blocks, rhs), ncols, np.float64)
     x_true = rng.standard_normal(ncols)
     full = m @ x_true
     off = 0
@@ -139,7 +155,7 @@ def test_consistent_system_exact():
     for rows, cols in blocks:
         rhs_cons.append(full[off : off + rows.shape[0]])
         off += rows.shape[0]
-    x, _ = solve_blocked_ls(blocks, rhs_cons, ncols)
+    x, _ = solve_blocked_ls(*as_stacks(blocks, rhs_cons), ncols)
     np.testing.assert_allclose(x, x_true, atol=1e-10)
 
 
@@ -160,7 +176,7 @@ def tall_problems(draw, dtype):
     row_cap = draw(st.integers(1, 64))     # small caps force many window merges
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     blocks, rhs = random_blocked(rng, ncols, nblocks, dtype, kmax, max_rows=lambda k: 4 * k)
-    return blocks, rhs, ncols, dict(sort_keys=rng.standard_normal((ncols, 2)), row_cap=row_cap)
+    return (*as_stacks(blocks, rhs), ncols, dict(sort_keys=rng.standard_normal((ncols, 2)), row_cap=row_cap))
 
 
 @st.composite
@@ -182,15 +198,58 @@ def row_problems(draw, dtype):
             row, r = row + 1j * rng.standard_normal((1, k)), r + 1j * rng.standard_normal(1)
         blocks.append((row.astype(dtype), cols))
         rhs.append(r.astype(dtype))
-    return blocks, rhs, ncols, dict(sort_keys=rng.standard_normal((ncols, 2)), row_cap=row_cap)
+    return (*as_stacks(blocks, rhs), ncols, dict(sort_keys=rng.standard_normal((ncols, 2)), row_cap=row_cap))
+
+
+def _random(rng, shape, dtype):
+    x = rng.standard_normal(shape)
+    if np.issubdtype(dtype, np.complexfloating):
+        x = x + 1j * rng.standard_normal(shape)
+    return x.astype(dtype)
+
+
+@st.composite
+def shared_problems(draw, dtype):
+    """Stacks of E > 1 panels that share one panel of k columns and k..4k
+    rows (now and then an (E, m, k) stack, as under a variable coefficient),
+    each panel over its own columns, with a random positive column scale:
+    the shape of the element classes of the overdetermined assembly."""
+    ncols = draw(st.integers(2, 40))
+    nstacks = draw(st.integers(1, 5))
+    kmax = draw(st.integers(2, 8))
+    row_cap = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    panels = []
+    for _ in range(nstacks):
+        k = int(rng.integers(1, min(ncols, kmax) + 1))
+        m = int(rng.integers(k, 4 * k + 1))
+        e = int(rng.integers(2, 7))
+        cols = np.stack([rng.choice(ncols, size=k, replace=False) for _ in range(e)])
+        shape = (e, m, k) if rng.random() < 0.25 else (m, k)
+        panels.append((_random(rng, shape, dtype), cols))
+    missing = np.setdiff1d(np.arange(ncols), np.concatenate([c.ravel() for _, c in panels]))
+    if missing.size:
+        panels.append((_random(rng, (missing.size + 3, missing.size), dtype), np.stack([missing, missing[::-1]])))
+    stacks, offset = [], 0
+    for panel, cols in panels:
+        m, e = panel.shape[-2], cols.shape[0]
+        stacks.append(RowStack(panel, cols, offset + m * np.arange(e)))
+        offset += m * e
+    load = _random(rng, offset, dtype)
+    how = dict(
+        scale=np.exp(rng.uniform(-2.0, 2.0, ncols)).astype(dtype),
+        sort_keys=rng.standard_normal((ncols, 2)),
+        row_cap=row_cap,
+    )
+    return stacks, load, ncols, how
 
 
 def check_matches_dense_lstsq(dtype, problem):
-    blocks, rhs, ncols, how = problem
-    x, rdiag = solve_blocked_ls(blocks, rhs, ncols, **how)
+    stacks, load, ncols, how = problem
+    x, rdiag = solve_blocked_ls(stacks, load, ncols, **how)
     assert x.dtype == dtype and rdiag.shape == (ncols,)
     wide = np.complex128 if np.issubdtype(dtype, np.complexfloating) else np.float64
-    m, v = dense_of(blocks, rhs, ncols, wide)
+    m, v = dense_of(stacks, load, ncols, wide, how.get("scale"))
     ref = np.linalg.lstsq(m, v, rcond=None)[0]
     # least-squares forward error bound: u kappa (1 + kappa ||r|| / (||B|| ||x||))
     sv = np.linalg.svd(m, compute_uv=False)
@@ -201,10 +260,10 @@ def check_matches_dense_lstsq(dtype, problem):
 
 
 def check_rank_deficient_raises(problem, kind, i, j):
-    blocks, rhs, ncols, how = problem
+    stacks, load, ncols, how = problem
     out = []
-    for rows, cols in blocks:
-        rows, cols = rows.copy(), list(cols)
+    for st in stacks:    # one panel per stack
+        rows, cols = st.panel.copy(), list(st.cols[0])
         if kind == "untouched" and i in cols:
             keep = [t for t, c in enumerate(cols) if c != i]
             rows, cols = rows[:, keep], [cols[t] for t in keep]
@@ -216,9 +275,9 @@ def check_rank_deficient_raises(problem, kind, i, j):
                 rows[:, cols.index(j)] = 2.0 * rows[:, cols.index(i)]
             elif i in cols or j in cols:
                 rows[:, cols.index(i if i in cols else j)] = 0.0
-        out.append((rows, np.array(cols, dtype=np.int64)))
+        out.append(RowStack(rows, np.array(cols, dtype=np.int64)[None], st.offsets))
     with pytest.raises(RankDeficient):
-        solve_blocked_ls(out, rhs, ncols, **how)
+        solve_blocked_ls(out, load, ncols, **how)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -251,3 +310,10 @@ def test_property_one_row_panels_rank_deficient_raises(dtype, data, kind):
     problem = data.draw(row_problems(dtype))
     i, j = data.draw(st.permutations(range(problem[2])))[:2]
     check_rank_deficient_raises(problem, kind, i, j)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@PROPERTY
+@given(data=st.data())
+def test_property_shared_panels_match_dense_lstsq(dtype, data):
+    check_matches_dense_lstsq(dtype, data.draw(shared_problems(dtype)))

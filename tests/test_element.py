@@ -6,7 +6,6 @@ from dlsfem.element import (
     NonpositiveDiagonal,
     RankDeficientBubbles,
     apply_dirichlet,
-    compute_element,
     condense_ls,
     condense_ne,
     element_ne,
@@ -18,6 +17,8 @@ from dlsfem.element import (
 from dlsfem.basis import gauss_rule
 from dlsfem.formulation import make_case, make_formulation
 from dlsfem.mesh import uniform_mesh
+
+from element_reference import compute_element
 
 
 def random_system(rng, m=12, n=7, dtype=np.float64):

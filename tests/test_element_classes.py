@@ -1,9 +1,10 @@
 """The class-batched element pipeline against the per-element path it replaced.
 
 The reference below runs the functions of :mod:`dlsfem.element` one element
-at a time (``compute_element``, ``precondition_gram``, ``whiten``,
-``apply_dirichlet``, ``element_ne``, ``condense_ne``/``condense_ls``,
-``recover_bubbles``/``recover_bubbles_ne``) and assembles dense systems from
+at a time (``precondition_gram``, ``whiten``, ``apply_dirichlet``,
+``element_ne``, ``condense_ne``/``condense_ls``,
+``recover_bubbles``/``recover_bubbles_ne``) on the raw element systems of
+``element_reference.compute_element``, and assembles dense systems from
 them.  The production code treats whole element classes at once.  Both
 compute the same quantities from the same master data in the same working
 precision, so they may differ only by round-off.  Every tolerance is
@@ -22,8 +23,9 @@ the condition number that bounds the forward error of the step:
 
 The other tests hold the class design to its claims: a solution does not
 depend on which assembler ran first on its context, reassembly is
-bit-identical, threads sharing one context get identical systems, and the
-number of triangular solves does not grow with the number of elements.
+bit-identical, threads sharing one context get identical systems, and
+neither the number of triangular solves nor that of ``?geqrf`` calls grows
+with the number of elements.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ from dlsfem.assembly import (
 from dlsfem.formulation import make_case, make_formulation
 from dlsfem.mesh import uniform_mesh
 from dlsfem.solve import solve_ls, solve_ne
+
+from element_reference import compute_element
 
 C = 100.0
 
@@ -102,7 +106,7 @@ def _reference(ctx):
     ell = np.zeros(mesh.n_elements * m, dtype=wdtype)
     elems, kappa_l, kappa_b = [], 1.0, 1.0
     for e in range(mesh.n_elements):
-        sys = element.compute_element(form, mesh, e, ctx.case, ctx.rule)
+        sys = compute_element(form, mesh, e, ctx.case, ctx.rule)
         g, bk, lk = sys.g, sys.b, sys.l
         if opts.precondition_gram:
             g, bk, lk, _ = element.precondition_gram(g, bk, lk)
@@ -313,5 +317,41 @@ def test_triangular_solves_do_not_grow_with_the_mesh(monkeypatch, name):
         ctx = _context(name, n)
         a, f, _ = assemble_ne(ctx)
         solve_ne(a, f, ctx)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_qr_factorizations_do_not_grow_with_the_mesh(monkeypatch):
+    """Overdetermined assembly and QR solve make a fixed number of ?geqrf
+    calls, one per element class with a shared panel, whatever the element
+    count: the block QR compresses each distinct panel once.  Counted are
+    the ?geqrf handles handed out by ``scipy.linalg.get_lapack_funcs``, the
+    way the block QR reaches LAPACK."""
+    original = scipy.linalg.get_lapack_funcs
+    calls = []
+
+    def counting(names, *args, **kwargs):
+        funcs = original(names, *args, **kwargs)
+        if isinstance(names, str):
+            return counted(funcs, names)
+        return tuple(counted(f, name) for f, name in zip(funcs, names))
+
+    def counted(fn, name):
+        if name != "geqrf":
+            return fn
+
+        def geqrf(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        return geqrf
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
+    counts = []
+    for n in (8, 16):
+        calls.clear()
+        ctx = _context("ultraweak-p2-double", n)
+        bt, lt, _ = assemble_overdetermined(ctx)
+        solve_ls(bt, lt, ctx)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
