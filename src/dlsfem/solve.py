@@ -185,7 +185,15 @@ def solve_ls(bt: RectangularRowBlocked, ltilde: np.ndarray, ctx: AssemblyContext
     scale = None
     if precondition and bt.n_cols:
         bt, ltilde, scale = precondition_global_rect(bt, ltilde)
-    u, r_diag = solve_blocked_ls(bt.stacks, ltilde, bt.n_cols, bt.scale, sort_keys=ctx.sort_keys())
+    cells = None
+    if ctx.square_data is None:
+        # element e owns rows e*M .. e*M + M - 1; its mesh cell groups its panel into a patch
+        mesh = ctx.mesh
+        element_cells = np.rint(mesh.element_origins() / mesh.h).astype(np.int64)
+        cells = [element_cells[st.offsets // (bt.n_rows // mesh.n_elements)] for st in bt.stacks]
+    u, r_diag = solve_blocked_ls(
+        bt.stacks, ltilde, bt.n_cols, bt.scale, sort_keys=ctx.sort_keys(), cells=cells
+    )
     if scale is not None:
         u = u * scale.astype(u.dtype)
     full = _recover(ctx, u, "QR")
@@ -324,9 +332,9 @@ def _accumulate_norms(form, mesh_obj, coeffs, ctx_layouts, offsets, rule, exact=
     def field(name):
         return exact[name](px, py) if exact and name in exact else 0.0
 
-    comps = [c for c in form.trial if c.kind in ("l2", "h1", "hdiv")]
+    comps = form.field_components()
     for comp, lay, off in zip(form.trial, ctx_layouts, offsets):
-        if comp.kind not in ("l2", "h1", "hdiv"):
+        if comp not in comps:
             continue
         tabs = _field_tables(form, comp, rule)
         call = coeffs[off + lay.element_dofs]  # (ne, nloc)

@@ -317,3 +317,96 @@ def test_property_one_row_panels_rank_deficient_raises(dtype, data, kind):
 @given(data=st.data())
 def test_property_shared_panels_match_dense_lstsq(dtype, data):
     check_matches_dense_lstsq(dtype, data.draw(shared_problems(dtype)))
+
+
+# ---------------------------------------------------------------------------
+# Patches: panels that carry mesh cells, in groups that repeat
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def patch_problems(draw, dtype):
+    """Panels on the cells of an 8 x 8 grid, in groups that repeat.  A
+    template of up to four panels over a local column layout sits at one
+    2 x 2 group position in several 4 x 4 patches; panel j of every copy
+    comes from one stack j (shared, or now and then an (E, m, k) stack,
+    never shared).  Each copy has inner columns of its own and outer ones
+    from a pool that all groups draw on, the same for all copies
+    or drawn for each.  Loose panels on random cells and
+    random columns break the repetition.  Random positive column scale."""
+    pool = draw(st.integers(1, 12))
+    row_cap = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    patches = rng.permutation(4)[: int(rng.integers(1, 5))]
+    panels, ncols = [], pool              # (panel, cols (E, k), cells (E, 2))
+    for spot in rng.permutation(4)[: int(rng.integers(1, 4))]:
+        here = patches[rng.random(patches.size) < 0.8]
+        here = here if here.size else patches[:1]
+        inner = int(rng.integers(0, 6))
+        outer = int(rng.integers(0 if inner else 1, min(pool, 6) + 1))
+        # outer columns: the same ones for every copy, or drawn for each
+        draws = [rng.choice(pool, size=outer, replace=False) for _ in here]
+        where = np.column_stack([
+            ncols + np.arange(here.size * inner).reshape(here.size, inner),
+            np.stack(draws if rng.random() < 0.5 else draws[:1] * here.size),
+        ])
+        ncols += here.size * inner
+        group = np.column_stack([2 * (here % 2) + spot % 2, 2 * (here // 2) + spot // 2])
+        for cell in rng.permutation(4)[: int(rng.integers(1, 5))]:
+            k = int(rng.integers(1, inner + outer + 1))
+            m = int(rng.integers(k, 4 * k + 1))
+            shape = (here.size, m, k) if rng.random() < 0.25 else (m, k)
+            cols = where[:, rng.choice(inner + outer, size=k, replace=False)]
+            panels.append((_random(rng, shape, dtype), cols, 2 * group + [cell % 2, cell // 2]))
+    for _ in range(int(rng.integers(0, 3))):
+        k = int(rng.integers(1, min(ncols, 6) + 1))
+        m = int(rng.integers(k, 4 * k + 1))
+        panels.append((_random(rng, (m, k), dtype), rng.choice(ncols, size=(1, k), replace=False), rng.integers(0, 8, (1, 2))))
+    missing = np.setdiff1d(np.arange(ncols), np.concatenate([c.ravel() for _, c, _ in panels]))
+    if missing.size:
+        panels.append((_random(rng, (missing.size + 3, missing.size), dtype), missing[None], rng.integers(0, 8, (1, 2))))
+    stacks, offset = [], 0
+    for panel, cols, _ in panels:
+        m, e = panel.shape[-2], cols.shape[0]
+        stacks.append(RowStack(panel, cols, offset + m * np.arange(e)))
+        offset += m * e
+    how = dict(
+        scale=np.exp(rng.uniform(-2.0, 2.0, ncols)).astype(dtype),
+        sort_keys=rng.standard_normal((ncols, 2)),
+        row_cap=row_cap,
+        cells=[cells for _, _, cells in panels],
+    )
+    return stacks, _random(rng, offset, dtype), ncols, how
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@PROPERTY
+@given(data=st.data())
+def test_property_patches_match_dense_lstsq(dtype, data):
+    check_matches_dense_lstsq(dtype, data.draw(patch_problems(dtype)))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@PROPERTY
+@given(data=st.data(), kind=st.sampled_from(["zero", "scaled copy"]))
+def test_property_rank_deficient_private_column_raises(dtype, data, kind):
+    """One more panel, on the cell of the first panel, over an old column and
+    two new ones that no other panel touches, so that they are private to
+    its group: one of them zero, or one twice the other."""
+    stacks, load, ncols, how = data.draw(patch_problems(dtype))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    panel = _random(rng, (5, 3), dtype)
+    if kind == "zero":
+        panel[:, 1] = 0.0
+    else:
+        panel[:, 2] = 2.0 * panel[:, 1]
+    stacks = stacks + [RowStack(panel, np.array([[0, ncols, ncols + 1]]), np.array([load.size]))]
+    load = np.concatenate([load, _random(rng, 5, dtype)])
+    how = dict(
+        how,
+        scale=np.concatenate([how["scale"], np.ones(2, dtype=dtype)]),
+        sort_keys=np.concatenate([how["sort_keys"], rng.standard_normal((2, 2))]),
+        cells=how["cells"] + [how["cells"][0][:1]],
+    )
+    with pytest.raises(RankDeficient):
+        solve_blocked_ls(stacks, load, ncols + 2, **how)

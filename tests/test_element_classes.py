@@ -321,12 +321,11 @@ def test_triangular_solves_do_not_grow_with_the_mesh(monkeypatch, name):
     assert counts[0] == counts[1] > 0
 
 
-def test_qr_factorizations_do_not_grow_with_the_mesh(monkeypatch):
-    """Overdetermined assembly and QR solve make a fixed number of ?geqrf
-    calls, one per element class with a shared panel, whatever the element
-    count: the block QR compresses each distinct panel once.  Counted are
-    the ?geqrf handles handed out by ``scipy.linalg.get_lapack_funcs``, the
-    way the block QR reaches LAPACK."""
+def _lapack_calls(monkeypatch, routine):
+    """List that receives the positional arguments of every call of the
+    LAPACK ``routine`` made through the handles that
+    ``scipy.linalg.get_lapack_funcs`` hands out, the way the block QR
+    reaches LAPACK."""
     original = scipy.linalg.get_lapack_funcs
     calls = []
 
@@ -337,21 +336,45 @@ def test_qr_factorizations_do_not_grow_with_the_mesh(monkeypatch):
         return tuple(counted(f, name) for f, name in zip(funcs, names))
 
     def counted(fn, name):
-        if name != "geqrf":
+        if name != routine:
             return fn
 
-        def geqrf(*args, **kwargs):
-            calls.append(1)
+        def wrapper(*args, **kwargs):
+            calls.append(args)
             return fn(*args, **kwargs)
 
-        return geqrf
+        return wrapper
 
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
+    return calls
+
+
+def test_qr_factorizations_do_not_grow_with_the_mesh(monkeypatch):
+    """Overdetermined assembly and QR solve make a fixed number of ?geqrf
+    calls, whatever the element count: the block QR compresses each
+    distinct panel once and factors each patch front once per signature
+    (9 element classes, and 9 group signatures per patch round once the
+    mesh has interior groups; at n = 8 the 2 x 2 grid of patches has corner
+    classes only)."""
+    calls = _lapack_calls(monkeypatch, "geqrf")
     counts = []
-    for n in (8, 16):
+    for n in (16, 32):
         calls.clear()
         ctx = _context("ultraweak-p2-double", n)
         bt, lt, _ = assemble_overdetermined(ctx)
         solve_ls(bt, lt, ctx)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_window_merges_patch_boundary_rows_only(monkeypatch):
+    """The patch step leaves the ?tpqrt window the rows over the patch
+    boundaries only: at most 4096 rows at n = 32, a quarter of the 16384
+    compressed element rows (1024 elements of 16 interface columns) that
+    the window merges without patches."""
+    calls = _lapack_calls(monkeypatch, "tpqrt")
+    ctx = _context("ultraweak-p2-double", 32)
+    bt, lt, _ = assemble_overdetermined(ctx)
+    solve_ls(bt, lt, ctx)
+    merged = sum(args[3].shape[0] for args in calls)
+    assert 0 < merged <= 4096

@@ -373,18 +373,27 @@ def test_residual_vector_matches_indicators():
             assert np.linalg.norm(sl) == pytest.approx(sol.eta[e], rel=1e-10)
 
 
-# the block QR against dense lstsq on assembled (preconditioned) systems
+# the block QR against dense lstsq on assembled (preconditioned) systems;
+# a setting is the precision, with "-uncondensed" for condense=False
 REAL_SYSTEMS = [
     ("ultraweak-dpg", 2, 8, "poisson-sine", "double"),
     ("acoustics-ultraweak", 2, 3, "acoustics-resonance", "double"),
     ("ultraweak-dpg", 1, 8, "poisson-sine", "single"),
+    # 6 is no multiple of the patch width: ragged patches
+    ("acoustics-ultraweak", 2, 6, "acoustics-resonance", "double"),
+    # a variable alpha: per-element panels, whose fronts are never shared
+    ("fosls-strong", 2, 8, "poisson-alpha-sine", "double"),
+    # the element bubbles become private columns of the patches
+    ("ultraweak-dpg", 2, 6, "poisson-sine", "double-uncondensed"),
 ]
 
 
-@pytest.mark.parametrize("fname,p,n,cname,precision", REAL_SYSTEMS)
-def test_qr_matches_dense_lstsq_on_assembled_system(fname, p, n, cname, precision):
-    form = make_formulation(fname, p=p, dp=1)
-    ctx = build_context(uniform_mesh(n), form, make_case(cname), Options(precision=precision))
+@pytest.mark.parametrize("fname,p,n,cname,setting", REAL_SYSTEMS)
+def test_qr_matches_dense_lstsq_on_assembled_system(fname, p, n, cname, setting):
+    precision, _, uncondensed = setting.partition("-")
+    case = make_case(cname)
+    form = make_formulation(fname, p=p, dp=1, alpha=case.alpha)
+    ctx = build_context(uniform_mesh(n), form, case, Options(precision=precision, condense=not uncondensed))
     bt, lt, _ = assemble_overdetermined(ctx)
     sol = solve_ls(bt, lt, ctx)
     pbt, plt, scale = precondition_global_rect(bt, lt)
