@@ -90,15 +90,18 @@ class RectangularRowBlocked:
     element class, or per row width of a square S), D the diagonal column
     ``scale`` (scaling the columns shares the panels).
 
-    Not to be changed once ``matvec``/``rmatvec`` has run: the products
-    use an operator built on first use.
+    Products run stack by stack on the panels; no global copy of B is
+    formed.  The unscaled Gram matrix B* B is built on first use
+    (:meth:`panel_gram`) and shared by every column scaling of the same
+    stacks (:func:`precondition_global_rect` passes it on).  Not to be
+    changed once the Gram matrix has been built.
     """
 
     n_cols: int
     n_rows: int
     stacks: list
     scale: np.ndarray              # (n_cols,) in the panels' dtype
-    _products: Optional[tuple] = dc_field(default=None, init=False, repr=False, compare=False)
+    _gram: list = dc_field(default_factory=list, init=False, repr=False, compare=False)
 
     def to_coo(self):
         # filled stack by stack: only one stack's panels are held besides the output
@@ -118,14 +121,27 @@ class RectangularRowBlocked:
     def to_dense(self) -> np.ndarray:
         return self.to_coo().toarray()
 
+    def panel_gram(self) -> scipy.sparse.csr_matrix:
+        """Unscaled B* B, the sum of the panels' P* P, accumulated in double
+        (complex128 for complex panels); built once per set of stacks."""
+        if not self._gram:
+            grams = []
+            for st in self.stacks:
+                p = st.panel.astype(np.result_type(st.panel.dtype, np.float64), copy=False)
+                grams.append((st.cols, p.conj().swapaxes(-1, -2) @ p))
+            self._gram.append(_sum_blocks(self.n_cols, grams))
+        return self._gram[0]
+
     def normal_matrix(self) -> SparseSymmetric:
-        """Sparse (B D)* (B D), the sum of the panels' scaled Gram matrices (diagnostics)."""
-        grams = []
-        for st in self.stacks:
-            s = self.scale[st.cols]
-            gram = st.panel.conj().swapaxes(-1, -2) @ st.panel
-            grams.append((st.cols, s.conj()[:, :, None] * gram * s[:, None, :]))
-        return SparseSymmetric(n=self.n_cols, matrix=_sum_blocks(self.n_cols, grams))
+        """Sparse (B D)* (B D) = D* (B* B) D, in double (diagnostics, rho)."""
+        g = self.panel_gram()
+        s = self.scale.astype(g.dtype)
+        rows = np.repeat(np.arange(self.n_cols), np.diff(g.indptr))
+        data = s.conj()[rows] * g.data * s[g.indices]
+        return SparseSymmetric(
+            n=self.n_cols,
+            matrix=scipy.sparse.csr_matrix((data, g.indices, g.indptr), shape=g.shape),
+        )
 
     def col_norms_sq(self) -> np.ndarray:
         d = np.zeros(self.n_cols)
@@ -134,18 +150,23 @@ class RectangularRowBlocked:
             d += np.bincount(st.cols.ravel(), weights=sq.ravel(), minlength=self.n_cols)
         return d
 
-    def _operator(self):
-        """(B D, (B D)*) as CSR matrices for products, built once on first use."""
-        if self._products is None:
-            op = self.to_coo().tocsr()
-            self._products = (op, op.conj().T.tocsr())
-        return self._products
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._operator()[0] @ x
+        """B D x, one batched product per stack (each row lies in one stack)."""
+        xs = self.scale * x
+        out = np.zeros(self.n_rows, dtype=xs.dtype)
+        for st in self.stacks:
+            v = xs[st.cols]
+            out[st.rows] = v @ st.panel.T if st.panel.ndim == 2 else (st.panel @ v[..., None])[..., 0]
+        return out
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
-        return self._operator()[1] @ r
+        """(B D)* r, one batched product per stack."""
+        out = np.zeros(self.n_cols, dtype=np.result_type(self.scale, r))
+        for st in self.stacks:
+            v = r[st.rows]
+            ph = st.panel.conj()
+            np.add.at(out, st.cols, v @ ph if ph.ndim == 2 else (v[:, None, :] @ ph)[:, 0])
+        return out * self.scale.conj()
 
 
 @dataclass(frozen=True, eq=False)
@@ -626,7 +647,9 @@ def precondition_global_rect(bt: RectangularRowBlocked, ltilde: np.ndarray):
     if np.any(d <= 0):
         raise NonpositiveDiagonal("zero column in Btilde (disconnected DOF?)")
     s = (1.0 / np.sqrt(d)).astype(bt.scale.dtype)
-    return RectangularRowBlocked(bt.n_cols, bt.n_rows, bt.stacks, bt.scale * s), ltilde, s
+    scaled = RectangularRowBlocked(bt.n_cols, bt.n_rows, bt.stacks, bt.scale * s)
+    scaled._gram = bt._gram        # same panels, one Gram matrix
+    return scaled, ltilde, s
 
 
 # ---------------------------------------------------------------------------

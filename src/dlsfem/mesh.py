@@ -70,10 +70,6 @@ class Mesh:
     def n_interior_edges(self) -> int:
         return int(np.count_nonzero(~self.edge_on_boundary))
 
-    def element_origin(self, e: int) -> np.ndarray:
-        """Lower-left corner of element e."""
-        return self.vertices[self.elements[e, 0]]
-
     def element_origins(self) -> np.ndarray:
         return self.vertices[self.elements[:, 0]]
 

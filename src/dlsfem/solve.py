@@ -205,20 +205,31 @@ def solve_ls(bt: RectangularRowBlocked, ltilde: np.ndarray, ctx: AssemblyContext
 
 
 def residual_rho(bt: RectangularRowBlocked, ltilde: np.ndarray, solution: Solution) -> float:
-    """rho = ||Btilde u - ltilde|| / (||Btilde||_2 ||u||_2) of Eq.-(3.14) type."""
+    """rho = ||Btilde u - ltilde|| / (||Btilde||_2 ||u||_2) of Eq.-(3.14) type.
+
+    ||Btilde||_2 comes from a power iteration on the Gram matrix
+    Btilde* Btilde (:meth:`RectangularRowBlocked.normal_matrix`, built once
+    per set of panels and shared with the condition diagnostic): a fixed
+    start (seed 1234), at most 60 steps, stopped at a 1e-10 relative change.
+    The cap usually ends it before convergence: on the finer ultraweak
+    levels the norm reads low by 0.5-0.7% against Lanczos, and rho high by
+    the same factor.  The iteration is kept as it is on purpose: a sharper
+    estimate moves the benchmark's gated ``rho`` column, which is to be
+    re-recorded only together with a change of the benchmark reference.
+    """
     u = solution.system_vector.astype(np.complex128 if np.iscomplexobj(ltilde) else np.float64)
     unorm = float(np.linalg.norm(u))
     resid = float(np.linalg.norm(bt.matvec(u) - ltilde))
     if unorm == 0.0 and float(np.linalg.norm(ltilde)) == 0.0:
         raise ZeroSolution("rho undefined for zero solution of zero load")
-    # spectral norm by power iteration on Btilde* Btilde (diagnostic only)
+    gram = bt.normal_matrix().matrix
     n = bt.n_cols
     rng = np.random.default_rng(1234)
     x = rng.standard_normal(n)
     x /= np.linalg.norm(x)
     smax = 0.0
     for _ in range(60):
-        y = bt.rmatvec(bt.matvec(x))
+        y = gram @ x
         nrm = np.linalg.norm(y)
         if nrm == 0.0:
             break

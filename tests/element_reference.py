@@ -51,6 +51,6 @@ def eval_forms(form, h: float, rule, origin=None, case=None):
 
 def compute_element(form, mesh_obj, elem: int, case, rule) -> ElementSystem:
     """Raw element system (G_K, B_K, l_K) for one mesh element."""
-    origin = mesh_obj.element_origin(elem)
+    origin = mesh_obj.element_origins()[elem]
     g, b, l = eval_forms(form, mesh_obj.h, rule, origin=origin, case=case)
     return ElementSystem(g=g, b=b, l=l)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse
+from hypothesis import given, strategies as st
 
 from dlsfem.assembly import (
     Options,
+    RectangularRowBlocked,
     assemble_ne,
     assemble_overdetermined,
     build_context,
@@ -16,6 +19,7 @@ from dlsfem.element import NonpositiveDiagonal
 from dlsfem.formulation import make_case, make_formulation
 from dlsfem.linalg import solve_spd
 from dlsfem.mesh import uniform_mesh
+from test_blockqr import DTYPES, PROPERTY, row_problems, shared_problems
 
 ALL_FORMULATIONS = ["fosls-strong", "primal-dpg", "ultraweak-dpg", "acoustics-ultraweak"]
 
@@ -254,3 +258,83 @@ class TestSquareContext:
         cond_s = condition_number(bt.to_dense())
         cond_a = condition_number(a.to_dense())
         assert cond_a == pytest.approx(cond_s**2, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# Products on the stacks against the dense B D of to_dense()
+# ---------------------------------------------------------------------------
+
+STACK_SYSTEMS = {
+    # name: (formulation, p, n, case); the stacks each one assembles to
+    "shared": ("ultraweak-dpg", 2, 4, "poisson-sine"),
+    "shared-complex": ("acoustics-ultraweak", 2, 3, "acoustics-resonance"),
+    "per-element": ("fosls-strong", 2, 4, "poisson-alpha-sine"),
+    "one-row": ("bubnov-galerkin", 2, 4, "poisson-sine"),
+}
+
+
+def _stack_system(name, precision):
+    fname, p, n, cname = STACK_SYSTEMS[name]
+    case = make_case(cname)
+    form = make_formulation(fname, p=p, dp=1, alpha=case.alpha)
+    ctx = build_context(uniform_mesh(n), form, case, Options(precision=precision))
+    bt, lt, _ = assemble_overdetermined(ctx)
+    panels = {st.panel.ndim if st.panel.shape[-2] > 1 else "row" for st in bt.stacks}
+    assert panels == {"shared": {2}, "shared-complex": {2}, "per-element": {3}, "one-row": {"row"}}[name]
+    return bt, lt
+
+
+def _random_vector(rng, n, dtype):
+    v = rng.standard_normal(n)
+    return v + 1j * rng.standard_normal(n) if np.issubdtype(dtype, np.complexfloating) else v
+
+
+def check_stack_products(bt, rng):
+    """matvec, rmatvec and normal_matrix() against the dense products of
+    to_dense(), whose entries are rounded to the panels' dtype."""
+    dense = bt.to_dense()
+    eps = np.finfo(dense.dtype).eps
+    d = dense.astype(np.result_type(dense.dtype, np.float64))
+    x, r = _random_vector(rng, bt.n_cols, d.dtype), _random_vector(rng, bt.n_rows, d.dtype)
+    assert np.linalg.norm(bt.matvec(x) - d @ x) <= 64 * eps * np.linalg.norm(abs(d) @ abs(x))
+    adj = d.conj().T
+    assert np.linalg.norm(bt.rmatvec(r) - adj @ r) <= 64 * eps * np.linalg.norm(abs(adj) @ abs(r))
+    gram = bt.normal_matrix().to_dense()
+    assert gram.dtype == d.dtype
+    assert np.linalg.norm(gram - adj @ d) <= 64 * eps * np.linalg.norm(abs(adj) @ abs(d))
+
+
+class TestStackProducts:
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("name", list(STACK_SYSTEMS))
+    def test_assembled_products_match_dense(self, name, precision):
+        bt, lt = _stack_system(name, precision)
+        rng = np.random.default_rng(11)
+        scaled, _, s = precondition_global_rect(bt, lt)
+        check_stack_products(scaled, rng)     # builds the Gram on the scaled copy
+        check_stack_products(bt, rng)
+        # one Gram for both, and the scaled copy's normal matrix is D* G D
+        g = bt.panel_gram()
+        assert scaled.panel_gram() is g
+        sd = scipy.sparse.diags(s.astype(g.dtype))
+        np.testing.assert_allclose(
+            scaled.normal_matrix().to_dense(), (sd.conj() @ g @ sd).toarray(),
+            rtol=4 * np.finfo(np.float64).eps, atol=0,
+        )
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @PROPERTY
+    @given(data=st.data())
+    def test_property_shared_and_per_element_stacks(self, dtype, data):
+        stacks, load, ncols, how = data.draw(shared_problems(dtype))
+        bt = RectangularRowBlocked(ncols, load.size, stacks, how["scale"])
+        check_stack_products(bt, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @PROPERTY
+    @given(data=st.data())
+    def test_property_one_row_stacks(self, dtype, data):
+        stacks, load, ncols, _ = data.draw(row_problems(dtype))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        bt = RectangularRowBlocked(ncols, load.size, stacks, np.exp(rng.uniform(-2, 2, ncols)).astype(dtype))
+        check_stack_products(bt, rng)

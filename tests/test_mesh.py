@@ -50,10 +50,10 @@ def test_refinement_nesting():
     coarse = uniform_mesh(3)
     fine = uniform_mesh(6)
     for e in range(coarse.n_elements):
-        o = coarse.element_origin(e)
+        o = coarse.element_origins()[e]
         children = 0
         for ef in range(fine.n_elements):
-            of = fine.element_origin(ef)
+            of = fine.element_origins()[ef]
             inside = (
                 o[0] - 1e-12 <= of[0] <= o[0] + coarse.h - fine.h + 1e-12
                 and o[1] - 1e-12 <= of[1] <= o[1] + coarse.h - fine.h + 1e-12

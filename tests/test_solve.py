@@ -267,7 +267,64 @@ class TestConstraints:
         assert np.linalg.norm(r2) <= 1e-11 * max(np.linalg.norm(cons.d), 1.0)
 
 
+def power_rho(bt, ltilde, solution):
+    """rho with ||Btilde||_2 from the power iteration on Btilde, then
+    Btilde*, through CSR copies of Btilde: the reference for residual_rho,
+    which runs the same iteration on the Gram matrix Btilde* Btilde."""
+    op = bt.to_coo().tocsr()
+    op_adj = op.conj().T.tocsr()
+    u = solution.system_vector.astype(np.complex128 if np.iscomplexobj(ltilde) else np.float64)
+    unorm = float(np.linalg.norm(u))
+    resid = float(np.linalg.norm(op @ u - ltilde))
+    rng = np.random.default_rng(1234)
+    x = rng.standard_normal(bt.n_cols)
+    x /= np.linalg.norm(x)
+    smax = 0.0
+    for _ in range(60):
+        y = op_adj @ (op @ x)
+        nrm = np.linalg.norm(y)
+        if nrm == 0.0:
+            break
+        x_new = (y / nrm).real.astype(np.float64) if not np.iscomplexobj(y) else y / nrm
+        new = math.sqrt(nrm)
+        if abs(new - smax) <= 1e-10 * max(new, 1.0):
+            smax = new
+            break
+        smax = new
+        x = x_new
+    if smax * unorm <= 1e-8 * resid:
+        return math.inf
+    return resid / (smax * unorm)
+
+
+RHO_SYSTEMS = {
+    # name: (formulation, p, n, case, precision)
+    "ultraweak-p2": ("ultraweak-dpg", 2, 8, "poisson-sine", "double"),
+    "acoustics": ("acoustics-ultraweak", 2, 6, "acoustics-resonance", "double"),
+    "bubnov": ("bubnov-galerkin", 2, 8, "poisson-sine10", "double"),
+    "failure-single": ("ultraweak-dpg", 1, 16, "poisson-quartic", "single"),
+}
+
+
 class TestRho:
+    @pytest.mark.parametrize("name", list(RHO_SYSTEMS))
+    def test_gram_power_iteration_matches_operator_pair(self, name):
+        fname, p, n, cname, precision = RHO_SYSTEMS[name]
+        form = make_formulation(fname, p=p, dp=1)
+        ctx = build_context(uniform_mesh(n), form, make_case(cname), Options(precision=precision))
+        bt, lt, _ = assemble_overdetermined(ctx)
+        sol = solve_ls(bt, lt, ctx)
+        if ctx.square_data is not None:
+            # a square system leaves a round-off residual, which the two
+            # product orders round differently; off the solution it is defined
+            assert abs(residual_rho(bt, lt, sol) - power_rho(bt, lt, sol)) <= 1000 * np.finfo(float).eps
+            rng = np.random.default_rng(5)
+            u = sol.system_vector * (1.0 + 1e-3 * rng.standard_normal(bt.n_cols))
+            sol = dataclasses.replace(sol, system_vector=u)
+        want = power_rho(bt, lt, sol)
+        assert 0.0 < want < math.inf
+        assert residual_rho(bt, lt, sol) == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_consistent_load_gives_tiny_rho(self):
         form = make_formulation("fosls-strong", p=2, dp=1)
         case = make_case("poisson-sine")

@@ -5,6 +5,7 @@ from dlsfem import linalg, studies
 from dlsfem.assembly import (
     AssemblyError,
     Options,
+    RectangularRowBlocked,
     assemble_ne,
     assemble_overdetermined,
     build_context,
@@ -98,6 +99,35 @@ class TestRunStudy:
         else:
             with pytest.raises(ValueError, match="bug"):
                 run_study(cfg)
+
+    def test_rho_and_cond_share_one_gram_per_level(self, tmp_path, monkeypatch):
+        """rho and cond(Btilde) read one panel Gram matrix per level, and no
+        study path copies Btilde into a COO/CSR matrix unless it is dumped."""
+        builds, coo_calls = [], []
+        panel_gram, to_coo = RectangularRowBlocked.panel_gram, RectangularRowBlocked.to_coo
+
+        def counting_gram(self):
+            if not self._gram:
+                builds.append(self.n_cols)
+            return panel_gram(self)
+
+        def counting_coo(self):
+            coo_calls.append(self.n_cols)
+            return to_coo(self)
+
+        monkeypatch.setattr(RectangularRowBlocked, "panel_gram", counting_gram)
+        monkeypatch.setattr(RectangularRowBlocked, "to_coo", counting_coo)
+        cfg = dict(
+            study="converge", formulation="ultraweak-dpg", p=2, dp=1,
+            start_n=8, refinements=2, solvers=("qr",),
+        )
+        rows, _ = run_study(StudyConfig(out_dir=str(tmp_path / "a"), **cfg))
+        assert [r.n for r in rows] == [8, 16]
+        assert all(r.rho is not None and r.cond_btilde is not None for r in rows)
+        assert len(builds) == 2 and builds[0] < builds[1]
+        assert coo_calls == []
+        run_study(StudyConfig(out_dir=str(tmp_path / "b"), dump_matrices=True, **cfg))
+        assert len(coo_calls) == 2          # the dumps, one per level
 
     def test_condition_study_cond_squaring(self, tmp_path):
         cfg = StudyConfig(
