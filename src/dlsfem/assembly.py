@@ -271,41 +271,48 @@ def trial_layouts(mesh: Mesh, form: Formulation):
     return layouts, list(offsets)
 
 
-def _edge_lift_coefficients(form: Formulation, mesh: Mesh, layout, offset, case):
-    """Lift vector by vertex interpolation plus edge-wise L2 projection."""
-    lift = np.zeros(layout.n_total, dtype=form.dtype)
+def edge_coefficients(mesh: Mesh, layout, edges, vertices, value, flux, dtype):
+    """Coefficients of ``layout`` on the given edges and vertices (zero
+    elsewhere), all edges at once.
+
+    For h1 and trace_h1: ``value`` interpolated at the vertices, and the
+    edge-wise L2 projection of its remainder over the linear interpolant
+    onto the edge hats.  For trace_flux and hdiv: the normal ``flux(x, y,
+    nx, ny)`` projected onto the orthonormal edge Legendre basis, with the
+    global edge normals (+y on horizontal edges, +x on vertical ones); the
+    physical hdiv edge basis is P_k / h (Piola), so its coefficients pick
+    up h.
+    """
+    out = np.zeros(layout.n_total, dtype=dtype)
     p = layout.p
     q1 = gauss_rule(p + 3)
     t, w = q1.points_1d, q1.weights_1d
-    bedges = np.flatnonzero(mesh.edge_on_boundary)
-    # every boundary edge at once: unit direction (E, 2) and quadrature points (E, nq)
-    along = np.where(mesh.edge_orientation[bedges, None] == 0, [[1.0, 0.0]], [[0.0, 1.0]])
-    start = mesh.edge_midpoints[bedges] - 0.5 * mesh.h * along
-    end = mesh.edge_midpoints[bedges] + 0.5 * mesh.h * along
+    # unit direction (E, 2) and quadrature points (E, nq) of every edge
+    along = np.where(mesh.edge_orientation[edges, None] == 0, [[1.0, 0.0]], [[0.0, 1.0]])
+    start = mesh.edge_midpoints[edges] - 0.5 * mesh.h * along
+    end = mesh.edge_midpoints[edges] + 0.5 * mesh.h * along
     x = start[:, :1] + mesh.h * t * along[:, :1]
     y = start[:, 1:] + mesh.h * t * along[:, 1:]
     if layout.kind in ("h1", "trace_h1"):
-        bv = np.flatnonzero(mesh.vertex_on_boundary)
-        vx, vy = mesh.vertices[bv, 0], mesh.vertices[bv, 1]
-        lift[bv] = case.boundary_value(vx, vy)
+        out[vertices] = value(mesh.vertices[vertices, 0], mesh.vertices[vertices, 1])
         ker = p - 1
         if ker > 0:
             hats, _ = basis.h1_hierarchical(p, t)
             gram = np.einsum("ip,p,jp->ij", hats[2:], w, hats[2:])
-            u0 = case.boundary_value(start[:, 0], start[:, 1])[:, None]
-            u1 = case.boundary_value(end[:, 0], end[:, 1])[:, None]
-            resid = case.boundary_value(x, y) - (u0 * hats[0] + u1 * hats[1])
+            u0 = value(start[:, 0], start[:, 1])[:, None]
+            u1 = value(end[:, 0], end[:, 1])[:, None]
+            resid = value(x, y) - (u0 * hats[0] + u1 * hats[1])
             rhs = np.einsum("ip,ep->ie", hats[2:], w * resid)
-            nv = (mesh.n + 1) ** 2
-            lift[nv + bedges[:, None] * ker + np.arange(ker)] = np.linalg.solve(gram, rhs).T
-    elif layout.kind == "trace_flux":
+            nv = mesh.vertices.shape[0]
+            out[nv + edges[:, None] * ker + np.arange(ker)] = np.linalg.solve(gram, rhs).T
+    elif layout.kind in ("trace_flux", "hdiv"):
         leg, _ = basis.legendre_shifted(p - 1, t)
-        # global edge normals: +y on horizontal edges, +x on vertical ones
-        vals = case.boundary_flux(x, y, along[:, 1:], along[:, :1])
-        lift[bedges[:, None] * p + np.arange(p)] = np.einsum("ip,ep->ei", leg, w * vals)
+        vals = flux(x, y, along[:, 1:], along[:, :1])
+        piola = mesh.h if layout.kind == "hdiv" else 1.0
+        out[edges[:, None] * p + np.arange(p)] = piola * np.einsum("ip,ep->ei", leg, w * vals)
     else:
-        raise ValueError(f"no lift rule for {layout.kind}")
-    return lift
+        raise ValueError(f"no edge rule for {layout.kind}")
+    return out
 
 
 def build_context(
@@ -351,7 +358,11 @@ def build_context(
                 else case.boundary_flux is not None
             )
             if has_data:
-                lift = _edge_lift_coefficients(form, mesh, lay, off, case)
+                lift = edge_coefficients(
+                    mesh, lay, np.flatnonzero(mesh.edge_on_boundary),
+                    np.flatnonzero(mesh.vertex_on_boundary), case.boundary_value,
+                    case.boundary_flux, form.dtype,
+                )
                 lift_full[off : off + lay.n_total][lay.boundary_dofs] = lift[
                     lay.boundary_dofs
                 ]

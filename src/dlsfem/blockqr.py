@@ -3,46 +3,39 @@
 Solves min ||B D u - l||_2 for a column scale D > 0 and B given as stacks
 of dense row panels (:class:`RowStack`): the elements of a class share one
 panel over their own columns.  The algorithm is a sequential Householder
-QR in four steps, each made of LAPACK calls on small dense arrays:
+QR of the unscaled B, in three steps, each made of LAPACK calls on small
+dense arrays.  As B D = Q (R D), it finds z = D u from R z = Q* l.
 
-1. Compression.  Panels with more rows than their k + 1 columns are
-   replaced by the k rows [R | Q* l_e] of their local QR B_K = Q R: one
-   LAPACK ``?geqrf`` per distinct panel (once per class for a shared one)
-   and one ``?ormqr``/``?unmqr`` for all its loads suffice, in the panels'
-   own dtype.  The dropped rows only carry the local residual, so the
-   minimizer is unchanged and the step is backward stable.  As
-   B_K D_e = Q (R D_e), the column scale is applied to R afterwards.
-2. Patches.  Rows that carry the mesh cell of their element are merged in
-   rounds of 2 x 2 groups of cells into PATCH x PATCH patches, the first
-   levels of a multifrontal QR (George & Heath, 1980; Davis, SuiteSparseQR,
-   2011).  A column that only the panels of one group touch is private to
-   it.  One ``?geqrf`` of the group's stacked rows (its front, private
-   columns first) gives the final R rows of the private columns; only the
+1. Patch fronts.  Panels that carry the mesh cell of their element are
+   merged in rounds of 2 x 2 groups of cells into PATCH x PATCH patches,
+   the first levels of a multifrontal QR (George & Heath, 1980; Davis,
+   SuiteSparseQR, 2011).  A column that only the panels of one group touch
+   is private to it.  One ``?geqrf`` of the group's stacked rows (its
+   front, private columns first) gives the final R rows of the private
+   columns, and the round-1 front is also each element's own QR; only the
    rows over the group's other columns go on, to the next round and then
    to the window.  Groups whose panels are the same arrays at the same
-   relative column layout have the same unscaled front, and
-   [R_a D_a; R_b D_b] = [R_a; R_b] D, so each front is factored once per
-   signature and the loads of all its groups are projected in one call.
-   The signature is taken from the data (panel identities and column
+   relative column layout have the same front, so each front is factored
+   once per signature (once per element class in round 1) and the loads
+   of all its groups are projected in one ``?ormqr``/``?unmqr`` call.  The
+   signature is taken from the data (panel identities and column
    incidence), never from the cells: a poor grouping costs speed, not
    accuracy.  Panels of a per-element stack are never shared.
-3. Triangular window update.  The remaining rows, in the order of the
-   first column of their panel under a geometric (left-to-right) column
-   order, are merged batch by batch into an upper-triangular active window
-   R over a contiguous range of the columns that are private to no group.
-   LAPACK ``?tpqrt`` (triangular-pentagonal QR with l = 0, so the new rows
-   may come in any column order) folds the new rows into the carried
-   triangle without factoring it again; a window that carries nothing yet
-   is an all-zero triangle.
-4. Freezing and back-substitution.  Before each batch, the window rows of
-   the columns that no later panel touches are final.  They leave the
-   window as one block of R rows, and the window columns are recovered by
-   one triangular solve per frozen block, last block first.  The private
-   columns follow, last round first, by one triangular solve per front for
-   all its groups, in z = D u.
+2. Triangular window.  The remaining rows (all of them when no cells are
+   given), in the order of the first column of their panel under a
+   geometric (left-to-right) column order, are merged batch by batch into
+   an upper-triangular active window R over a contiguous range of the
+   columns that are private to no group.  LAPACK ``?tpqrt``
+   (triangular-pentagonal QR with l = 0, so the new rows may come in any
+   column order and number) folds the new rows into the carried triangle
+   without factoring it again.  Before each batch, the window rows of the
+   columns that no later panel touches are final: they leave the window
+   as one more front.
+3. Back-substitution.  One triangular solve per front, last front first,
+   for all its groups, in z = D u; then u = z / D.
 
-The work stays proportional to (compressed rows) x (window width)^2 instead
-of rows x columns^2.  Every LAPACK call runs in the dtype of the panels
+The work stays proportional to rows x (front or window width)^2 instead of
+rows x columns^2.  Every LAPACK call runs in the dtype of the panels
 (single/double, real or complex), so single-precision systems are factored
 in single precision; no normal equations are formed anywhere.
 """
@@ -83,23 +76,23 @@ class RowStack:
 
 @dataclass(frozen=True, eq=False)
 class _Part:
-    """E unscaled panels with their loads, in the patch step: ``panel`` is
-    (m, k) (shared) or (E, m, k)."""
+    """E unscaled panels with their loads: ``panel`` is (m, k) (shared) or
+    (E, m, k)."""
 
     panel: np.ndarray
     cols: np.ndarray           # (E, k)
     loads: np.ndarray          # (E, m)
-    cells: np.ndarray          # (E, 2) cell of each panel in this round
+    cells: np.ndarray | None   # (E, 2) cell of each panel in this round
 
 
 @dataclass(frozen=True, eq=False)
 class _Front:
-    """Final rows [R11 D1 | R12 D2 | rhs] of the private columns of the G
-    groups that share one front."""
+    """Final unscaled rows [R11 | R12 | rhs] of the columns ``cols`` of the
+    G groups that share one front."""
 
     r11: np.ndarray            # (p, p)
     r12: np.ndarray            # (p, b)
-    cols: np.ndarray           # (G, p) private columns
+    cols: np.ndarray           # (G, p) the columns it finishes
     rest: np.ndarray           # (G, b) the front's other columns
     rhs: np.ndarray            # (G, p)
 
@@ -110,41 +103,10 @@ def _qr(a, loads, dtype):
     trans = "C" if np.issubdtype(dtype, np.complexfloating) else "T"
     # not np.linalg.qr, which factors float32/complex64 in double
     qr, tau = geqrf(a)[:2]
-    lwork = int(ormqr("L", trans, qr, tau, loads, -1)[1][0].real)
     r = min(a.shape)
-    return np.triu(qr[:r]), ormqr("L", trans, qr, tau, loads, lwork)[0][:r]
-
-
-def _triangular(panel, loads, dtype):
-    """(panel, loads (E, m)) with panels of m > k + 1 rows replaced by their
-    k rows R and Q* l: one factorization per distinct panel, whose loads
-    share the projection."""
-    (m, k), e = panel.shape[-2:], loads.shape[0]
-    if m <= k + 1:
-        return panel, loads
-    distinct = panel.reshape(-1, m, k)
-    f = len(distinct)
-    r, ql = np.empty((f, k, k), dtype=dtype), np.empty((e, k), dtype=dtype)
-    for a, ell, out_r, out_ql in zip(distinct, loads.reshape(f, -1, m), r, ql.reshape(f, -1, k)):
-        out_r[...], proj = _qr(a, ell.T, dtype)
-        out_ql[...] = proj.T
-    return (r[0] if panel.ndim == 2 else r), ql
-
-
-def _compress(stacks, rhs, scale, rank_of, dtype):
-    """Augmented stacks (pcols (E, k), rows (E, r, k + 1)) of the nonempty stacks.
-
-    ``pcols`` are the permuted column ids of the panels and ``rows`` their
-    rows [B_e D_e | l_e], compressed to r = k rows when m > k + 1.
-    """
-    out = []
-    for st in stacks:
-        if not st.panel.size:
-            continue
-        panel, loads = _triangular(st.panel, rhs[st.rows], dtype)
-        rows = np.concatenate([panel * scale[st.cols][:, None, :], loads[:, :, None]], axis=2)
-        out.append((rank_of[st.cols], rows))
-    return out
+    # a wide front (m < n) has m reflectors only: hand ?ormqr those columns
+    lwork = int(ormqr("L", trans, qr[:, :r], tau, loads, -1)[1][0].real)
+    return np.triu(qr[:r]), ormqr("L", trans, qr[:, :r], tau, loads, lwork)[0][:r]
 
 
 def _group_round(parts, n_cols, dtype):
@@ -215,35 +177,15 @@ def _group_round(parts, n_cols, dtype):
     return out, fronts
 
 
-def _patches(stacks, rhs, cells, n_cols, dtype):
-    """Step 2: (stacks that go on to the window, their load vector, fronts by round)."""
-    parts = []
-    for st, at in zip(stacks, cells):
-        if st.panel.size:
-            panel, loads = _triangular(st.panel, rhs[st.rows], dtype)
-            parts.append(_Part(panel, st.cols, loads, at))
-    rounds, width = [], 1
-    while parts and width < PATCH:
-        parts, fronts = _group_round(parts, n_cols, dtype)
-        rounds.append(fronts)
-        width *= 2
-    out, pos = [], 0
-    for pt in parts:
-        m, e = pt.panel.shape[-2], len(pt.cols)
-        out.append(RowStack(pt.panel, pt.cols, pos + m * np.arange(e)))
-        pos += m * e
-    loads = np.concatenate([np.zeros(0, dtype=dtype)] + [pt.loads.ravel() for pt in parts])
-    return out, loads, rounds
-
-
-def _gather(panels, lo, width, dtype):
-    """The panels' rows over the window columns lo..lo+width-1, rhs last."""
-    new = np.zeros((sum(rows.shape[0] for _, rows in panels), width + 1), dtype=dtype, order="F")
+def _gather(batch, lo, width, dtype):
+    """The rows [panel | load] of the batch's (part, index, window columns)
+    panels over the window columns lo..lo+width-1, load last."""
+    new = np.zeros((sum(pt.panel.shape[-2] for pt, _, _ in batch), width + 1), dtype=dtype, order="F")
     pos = 0
-    for pcols, rows in panels:
-        m = rows.shape[0]
-        new[pos : pos + m, pcols - lo] = rows[:, :-1]
-        new[pos : pos + m, width] = rows[:, -1]
+    for pt, i, wcols in batch:
+        m = pt.panel.shape[-2]
+        new[pos : pos + m, wcols - lo] = pt.panel if pt.panel.ndim == 2 else pt.panel[i]
+        new[pos : pos + m, width] = pt.loads[i]
         pos += m
     return new
 
@@ -259,28 +201,34 @@ def _merge(tri, new):
     return tpqrt(0, min(TPQRT_BLOCK, width + 1), win, new, overwrite_a=1, overwrite_b=1)[0]
 
 
-def _window(comp, n_cols, dtype, row_cap):
-    """Steps 3 and 4 up to the solve: the frozen blocks (first column, final
-    R rows with the rhs last) of the augmented stacks ``comp`` over the
-    permuted columns 0..n_cols-1."""
-    # (first column, last column, stack, position) of every panel, by first column
+def _window(parts, order, dtype, row_cap):
+    """Step 2: the fronts of the window over the columns ``order``, in the
+    order they are finished."""
+    rank_of = np.full(order.max(initial=-1) + 1, -1, dtype=np.int64)
+    rank_of[order] = np.arange(order.size)
+    wcols = [rank_of[pt.cols] for pt in parts]
+    # (first column, last column, part, position) of every panel, by first column
     table = np.concatenate([np.zeros((0, 4), dtype=np.int64)] + [
-        np.column_stack([pc.min(1), pc.max(1), np.full(len(pc), s), np.arange(len(pc))])
-        for s, (pc, _) in enumerate(comp)
+        np.column_stack([wc.min(1), wc.max(1), np.full(len(wc), s), np.arange(len(wc))])
+        for s, wc in enumerate(wcols)
     ])
     first_col, last_col, which, pos = table[np.argsort(table[:, 0], kind="stable")].T.tolist()
-    stack_rows = [rows.shape[1] for _, rows in comp]
-    frozen = []                          # (first column, final R rows, rhs last)
+    part_rows = [pt.panel.shape[-2] for pt in parts]
+    fronts = []
     tri = np.zeros((1, 1), dtype=dtype)  # window R; the last column is the rhs
-    lo = 0                               # permuted column id of tri[:, 0]
+    lo = 0                               # window column id of tri[:, 0]
 
     def freeze_below(new_lo):
         """Cut the rows of the window columns below new_lo off the window."""
         nonlocal tri, lo
-        f = min(new_lo - lo, tri.shape[0] - 1)
+        w = tri.shape[0] - 1
+        f = min(new_lo - lo, w)
         if f:
             # a partial freeze copies, so that the old window can be released
-            frozen.append((lo, tri[:f] if f == tri.shape[0] - 1 else tri[:f].copy()))
+            rows = tri[:f] if f == w else tri[:f].copy()
+            fronts.append(_Front(
+                rows[:, :f], rows[:, f:w], order[None, lo : lo + f], order[None, lo + f : lo + w], rows[None, :, w]
+            ))
         tri = tri[f:, f:]
         lo = new_lo
 
@@ -291,19 +239,19 @@ def _window(comp, n_cols, dtype, row_cap):
         # growing the window is what costs; adding rows at fixed width is cheap
         width_cap = max(256, int(1.25 * (hi - lo)) + 64)
         # always consume at least one panel so the loop advances
-        stop, nrows = idx + 1, stack_rows[which[idx]]
+        stop, nrows = idx + 1, part_rows[which[idx]]
         while stop < len(first_col) and nrows < row_cap:
             new_hi = max(hi, last_col[stop] + 1)
             if new_hi - lo > width_cap:
                 break
             hi = new_hi
-            nrows += stack_rows[which[stop]]
+            nrows += part_rows[which[stop]]
             stop += 1
-        batch = [(comp[s][0][i], comp[s][1][i]) for s, i in zip(which[idx:stop], pos[idx:stop])]
+        batch = [(parts[s], i, wcols[s][i]) for s, i in zip(which[idx:stop], pos[idx:stop])]
         tri = _merge(tri, _gather(batch, lo, hi - lo, dtype))
         idx = stop
-    freeze_below(n_cols)
-    return frozen
+    freeze_below(order.size)
+    return fronts
 
 
 def solve_blocked_ls(stacks, rhs, n_cols, scale=None, sort_keys=None, row_cap=256, cells=None):
@@ -316,9 +264,9 @@ def solve_blocked_ls(stacks, rhs, n_cols, scale=None, sort_keys=None, row_cap=25
     omitted).  ``cells`` holds, for each stack, the (E, 2) integer mesh
     cells of its panels' elements, by which panels are grouped into
     patches (no patches when omitted).
-    At most ``row_cap`` incoming (compressed) rows are merged in one
-    window update.  Returns (x, r_diag): the solution and the magnitudes
-    of the R diagonal (rank diagnostics), both of length n_cols.
+    At most ``row_cap`` incoming rows are merged in one window update.
+    Returns (x, r_diag): the solution and the magnitudes of the R diagonal
+    of B D (rank diagnostics), both of length n_cols.
     """
     if n_cols == 0:
         return np.zeros(0), np.zeros(0)
@@ -330,21 +278,22 @@ def solve_blocked_ls(stacks, rhs, n_cols, scale=None, sort_keys=None, row_cap=25
         keys = np.asarray(sort_keys)
         order = np.lexsort(tuple(keys[:, k] for k in range(keys.shape[1] - 1, -1, -1)))
 
-    rounds = []
-    if cells is not None:
-        stacks, rhs, rounds = _patches(stacks, rhs, cells, n_cols, dtype)
-    fronts = [f for done in rounds for f in done]
+    parts = [
+        _Part(st.panel, st.cols, rhs[st.rows], None if cells is None else cells[s])
+        for s, st in enumerate(stacks)
+        if st.panel.size
+    ]
+    fronts, width = [], 1
+    while cells is not None and parts and width < PATCH:
+        parts, done = _group_round(parts, n_cols, dtype)
+        fronts += done
+        width *= 2
     private = np.zeros(n_cols, dtype=bool)
     for f in fronts:
         private[f.cols] = True
-    order = order[~private[order]]      # the window's columns, in geometric order
-    rank_of = np.full(n_cols, -1, dtype=np.int64)
-    rank_of[order] = np.arange(order.size)
-    frozen = _window(_compress(stacks, rhs, scale, rank_of, dtype), order.size, dtype, row_cap)
+    fronts += _window(parts, order[~private[order]], dtype, row_cap)
 
     r_diag = np.zeros(n_cols)
-    for first, rows in frozen:
-        r_diag[order[first : first + rows.shape[0]]] = np.abs(np.diagonal(rows))
     for f in fronts:
         r_diag[f.cols] = np.abs(np.diagonal(f.r11)) * np.abs(scale[f.cols])
     # structural rank guard: legitimate ill-conditioning may push diagonal
@@ -354,17 +303,7 @@ def solve_blocked_ls(stacks, rhs, n_cols, scale=None, sort_keys=None, row_cap=25
     if low.size:
         raise RankDeficient(f"{low.size} R diagonal entries below {floor:g} (first: column {low[0]})")
 
-    xw = np.zeros(order.size, dtype=dtype)
-    for first, rows in reversed(frozen):
-        f, width = rows.shape[0], rows.shape[1] - 1
-        xw[first : first + f] = scipy.linalg.solve_triangular(
-            rows[:, :f], rows[:, width] - rows[:, f:width] @ xw[first + f : first + width],
-            check_finite=False,
-        )
-    x = np.zeros(n_cols, dtype=dtype)
-    x[order] = xw
-    for done in reversed(rounds):
-        for f in done:
-            z = f.rhs - (scale[f.rest] * x[f.rest]) @ f.r12.T
-            x[f.cols] = scipy.linalg.solve_triangular(f.r11, z.T, check_finite=False).T / scale[f.cols]
-    return x, r_diag
+    z = np.zeros(n_cols, dtype=dtype)
+    for f in reversed(fronts):
+        z[f.cols] = scipy.linalg.solve_triangular(f.r11, (f.rhs - z[f.rest] @ f.r12.T).T, check_finite=False).T
+    return z / scale, r_diag

@@ -11,52 +11,20 @@ from __future__ import annotations
 import numpy as np
 
 from . import basis
-from .assembly import AssemblyContext
+from .assembly import AssemblyContext, edge_coefficients
 from .basis import gauss_rule
-
-
-def _edge_geometry(mesh, eid, t):
-    mid = mesh.edge_midpoints[eid]
-    horiz = mesh.edge_orientation[eid] == 0
-    if horiz:
-        x = mid[0] - 0.5 * mesh.h + mesh.h * t
-        y = np.full_like(x, mid[1])
-        normal = (0.0, 1.0)
-        ends = ((mid[0] - 0.5 * mesh.h, mid[1]), (mid[0] + 0.5 * mesh.h, mid[1]))
-    else:
-        y = mid[1] - 0.5 * mesh.h + mesh.h * t
-        x = np.full_like(y, mid[0])
-        normal = (1.0, 0.0)
-        ends = ((mid[0], mid[1] - 0.5 * mesh.h), (mid[0], mid[1] + 0.5 * mesh.h))
-    return x, y, normal, ends
 
 
 def _h1_like_coeffs(mesh, lay, func, dtype):
     """Vertex interpolation plus edge (and interior) L2 projection."""
-    p = lay.p
-    out = np.zeros(lay.n_total, dtype=dtype)
-    vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    nv = mesh.vertices.shape[0]
-    out[:nv] = func(vx, vy)
-    q1 = gauss_rule(p + 3)
-    t, w = q1.points_1d, q1.weights_1d
-    ker = p - 1
-    if ker > 0:
-        hats, _ = basis.h1_hierarchical(p, t)
-        gram = np.einsum("ip,p,jp->ij", hats[2:], w, hats[2:])
-        for eid in range(mesh.n_edges):
-            x, y, _, ends = _edge_geometry(mesh, eid, t)
-            vals = func(x, y)
-            u0 = func(np.array([ends[0][0]]), np.array([ends[0][1]]))[0]
-            u1 = func(np.array([ends[1][0]]), np.array([ends[1][1]]))[0]
-            resid = vals - (u0 * hats[0] + u1 * hats[1])
-            rhs = np.einsum("ip,p->i", hats[2:], w * resid)
-            out[nv + eid * ker : nv + (eid + 1) * ker] = np.linalg.solve(gram, rhs)
+    out = edge_coefficients(
+        mesh, lay, np.arange(mesh.n_edges), np.arange(mesh.vertices.shape[0]), func, None, dtype
+    )
+    ker = lay.p - 1
     if lay.kind == "h1" and ker > 0:
-        rule = gauss_rule(p + 3)
-        wv, _ = basis.w_table(p, rule.points)
+        rule = gauss_rule(lay.p + 3)
+        wv, _ = basis.w_table(lay.p, rule.points)
         n_int = ker * ker
-        start = lay.n_total - mesh.n_elements * n_int
         int_tab = wv[-n_int:]
         gram = np.einsum("ip,p,jp->ij", int_tab, rule.weights, int_tab)
         origins = mesh.element_origins()
@@ -67,23 +35,7 @@ def _h1_like_coeffs(mesh, lay, func, dtype):
             "ei,ip->ep", out[lay.element_dofs[:, : wv.shape[0] - n_int]], wv[: wv.shape[0] - n_int]
         )
         rhs = np.einsum("ip,ep->ei", int_tab * rule.weights, fv - partial)
-        coeffs = np.linalg.solve(gram, rhs.T).T
-        for e in range(mesh.n_elements):
-            out[start + e * n_int : start + (e + 1) * n_int] = coeffs[e]
-    return out
-
-
-def _flux_coeffs(mesh, lay, flux_func, dtype, scale=1.0):
-    """Edge-wise projection of a normal flux onto the (orthonormal) edge basis."""
-    p = lay.p
-    out = np.zeros(lay.n_total, dtype=dtype)
-    q1 = gauss_rule(p + 3)
-    t, w = q1.points_1d, q1.weights_1d
-    leg, _ = basis.legendre_shifted(p - 1, t)
-    for eid in range(mesh.n_edges):
-        x, y, normal, _ = _edge_geometry(mesh, eid, t)
-        g = flux_func(x, y, normal[0], normal[1])
-        out[eid * p : (eid + 1) * p] = scale * np.einsum("ip,p->i", leg, w * g)
+        out[lay.n_total - mesh.n_elements * n_int :] = np.linalg.solve(gram, rhs.T).T.ravel()
     return out
 
 
@@ -94,8 +46,7 @@ def _hdiv_coeffs(mesh, lay, sigx, sigy, dtype):
     def flux(x, y, nx, ny):
         return sigx(x, y) * nx + sigy(x, y) * ny
 
-    # physical edge basis is P_k / h (Piola), so coefficients pick up h
-    out = _flux_coeffs(mesh, lay, flux, dtype, scale=mesh.h)
+    out = edge_coefficients(mesh, lay, np.arange(mesh.n_edges), None, None, flux, dtype)
     n_int = 2 * p * (p - 1)
     if n_int == 0:
         return out
@@ -115,10 +66,7 @@ def _hdiv_coeffs(mesh, lay, sigx, sigy, dtype):
         np.einsum("ip,ep->ei", int_tab[:, 0, :] * rule.weights, sx - part_x)
         + np.einsum("ip,ep->ei", int_tab[:, 1, :] * rule.weights, sy - part_y)
     )
-    coeffs = np.linalg.solve(gram, rhs.T).T
-    start = lay.n_total - mesh.n_elements * n_int
-    for e in range(mesh.n_elements):
-        out[start + e * n_int : start + (e + 1) * n_int] = coeffs[e]
+    out[lay.n_total - mesh.n_elements * n_int :] = np.linalg.solve(gram, rhs.T).T.ravel()
     return out
 
 
@@ -145,14 +93,12 @@ def interpolate_case(ctx: AssemblyContext, case) -> np.ndarray:
             py = origins[:, 1:2] + mesh.h * rule.points[None, :, 1]
             fv = case.fields[comp.name](px, py)
             out[sl] = np.einsum("ip,ep->ei", ytab * rule.weights, fv).ravel()
-        elif comp.kind == "h1":
-            out[sl] = _h1_like_coeffs(mesh, lay, case.fields[scalar_name], dtype)
-        elif comp.kind == "trace_h1":
+        elif comp.kind in ("h1", "trace_h1"):
             out[sl] = _h1_like_coeffs(mesh, lay, case.fields[scalar_name], dtype)
         elif comp.kind == "hdiv":
             out[sl] = _hdiv_coeffs(
                 mesh, lay, case.fields["sigx"], case.fields["sigy"], dtype
             )
         elif comp.kind == "trace_flux":
-            out[sl] = _flux_coeffs(mesh, lay, flux, dtype)
+            out[sl] = edge_coefficients(mesh, lay, np.arange(mesh.n_edges), None, None, flux, dtype)
     return out

@@ -131,16 +131,13 @@ class DofLayout:
     """Global numbering of one function-space component.
 
     element_dofs[e] lists the global ids of element e's local DOFs in the
-    canonical local ordering of :mod:`dlsfem.basis`; element_signs carries
-    the matching orientation signs (all +1 on these axis-aligned meshes,
-    the flux sign convention being baked into the local edge signs).
+    canonical local ordering of :mod:`dlsfem.basis`.
     """
 
     kind: str
     p: int
     n_total: int
     element_dofs: np.ndarray        # (ne, nloc) int
-    element_signs: np.ndarray       # (ne, nloc) float
     boundary_dofs: np.ndarray       # sorted global ids on the domain boundary
     positions: np.ndarray           # (n_total, 2) representative coordinates
     counts: dict = field(default_factory=dict)  # per-entity DOF counts
@@ -196,7 +193,6 @@ def _h1_like_layout(mesh: Mesh, p: int, with_interior: bool) -> DofLayout:
         p=p,
         n_total=n_total,
         element_dofs=dofs,
-        element_signs=np.ones_like(dofs, dtype=np.float64),
         boundary_dofs=np.unique(boundary),
         positions=positions,
         counts=counts,
@@ -223,7 +219,6 @@ def _hdiv_layout(mesh: Mesh, p: int) -> DofLayout:
         p=p,
         n_total=n_total,
         element_dofs=dofs,
-        element_signs=np.ones_like(dofs, dtype=np.float64),
         boundary_dofs=np.unique(_boundary_edge_dofs(mesh, p)),
         positions=positions,
         counts={"edge": nedge * p, "interior": mesh.n_elements * n_int},
@@ -239,7 +234,6 @@ def _flux_layout(mesh: Mesh, p: int) -> DofLayout:
         p=p,
         n_total=n_total,
         element_dofs=dofs,
-        element_signs=np.ones_like(dofs, dtype=np.float64),
         boundary_dofs=np.unique(_boundary_edge_dofs(mesh, p)),
         positions=np.repeat(mesh.edge_midpoints, p, axis=0),
         counts={"edge": n_total},
@@ -264,7 +258,6 @@ def _broken_layout(mesh: Mesh, kind: str, p: int) -> DofLayout:
         p=p,
         n_total=n_total,
         element_dofs=dofs,
-        element_signs=np.ones_like(dofs, dtype=np.float64),
         boundary_dofs=np.zeros(0, dtype=np.int64),
         positions=positions,
         counts={"interior": n_total},

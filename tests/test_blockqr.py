@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from dlsfem.blockqr import RowStack, _compress, solve_blocked_ls
+from dlsfem.blockqr import RowStack, solve_blocked_ls
 from dlsfem.linalg import RankDeficient
 
 
@@ -87,31 +87,35 @@ def test_single_precision_dtype_preserved():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
-def test_compression_runs_in_working_dtype(dtype):
-    """Tall blocks are compressed to the R and projected load of a LAPACK QR
-    in their own dtype."""
+def test_compression_runs_in_working_dtype(dtype, monkeypatch):
+    """Every LAPACK routine the block QR requests through
+    ``scipy.linalg.get_lapack_funcs`` comes in the panels' own dtype, on
+    tall panels through the patch fronts (with cells), where each
+    element's own QR is part of its front, and straight into the window
+    (without)."""
+    original = scipy.linalg.get_lapack_funcs
+    requested = []
+
+    def recording(names, *args, **kwargs):
+        funcs = original(names, *args, **kwargs)
+        requested.extend(zip(*([[names], [funcs]] if isinstance(names, str) else [names, funcs])))
+        return funcs
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", recording)
     rng = np.random.default_rng(6)
-    k, ncols = 3, 12
-    blocks, rhs = [], []
-    for first in range(0, ncols, k):
-        m = int(rng.integers(k + 2, 4 * k + 1))
-        rows = rng.standard_normal((m, k))
-        if dtype == np.complex64:
-            rows = rows + 1j * rng.standard_normal((m, k))
-        blocks.append((rows.astype(dtype), np.arange(first, first + k)))
-        rhs.append(rng.standard_normal(m).astype(dtype))
-    stacks, load = as_stacks(blocks, rhs)
-    comp = _compress(stacks, load, np.ones(ncols, dtype=dtype), np.arange(ncols), dtype)
-    geqrf, ormqr = scipy.linalg.get_lapack_funcs(("geqrf", "ormqr"), dtype=dtype)
-    trans = "C" if dtype == np.complex64 else "T"
-    for (pcols, got), (rows, cols), r in zip(comp, blocks, rhs, strict=True):
-        np.testing.assert_array_equal(pcols, [cols])
-        assert got.dtype == dtype
-        qr, tau = geqrf(rows)[:2]
-        lwork = int(ormqr("L", trans, qr, tau, r[:, None], -1)[1][0].real)
-        qtr = ormqr("L", trans, qr, tau, r[:, None], lwork)[0]
-        want = np.column_stack([np.triu(qr[:k]), qtr[:k]])
-        np.testing.assert_array_equal(got, [want])
+    k, ncols = 4, 13
+    # neighbours share a column: the groups finish the others, the window the middle one
+    blocks = [
+        (_random(rng, (int(rng.integers(k + 2, 4 * k + 1)), k), dtype), np.arange(first, first + k))
+        for first in range(0, ncols - 1, k - 1)
+    ]
+    stacks, load = as_stacks(blocks, [_random(rng, rows.shape[0], dtype) for rows, _ in blocks])
+    cells = [np.array([[2 * i, 0]]) for i in range(len(blocks))]
+    for how, routines in ((dict(cells=cells), {"geqrf", "ormqr", "tpqrt"}), ({}, {"tpqrt"})):
+        requested.clear()
+        check_matches_dense_lstsq(dtype, (stacks, load, ncols, how))
+        assert {name for name, _ in requested} == routines
+        assert {f.typecode for _, f in requested} == {"s" if dtype == np.float32 else "c"}
 
 
 def test_row_cap_batching_consistent():
@@ -257,6 +261,9 @@ def check_matches_dense_lstsq(dtype, problem):
     eta = np.linalg.norm(v - m @ ref) / (sv[0] * np.linalg.norm(ref))
     bound = 100.0 * np.finfo(dtype).eps * kappa * (1.0 + kappa * eta)
     assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
+    # the R diagonal of B D in any column order: its product is that of the
+    # singular values, and each factor is off by at most u kappa relative
+    assert abs(np.log(rdiag).sum() - np.log(sv).sum()) <= 100.0 * np.finfo(dtype).eps * kappa * ncols
 
 
 def check_rank_deficient_raises(problem, kind, i, j):
@@ -332,13 +339,17 @@ def patch_problems(draw, dtype):
     comes from one stack j (shared, or now and then an (E, m, k) stack,
     never shared).  Each copy has inner columns of its own and outer ones
     from a pool that all groups draw on, the same for all copies
-    or drawn for each.  Loose panels on random cells and
-    random columns break the repetition.  Random positive column scale."""
+    or drawn for each.  Now and then a panel is wide, with fewer rows than
+    columns but as many as its inner columns; one tall panel over the outer
+    columns of the wide ones keeps B of full column rank.  Loose panels on
+    random cells and random columns break the repetition.  Random positive
+    column scale."""
     pool = draw(st.integers(1, 12))
     row_cap = draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     patches = rng.permutation(4)[: int(rng.integers(1, 5))]
     panels, ncols = [], pool              # (panel, cols (E, k), cells (E, 2))
+    short = []                            # outer columns of the wide panels
     for spot in rng.permutation(4)[: int(rng.integers(1, 4))]:
         here = patches[rng.random(patches.size) < 0.8]
         here = here if here.size else patches[:1]
@@ -354,14 +365,24 @@ def patch_problems(draw, dtype):
         group = np.column_stack([2 * (here % 2) + spot % 2, 2 * (here // 2) + spot // 2])
         for cell in rng.permutation(4)[: int(rng.integers(1, 5))]:
             k = int(rng.integers(1, inner + outer + 1))
-            m = int(rng.integers(k, 4 * k + 1))
+            pick = rng.choice(inner + outer, size=k, replace=False)
+            # now and then wide: rows enough for its inner columns only
+            least = max(int((pick < inner).sum()), 1)
+            if least < k and rng.random() < 0.25:
+                m = int(rng.integers(least, k))
+                short.append(where[:, pick[pick >= inner]].ravel())
+            else:
+                m = int(rng.integers(k, 4 * k + 1))
             shape = (here.size, m, k) if rng.random() < 0.25 else (m, k)
-            cols = where[:, rng.choice(inner + outer, size=k, replace=False)]
-            panels.append((_random(rng, shape, dtype), cols, 2 * group + [cell % 2, cell // 2]))
+            panels.append((_random(rng, shape, dtype), where[:, pick], 2 * group + [cell % 2, cell // 2]))
     for _ in range(int(rng.integers(0, 3))):
         k = int(rng.integers(1, min(ncols, 6) + 1))
         m = int(rng.integers(k, 4 * k + 1))
         panels.append((_random(rng, (m, k), dtype), rng.choice(ncols, size=(1, k), replace=False), rng.integers(0, 8, (1, 2))))
+    if short:
+        # a tall panel over the outer columns of the wide ones keeps B of full rank
+        cover = np.unique(np.concatenate(short))
+        panels.append((_random(rng, (cover.size + 2, cover.size), dtype), cover[None], rng.integers(0, 8, (1, 2))))
     missing = np.setdiff1d(np.arange(ncols), np.concatenate([c.ravel() for _, c, _ in panels]))
     if missing.size:
         panels.append((_random(rng, (missing.size + 3, missing.size), dtype), missing[None], rng.integers(0, 8, (1, 2))))

@@ -351,11 +351,11 @@ def _lapack_calls(monkeypatch, routine):
 
 def test_qr_factorizations_do_not_grow_with_the_mesh(monkeypatch):
     """Overdetermined assembly and QR solve make a fixed number of ?geqrf
-    calls, whatever the element count: the block QR compresses each
-    distinct panel once and factors each patch front once per signature
-    (9 element classes, and 9 group signatures per patch round once the
-    mesh has interior groups; at n = 8 the 2 x 2 grid of patches has corner
-    classes only)."""
+    calls, whatever the element count: the block QR factors each patch
+    front once per signature, the round-1 fronts taking the element panels
+    as they are (9 group signatures per patch round once the mesh has
+    interior groups; at n = 8 the 2 x 2 grid of patches has corner classes
+    only)."""
     calls = _lapack_calls(monkeypatch, "geqrf")
     counts = []
     for n in (16, 32):
@@ -370,8 +370,8 @@ def test_qr_factorizations_do_not_grow_with_the_mesh(monkeypatch):
 def test_window_merges_patch_boundary_rows_only(monkeypatch):
     """The patch step leaves the ?tpqrt window the rows over the patch
     boundaries only: at most 4096 rows at n = 32, a quarter of the 16384
-    compressed element rows (1024 elements of 16 interface columns) that
-    the window merges without patches."""
+    rows of the element triangles alone (1024 elements of 16 interface
+    columns)."""
     calls = _lapack_calls(monkeypatch, "tpqrt")
     ctx = _context("ultraweak-p2-double", 32)
     bt, lt, _ = assemble_overdetermined(ctx)

@@ -13,6 +13,7 @@ from dlsfem.formulation import (
 from dlsfem.interpolate import interpolate_case
 from dlsfem.mesh import uniform_mesh
 
+import interpolate_reference
 from element_reference import eval_forms
 
 
@@ -231,3 +232,25 @@ def test_consistency_interpolant_residual_decreases(fname, cname):
             r2 += float(np.sum(np.abs(r) ** 2))
         resids.append(np.sqrt(r2))
     assert resids[1] < resids[0] and resids[2] < resids[1]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize(
+    "fname,cname",
+    [
+        ("fosls-strong", "poisson-alpha-sine"),
+        ("primal-dpg", "poisson-sine10"),
+        ("ultraweak-dpg", "poisson-sine"),
+        ("acoustics-ultraweak", "acoustics-resonance"),
+        ("bubnov-galerkin", "poisson-sine10"),
+    ],
+)
+def test_interpolant_matches_per_edge_reference(fname, cname, p):
+    """The interpolant, whose vertex and edge parts come from the vectorized
+    projection of the Dirichlet lift, equals the per-edge loops it replaced."""
+    case = make_case(cname)
+    ctx = build_context(uniform_mesh(5), make_formulation(fname, p=p, dp=1, alpha=case.alpha), case)
+    want = interpolate_reference.interpolate_case(ctx, case)
+    got = interpolate_case(ctx, case)
+    assert got.dtype == want.dtype
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)

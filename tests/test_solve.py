@@ -473,6 +473,23 @@ def test_qr_matches_dense_lstsq_on_assembled_system(fname, p, n, cname, setting)
         assert diff <= 1e-10 * np.linalg.norm(sol.coefficients)
 
 
+@pytest.mark.parametrize("fname,cname", [
+    ("ultraweak-dpg", "poisson-sine"),
+    ("fosls-strong", "poisson-sine"),
+    ("acoustics-ultraweak", "acoustics-resonance"),
+    ("primal-dpg", "poisson-sine10"),
+])
+def test_dp0_wide_fronts_raise_rank_deficient(fname, cname):
+    """At dp = 0 the element panels have fewer rows than columns, so some
+    patch fronts are wide; the QR path reports the lost rank as
+    RankDeficient."""
+    form = make_formulation(fname, p=2, dp=0)
+    ctx = build_context(uniform_mesh(8), form, make_case(cname), Options(condense=False))
+    bt, lt, _ = assemble_overdetermined(ctx)
+    with pytest.raises(linalg.RankDeficient):
+        solve_ls(bt, lt, ctx)
+
+
 def _wide(x):
     return x.astype(np.complex128 if np.iscomplexobj(x) else np.float64)
 

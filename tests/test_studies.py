@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,19 @@ class TestCli:
         ])
         assert rc == 0
         assert (tmp_path / "study.csv").exists()
+
+    def test_cli_rank_deficient_qr_leaves_empty_cells(self, tmp_path):
+        """The primal DPG system at dp = 0 loses rank: its QR cells stay
+        empty, the NE ones are filled and the run ends normally."""
+        rc = cli_main([
+            "converge", "--formulation", "primal-dpg", "--dp", "0",
+            "--solver", "both", "--refinements", "3", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        with open(tmp_path / "study.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["n"] for row in rows] == ["2", "4", "8"]
+        assert all(row["err_qr"] == "" and row["err_ne"] for row in rows)
 
     def test_cli_validation_error(self, tmp_path):
         rc = cli_main([
