@@ -28,7 +28,6 @@ precision, which is the round-off-critical region of the pipeline.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Optional
@@ -239,7 +238,6 @@ class AssemblyContext:
     positions: np.ndarray          # (n_total, 2)
     classes: list = dc_field(default_factory=list)   # ElementClass per BC signature
     records: tuple = ()            # kept empty for bench/tracing.py, which counts len(records)
-    wall_assemble_s: float = 0.0
     square_data: Optional[dict] = None   # conforming-test (square) systems only
 
     @property
@@ -334,7 +332,6 @@ def build_context(
     system as a sparse matrix, summed from the (condensed) element matrices.
     """
     options = options or Options()
-    t0 = time.perf_counter()
     square = form.test_conforming
     rule = gauss_rule(form.quadrature_order)
     kern = form.kernels(mesh.h, rule)
@@ -462,7 +459,7 @@ def build_context(
         s, rhs = _accumulate(classes, solve_ids.size, options.condense, solve_index, wdtype)
         square_data = {"matrix": s, "rhs": rhs}
 
-    ctx = AssemblyContext(
+    return AssemblyContext(
         formulation=form,
         mesh=mesh,
         case=case,
@@ -481,8 +478,6 @@ def build_context(
         classes=classes,
         square_data=square_data,
     )
-    ctx.wall_assemble_s = time.perf_counter() - t0
-    return ctx
 
 
 class AssemblyError(Exception):
@@ -533,22 +528,11 @@ def _class_system(c: ElementClass, condense: bool, solve_index, ls: bool):
     return mat, vec, solve_index[ids]
 
 
-def assemble_overdetermined(
-    mesh_or_ctx,
-    form=None,
-    case=None,
-    options=None,
-):
+def assemble_overdetermined(ctx: AssemblyContext):
     """Row-blocked rectangular system (Btilde, ltilde) per Algorithm-3 order.
 
-    Accepts either an AssemblyContext or (mesh, formulation, case, options).
-    Returns (RectangularRowBlocked, ltilde, context).
+    Returns (RectangularRowBlocked, ltilde, ctx).
     """
-    ctx = (
-        mesh_or_ctx
-        if isinstance(mesh_or_ctx, AssemblyContext)
-        else build_context(mesh_or_ctx, form, case, options)
-    )
     dtype = ctx.options.working_dtype(ctx.formulation)
     if ctx.square_data is not None:
         # one stack of one-row panels per row width of S, over the nonzeros
@@ -573,21 +557,11 @@ def assemble_overdetermined(
     return bt, ltilde.ravel(), ctx
 
 
-def assemble_ne(
-    mesh_or_ctx,
-    form=None,
-    case=None,
-    options=None,
-):
+def assemble_ne(ctx: AssemblyContext):
     """Accumulated sparse Hermitian normal equation (A, f) per Algorithm 2.
 
-    Returns (SparseSymmetric, f, context).
+    Returns (SparseSymmetric, f, ctx).
     """
-    ctx = (
-        mesh_or_ctx
-        if isinstance(mesh_or_ctx, AssemblyContext)
-        else build_context(mesh_or_ctx, form, case, options)
-    )
     if ctx.square_data is not None:
         s, rhs = ctx.square_data["matrix"], ctx.square_data["rhs"]
         s_adj = s.conj().T

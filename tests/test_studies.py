@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from dlsfem import linalg, studies
 from dlsfem.assembly import (
@@ -24,9 +26,12 @@ from dlsfem.studies import (
     ConfigError,
     StudyConfig,
     _cond_diagnostics,
+    assemble_fosls_monolithic,
     compare_fosls,
     run_study,
 )
+
+from fosls_reference import assemble_fosls_monolithic as fosls_reference
 
 
 def read_rows(path):
@@ -207,6 +212,52 @@ class TestCompareFosls:
         assert csv_path.exists()
 
 
+FOSLS_CASES = {
+    "zero": make_case("poisson-sine"),
+    "constant": dataclasses.replace(make_case("poisson-sine"), alpha=2.5),
+    "sine": make_case("poisson-alpha-sine"),
+}
+
+
+def _fosls_context(alpha, p, n):
+    """Uncondensed fosls-strong context at dp = 0: its own quadrature rule
+    (order p + 2) differs from the classical system's (order p + 3)."""
+    case = FOSLS_CASES[alpha]
+    form = make_formulation("fosls-strong", p, 0, alpha=case.alpha)
+    return build_context(uniform_mesh(n), form, case, Options(condense=False)), case
+
+
+class TestFoslsMonolithic:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", sorted(FOSLS_CASES))
+    def test_matches_per_element_reference(self, alpha, p, n):
+        ctx, case = _fosls_context(alpha, p, n)
+        a, f = assemble_fosls_monolithic(ctx, case)
+        a_ref, f_ref, free = fosls_reference(ctx.mesh, p, case)
+        assert np.array_equal(ctx.solve_ids, free)
+        a_ref, f_ref = a_ref[np.ix_(free, free)], f_ref[free]
+        assert np.linalg.norm(a.to_dense() - a_ref) <= 1e-14 * np.linalg.norm(a_ref)
+        assert np.linalg.norm(f - f_ref) <= 1e-14 * np.linalg.norm(f_ref)
+
+    @pytest.mark.parametrize("alpha", ["zero", "sine"])
+    def test_pattern_couples_element_neighbours_only(self, alpha):
+        ctx, case = _fosls_context(alpha, 2, 4)
+        a, _ = assemble_fosls_monolithic(ctx, case)
+        stored = a.matrix.tocoo()
+        # element-column incidence: two columns couple iff they share an element
+        els = np.concatenate([np.repeat(c.elements, c.free_local.size) for c in ctx.classes])
+        cols = np.concatenate([ctx.solve_index[c.free_ids].ravel() for c in ctx.classes])
+        inc = scipy.sparse.csr_matrix(
+            (np.ones(els.size), (els, cols)), shape=(ctx.mesh.n_elements, ctx.n_solve)
+        )
+        ne_stored = assemble_ne(ctx)[0].matrix.tocsr()
+        for pattern in ((inc.T @ inc).tocsr(), ne_stored.copy()):
+            pattern.data[:] = 1.0      # stored entries, zero-valued ones included
+            assert np.all(np.asarray(pattern[stored.row, stored.col]) == 1.0)
+        assert stored.nnz <= ne_stored.nnz
+
+
 class TestCli:
     def test_cli_converge(self, tmp_path, capsys):
         rc = cli_main([
@@ -228,6 +279,30 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert [row["n"] for row in rows] == ["2", "4", "8"]
         assert all(row["err_qr"] == "" and row["err_ne"] for row in rows)
+
+    def test_cli_context_failure_writes_rows_and_names_level(self, tmp_path, monkeypatch, capsys):
+        """A context that cannot be built ends the study: the rows so far
+        and an empty row for the failing level are written, exit code 1."""
+        build = studies.build_context
+
+        def failing_build(mesh, *args):
+            if mesh.n == 4:
+                raise linalg.NotPositiveDefinite("element Gram not positive definite")
+            return build(mesh, *args)
+
+        monkeypatch.setattr(studies, "build_context", failing_build)
+        rc = cli_main([
+            "converge", "--p", "1", "--solver", "both", "--refinements", "4",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "n=4" in capsys.readouterr().err
+        with open(tmp_path / "study.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["n"] for row in rows] == ["1", "2", "4"]
+        assert rows[1]["err_qr"] and rows[1]["err_ne"]
+        assert float(rows[2]["h"]) == 0.25
+        assert all(rows[2][key] == "" for key in ("N", "M", "err_ne", "err_qr", "eta_total"))
 
     def test_cli_validation_error(self, tmp_path):
         rc = cli_main([
