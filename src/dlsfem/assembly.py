@@ -10,7 +10,9 @@ whitening, Dirichlet modification, condensation) feeds two assembly paths:
   :class:`RowStack` per element class: its shared panel with the columns
   and row offsets of its elements (the broken test space means no two
   elements share a row, so element e owns rows e*M .. e*M + M - 1).  A
-  square system is one stack of one-row panels per row width of S.
+  square system is one stack of one-row panels per row width of S.  Each
+  panel carries the mesh cell of its element (a row of S, that of its
+  DOF), which places it in the block QR's elimination tree.
 
 The pipeline runs on element classes, not on single elements.  The master
 element system is computed once; the elements whose Dirichlet column
@@ -122,7 +124,8 @@ class RectangularRowBlocked:
 
     def panel_gram(self) -> scipy.sparse.csr_matrix:
         """Unscaled B* B, the sum of the panels' P* P, accumulated in double
-        (complex128 for complex panels); built once per set of stacks."""
+        (complex128 for complex panels); built once per set of stacks (a
+        square system's assembly puts in S* S)."""
         if not self._gram:
             grams = []
             for st in self.stacks:
@@ -535,24 +538,30 @@ def assemble_overdetermined(ctx: AssemblyContext):
     """
     dtype = ctx.options.working_dtype(ctx.formulation)
     if ctx.square_data is not None:
-        # one stack of one-row panels per row width of S, over the nonzeros
-        s = ctx.square_data["matrix"]
+        # one stack of one-row panels per row width of S, over the nonzeros;
+        # row i sits in the mesh cell of its DOF i
+        s, mesh = ctx.square_data["matrix"], ctx.mesh
+        cells = np.clip(np.floor(ctx.positions[ctx.solve_ids] / mesh.h), 0, mesh.n - 1).astype(np.int64)
         width = np.diff(s.indptr)
         stacks = []
         for w in np.unique(width):
             rows = np.flatnonzero(width == w)
             at = s.indptr[rows, None] + np.arange(w)
-            stacks.append(RowStack(panel=s.data[at][:, None, :], cols=s.indices[at], offsets=rows))
+            stacks.append(RowStack(panel=s.data[at][:, None, :], cols=s.indices[at], offsets=rows, cells=cells[rows]))
         bt = RectangularRowBlocked(ctx.n_solve, s.shape[0], stacks, np.ones(ctx.n_solve, dtype=dtype))
+        # the Gram S* S as one sparse product, not a sum over the one-row panels
+        s64 = s.astype(np.result_type(s.dtype, np.float64), copy=False)
+        bt._gram.append((s64.conj().T @ s64).tocsr())
         return bt, ctx.square_data["rhs"].copy(), ctx
     ne, m = ctx.mesh.n_elements, ctx.formulation.n_test_local
+    element_cells = np.rint(ctx.mesh.element_origins() / ctx.mesh.h).astype(np.int64)
     ltilde = np.zeros((ne, m), dtype=dtype)
     stacks = []
     for c in ctx.classes:
         mat, vec, cols = _class_system(c, ctx.options.condense, ctx.solve_index, ls=True)
         ltilde[c.elements] = vec
         # element e owns rows e*m .. e*m + m - 1
-        stacks.append(RowStack(panel=mat, cols=cols, offsets=c.elements * m))
+        stacks.append(RowStack(panel=mat, cols=cols, offsets=c.elements * m, cells=element_cells[c.elements]))
     bt = RectangularRowBlocked(ctx.n_solve, ne * m, stacks, np.ones(ctx.n_solve, dtype=dtype))
     return bt, ltilde.ravel(), ctx
 

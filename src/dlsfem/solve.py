@@ -2,9 +2,10 @@
 
 ``solve_ne`` factors the assembled Hermitian normal equation by banded
 Cholesky after a geometric bandwidth-reducing reordering; ``solve_ls``
-solves the row-blocked rectangular system by Householder QR through
-:mod:`dlsfem.blockqr`.  Both return a :class:`Solution` with the full
-coefficient vector (lift re-inserted, bubbles recovered) and the
+solves the row-blocked rectangular system by the multifrontal Householder
+QR of :mod:`dlsfem.blockqr`, whose elimination tree follows the mesh cells
+that the assembled panels carry.  Both return a :class:`Solution` with the
+full coefficient vector (lift re-inserted, bubbles recovered) and the
 per-element residual indicators eta_K.
 Bubble recovery and the indicators run once per element class of the
 context: a class's bubble factor solves for all its elements in one
@@ -185,15 +186,7 @@ def solve_ls(bt: RectangularRowBlocked, ltilde: np.ndarray, ctx: AssemblyContext
     scale = None
     if precondition and bt.n_cols:
         bt, ltilde, scale = precondition_global_rect(bt, ltilde)
-    cells = None
-    if ctx.square_data is None:
-        # element e owns rows e*M .. e*M + M - 1; its mesh cell groups its panel into a patch
-        mesh = ctx.mesh
-        element_cells = np.rint(mesh.element_origins() / mesh.h).astype(np.int64)
-        cells = [element_cells[st.offsets // (bt.n_rows // mesh.n_elements)] for st in bt.stacks]
-    u, r_diag = solve_blocked_ls(
-        bt.stacks, ltilde, bt.n_cols, bt.scale, sort_keys=ctx.sort_keys(), cells=cells
-    )
+    u, r_diag = solve_blocked_ls(bt.stacks, ltilde, bt.n_cols, bt.scale)
     if scale is not None:
         u = u * scale.astype(u.dtype)
     full = _recover(ctx, u, "QR")

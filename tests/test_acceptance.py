@@ -147,8 +147,8 @@ def test_ac2_condition_slopes(fname):
     )
 
 
-def test_ac3_fosls_identity():
-    rows, _ = compare_fosls(p=2, dp_list=(1,), refinements=2, alpha=0, out_dir="/tmp/ac3")
+def test_ac3_fosls_identity(tmp_path):
+    rows, _ = compare_fosls(p=2, dp_list=(1,), refinements=2, alpha=0, out_dir=tmp_path)
     row = [r for r in rows if r["n"] == 4][0]
     ok = row["mat_dist_rel"] <= 1e-12 and row["sol_dist_U_rel"] <= 1e-11
     assert _report(
@@ -158,8 +158,8 @@ def test_ac3_fosls_identity():
     )
 
 
-def test_ac4_fosls_convergence_rate_ordering():
-    rows, _ = compare_fosls(p=2, dp_list=(1, 2), refinements=4, alpha="sine", out_dir="/tmp/ac4")
+def test_ac4_fosls_convergence_rate_ordering(tmp_path):
+    rows, _ = compare_fosls(p=2, dp_list=(1, 2), refinements=4, alpha="sine", out_dir=tmp_path)
     rates = {}
     for dp in (1, 2):
         data = sorted((r["n"], r["sol_dist_U"]) for r in rows if r["dp"] == dp)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, strategies as st
 
 from dlsfem.assembly import (
@@ -321,6 +322,16 @@ class TestStackProducts:
             scaled.normal_matrix().to_dense(), (sd.conj() @ g @ sd).toarray(),
             rtol=4 * np.finfo(np.float64).eps, atol=0,
         )
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_square_gram_is_the_panel_sum(self, precision):
+        """The square system's Gram S* S, put in by the assembly as one sparse
+        product, equals the sum of its one-row panels' P* P."""
+        bt, _ = _stack_system("one-row", precision)
+        g = bt.panel_gram()
+        want = RectangularRowBlocked(bt.n_cols, bt.n_rows, bt.stacks, bt.scale).panel_gram()
+        assert g.dtype == want.dtype == np.float64
+        assert scipy.sparse.linalg.norm(g - want) <= 1e-14 * scipy.sparse.linalg.norm(want)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @PROPERTY

@@ -30,14 +30,28 @@ def random_blocked(rng, ncols, nblocks, dtype=np.float64, kmax=8, max_rows=lambd
     return blocks, rhs
 
 
-def as_stacks(blocks, rhs):
-    """Every block as a stack of one panel, on consecutive rows: (stacks, load)."""
+def as_stacks(blocks, rhs, cells=None):
+    """Every block as a stack of one panel, on consecutive rows, in the given
+    (nblocks, 2) cells (block i in cell (i, 0) when omitted): (stacks, load)."""
     offsets = np.cumsum([0] + [rows.shape[0] for rows, _ in blocks])
+    if cells is None:
+        cells = np.column_stack([np.arange(len(blocks)), np.zeros(len(blocks), dtype=np.int64)])
     stacks = [
-        RowStack(panel=rows, cols=np.asarray(cols)[None], offsets=offsets[i : i + 1])
+        RowStack(panel=rows, cols=np.asarray(cols)[None], offsets=offsets[i : i + 1], cells=cells[i : i + 1])
         for i, (rows, cols) in enumerate(blocks)
     ]
     return stacks, np.concatenate(rhs) if rhs else np.zeros(0)
+
+
+def draw_cells(draw, rng, n):
+    """(n, 2) cells of n panels: random ones on an 8 x 8 grid, all the same
+    cell (one dense root front), or one cell for each panel."""
+    kind = draw(st.sampled_from(["random", "zeros", "own"]))
+    if kind == "random":
+        return rng.integers(0, 8, (n, 2))
+    if kind == "zeros":
+        return np.zeros((n, 2), dtype=np.int64)
+    return np.column_stack(np.divmod(np.arange(n), 8))
 
 
 def dense_of(stacks, rhs, ncols, dtype, scale=None):
@@ -56,8 +70,7 @@ def test_matches_dense_lstsq(seed):
     rng = np.random.default_rng(seed)
     ncols = int(rng.integers(4, 80))
     blocks, rhs = random_blocked(rng, ncols, int(rng.integers(2, 30)))
-    keys = rng.standard_normal((ncols, 2))
-    x, rdiag = solve_blocked_ls(*as_stacks(blocks, rhs), ncols, sort_keys=keys)
+    x, rdiag = solve_blocked_ls(*as_stacks(blocks, rhs, rng.integers(0, 8, (len(blocks), 2))), ncols)
     m, v = dense_of(*as_stacks(blocks, rhs), ncols, np.float64)
     ref = np.linalg.lstsq(m, v, rcond=None)[0]
     np.testing.assert_allclose(x, ref, atol=1e-11 * max(np.linalg.norm(ref), 1.0))
@@ -90,9 +103,9 @@ def test_single_precision_dtype_preserved():
 def test_compression_runs_in_working_dtype(dtype, monkeypatch):
     """Every LAPACK routine the block QR requests through
     ``scipy.linalg.get_lapack_funcs`` comes in the panels' own dtype, on
-    tall panels through the patch fronts (with cells), where each
-    element's own QR is part of its front, and straight into the window
-    (without)."""
+    tall panels through the tree fronts, where each element's own QR is
+    part of its front, and through one root front (all panels in one
+    cell)."""
     original = scipy.linalg.get_lapack_funcs
     requested = []
 
@@ -104,27 +117,18 @@ def test_compression_runs_in_working_dtype(dtype, monkeypatch):
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", recording)
     rng = np.random.default_rng(6)
     k, ncols = 4, 13
-    # neighbours share a column: the groups finish the others, the window the middle one
+    # neighbours share a column: the groups finish the others, the parents the shared ones
     blocks = [
         (_random(rng, (int(rng.integers(k + 2, 4 * k + 1)), k), dtype), np.arange(first, first + k))
         for first in range(0, ncols - 1, k - 1)
     ]
-    stacks, load = as_stacks(blocks, [_random(rng, rows.shape[0], dtype) for rows, _ in blocks])
-    cells = [np.array([[2 * i, 0]]) for i in range(len(blocks))]
-    for how, routines in ((dict(cells=cells), {"geqrf", "ormqr", "tpqrt"}), ({}, {"tpqrt"})):
+    rhs = [_random(rng, rows.shape[0], dtype) for rows, _ in blocks]
+    spread = np.column_stack([2 * np.arange(len(blocks)), np.zeros(len(blocks), dtype=np.int64)])
+    for cells in (spread, np.zeros_like(spread)):
         requested.clear()
-        check_matches_dense_lstsq(dtype, (stacks, load, ncols, how))
-        assert {name for name, _ in requested} == routines
+        check_matches_dense_lstsq(dtype, (*as_stacks(blocks, rhs, cells), ncols, {}))
+        assert {name for name, _ in requested} == {"geqrf", "ormqr"}
         assert {f.typecode for _, f in requested} == {"s" if dtype == np.float32 else "c"}
-
-
-def test_row_cap_batching_consistent():
-    rng = np.random.default_rng(9)
-    blocks, rhs = random_blocked(rng, 50, 40)
-    keys = np.column_stack([np.arange(50) % 7, np.arange(50)])
-    x1, _ = solve_blocked_ls(*as_stacks(blocks, rhs), 50, sort_keys=keys, row_cap=4)
-    x2, _ = solve_blocked_ls(*as_stacks(blocks, rhs), 50, sort_keys=keys, row_cap=4096)
-    np.testing.assert_allclose(x1, x2, atol=1e-10 * np.linalg.norm(x2))
 
 
 def test_untouched_column_raises():
@@ -140,6 +144,15 @@ def test_dependent_columns_raise():
     blocks = [(np.hstack([rows, rows]), np.array([0, 1]))]
     with pytest.raises(RankDeficient):
         solve_blocked_ls(*as_stacks(blocks, [np.zeros(6)]), 2)
+
+
+def test_wide_root_front_raises():
+    """Two one-row panels over four columns, in one cell: the root front has
+    fewer rows than columns, which is lost rank, not a shape error."""
+    rng = np.random.default_rng(8)
+    blocks = [(rng.standard_normal((1, 3)), np.array([0, 1, 2])), (rng.standard_normal((1, 2)), np.array([2, 3]))]
+    with pytest.raises(RankDeficient):
+        solve_blocked_ls(*as_stacks(blocks, [np.zeros(1), np.zeros(1)], np.zeros((2, 2), dtype=np.int64)), 4)
 
 
 def test_empty_system():
@@ -177,10 +190,9 @@ def tall_problems(draw, dtype):
     ncols = draw(st.integers(2, 40))
     nblocks = draw(st.integers(1, 12))
     kmax = draw(st.integers(2, 8))
-    row_cap = draw(st.integers(1, 64))     # small caps force many window merges
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     blocks, rhs = random_blocked(rng, ncols, nblocks, dtype, kmax, max_rows=lambda k: 4 * k)
-    return (*as_stacks(blocks, rhs), ncols, dict(sort_keys=rng.standard_normal((ncols, 2)), row_cap=row_cap))
+    return (*as_stacks(blocks, rhs, draw_cells(draw, rng, len(blocks))), ncols, {})
 
 
 @st.composite
@@ -190,7 +202,6 @@ def row_problems(draw, dtype):
     ncols = draw(st.integers(2, 40))
     nrows = ncols + draw(st.integers(0, 10))
     kmax = draw(st.integers(1, 8))
-    row_cap = draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     blocks, rhs = [], []
     for i in range(nrows):
@@ -202,7 +213,7 @@ def row_problems(draw, dtype):
             row, r = row + 1j * rng.standard_normal((1, k)), r + 1j * rng.standard_normal(1)
         blocks.append((row.astype(dtype), cols))
         rhs.append(r.astype(dtype))
-    return (*as_stacks(blocks, rhs), ncols, dict(sort_keys=rng.standard_normal((ncols, 2)), row_cap=row_cap))
+    return (*as_stacks(blocks, rhs, draw_cells(draw, rng, nrows)), ncols, {})
 
 
 def _random(rng, shape, dtype):
@@ -221,7 +232,6 @@ def shared_problems(draw, dtype):
     ncols = draw(st.integers(2, 40))
     nstacks = draw(st.integers(1, 5))
     kmax = draw(st.integers(2, 8))
-    row_cap = draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     panels = []
     for _ in range(nstacks):
@@ -234,18 +244,14 @@ def shared_problems(draw, dtype):
     missing = np.setdiff1d(np.arange(ncols), np.concatenate([c.ravel() for _, c in panels]))
     if missing.size:
         panels.append((_random(rng, (missing.size + 3, missing.size), dtype), np.stack([missing, missing[::-1]])))
-    stacks, offset = [], 0
+    cells = draw_cells(draw, rng, sum(cols.shape[0] for _, cols in panels))
+    stacks, offset, first = [], 0, 0
     for panel, cols in panels:
         m, e = panel.shape[-2], cols.shape[0]
-        stacks.append(RowStack(panel, cols, offset + m * np.arange(e)))
-        offset += m * e
+        stacks.append(RowStack(panel, cols, offset + m * np.arange(e), cells[first : first + e]))
+        offset, first = offset + m * e, first + e
     load = _random(rng, offset, dtype)
-    how = dict(
-        scale=np.exp(rng.uniform(-2.0, 2.0, ncols)).astype(dtype),
-        sort_keys=rng.standard_normal((ncols, 2)),
-        row_cap=row_cap,
-    )
-    return stacks, load, ncols, how
+    return stacks, load, ncols, dict(scale=np.exp(rng.uniform(-2.0, 2.0, ncols)).astype(dtype))
 
 
 def check_matches_dense_lstsq(dtype, problem):
@@ -282,7 +288,7 @@ def check_rank_deficient_raises(problem, kind, i, j):
                 rows[:, cols.index(j)] = 2.0 * rows[:, cols.index(i)]
             elif i in cols or j in cols:
                 rows[:, cols.index(i if i in cols else j)] = 0.0
-        out.append(RowStack(rows, np.array(cols, dtype=np.int64)[None], st.offsets))
+        out.append(RowStack(rows, np.array(cols, dtype=np.int64)[None], st.offsets, st.cells))
     with pytest.raises(RankDeficient):
         solve_blocked_ls(out, load, ncols, **how)
 
@@ -345,7 +351,6 @@ def patch_problems(draw, dtype):
     random cells and random columns break the repetition.  Random positive
     column scale."""
     pool = draw(st.integers(1, 12))
-    row_cap = draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     patches = rng.permutation(4)[: int(rng.integers(1, 5))]
     panels, ncols = [], pool              # (panel, cols (E, k), cells (E, 2))
@@ -387,16 +392,11 @@ def patch_problems(draw, dtype):
     if missing.size:
         panels.append((_random(rng, (missing.size + 3, missing.size), dtype), missing[None], rng.integers(0, 8, (1, 2))))
     stacks, offset = [], 0
-    for panel, cols, _ in panels:
+    for panel, cols, cells in panels:
         m, e = panel.shape[-2], cols.shape[0]
-        stacks.append(RowStack(panel, cols, offset + m * np.arange(e)))
+        stacks.append(RowStack(panel, cols, offset + m * np.arange(e), cells))
         offset += m * e
-    how = dict(
-        scale=np.exp(rng.uniform(-2.0, 2.0, ncols)).astype(dtype),
-        sort_keys=rng.standard_normal((ncols, 2)),
-        row_cap=row_cap,
-        cells=[cells for _, _, cells in panels],
-    )
+    how = dict(scale=np.exp(rng.uniform(-2.0, 2.0, ncols)).astype(dtype))
     return stacks, _random(rng, offset, dtype), ncols, how
 
 
@@ -421,13 +421,7 @@ def test_property_rank_deficient_private_column_raises(dtype, data, kind):
         panel[:, 1] = 0.0
     else:
         panel[:, 2] = 2.0 * panel[:, 1]
-    stacks = stacks + [RowStack(panel, np.array([[0, ncols, ncols + 1]]), np.array([load.size]))]
+    stacks = stacks + [RowStack(panel, np.array([[0, ncols, ncols + 1]]), np.array([load.size]), stacks[0].cells[:1])]
     load = np.concatenate([load, _random(rng, 5, dtype)])
-    how = dict(
-        how,
-        scale=np.concatenate([how["scale"], np.ones(2, dtype=dtype)]),
-        sort_keys=np.concatenate([how["sort_keys"], rng.standard_normal((2, 2))]),
-        cells=how["cells"] + [how["cells"][0][:1]],
-    )
     with pytest.raises(RankDeficient):
-        solve_blocked_ls(stacks, load, ncols + 2, **how)
+        solve_blocked_ls(stacks, load, ncols + 2, scale=np.concatenate([how["scale"], np.ones(2, dtype=dtype)]))

@@ -23,9 +23,9 @@ the condition number that bounds the forward error of the step:
 
 The other tests hold the class design to its claims: a solution does not
 depend on which assembler ran first on its context, reassembly is
-bit-identical, threads sharing one context get identical systems, and
-neither the number of triangular solves nor that of ``?geqrf`` calls grows
-with the number of elements.
+bit-identical, threads sharing one context get identical systems, the
+number of triangular solves does not grow with the number of elements, and
+that of ``?geqrf`` calls grows with the depth of the block QR's tree only.
 """
 
 from __future__ import annotations
@@ -349,32 +349,37 @@ def _lapack_calls(monkeypatch, routine):
     return calls
 
 
-def test_qr_factorizations_do_not_grow_with_the_mesh(monkeypatch):
-    """Overdetermined assembly and QR solve make a fixed number of ?geqrf
-    calls, whatever the element count: the block QR factors each patch
-    front once per signature, the round-1 fronts taking the element panels
-    as they are (9 group signatures per patch round once the mesh has
-    interior groups; at n = 8 the 2 x 2 grid of patches has corner classes
-    only)."""
+def test_qr_factorizations_grow_by_one_round_per_doubling(monkeypatch):
+    """Overdetermined assembly and QR solve make O(log n) ?geqrf calls: the
+    block QR factors each tree front once per signature, the round-1 fronts
+    taking the element panels as they are, so each doubling of n adds one
+    round of the same few signatures."""
     calls = _lapack_calls(monkeypatch, "geqrf")
     counts = []
-    for n in (16, 32):
+    for n in (8, 16, 32, 64):
         calls.clear()
         ctx = _context("ultraweak-p2-double", n)
         bt, lt, _ = assemble_overdetermined(ctx)
         solve_ls(bt, lt, ctx)
         counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    steps = np.diff(counts)
+    assert counts[0] > 0 and steps[0] > 0 and np.all(steps == steps[0])
 
 
-def test_window_merges_patch_boundary_rows_only(monkeypatch):
-    """The patch step leaves the ?tpqrt window the rows over the patch
-    boundaries only: at most 4096 rows at n = 32, a quarter of the 16384
-    rows of the element triangles alone (1024 elements of 16 interface
-    columns)."""
-    calls = _lapack_calls(monkeypatch, "tpqrt")
-    ctx = _context("ultraweak-p2-double", 32)
+@pytest.mark.parametrize("name", ["ultraweak-p2-double", "acoustics-complex128", "bubnov"])
+def test_no_solve_requests_tpqrt(monkeypatch, name):
+    """The tree runs to the root: no QR solve merges rows by ?tpqrt, and the
+    square system's one-row panels go through ?geqrf fronts too."""
+    original = scipy.linalg.get_lapack_funcs
+    requested = []
+
+    def recording(names, *args, **kwargs):
+        requested.extend([names] if isinstance(names, str) else names)
+        return original(names, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", recording)
+    ctx = _context(name)
     bt, lt, _ = assemble_overdetermined(ctx)
     solve_ls(bt, lt, ctx)
-    merged = sum(args[3].shape[0] for args in calls)
-    assert 0 < merged <= 4096
+    assert "tpqrt" not in requested
+    assert "geqrf" in requested

@@ -17,6 +17,7 @@ from dlsfem.assembly import (
     precondition_global_rect,
 )
 from dlsfem.formulation import ManufacturedCase, make_case, make_formulation
+from dlsfem.blockqr import solve_blocked_ls
 from dlsfem.interpolate import interpolate_case
 from dlsfem.mesh import uniform_mesh
 from dlsfem.solve import (
@@ -30,6 +31,8 @@ from dlsfem.solve import (
     solve_saddle_constraints,
     solve_weighted_constraints,
 )
+
+from window_reference import solve_window_ls
 
 POISSON_FORMULATIONS = ["fosls-strong", "primal-dpg", "ultraweak-dpg"]
 
@@ -436,11 +439,11 @@ REAL_SYSTEMS = [
     ("ultraweak-dpg", 2, 8, "poisson-sine", "double"),
     ("acoustics-ultraweak", 2, 3, "acoustics-resonance", "double"),
     ("ultraweak-dpg", 1, 8, "poisson-sine", "single"),
-    # 6 is no multiple of the patch width: ragged patches
+    # 6 is no power of 2: ragged groups in the tree
     ("acoustics-ultraweak", 2, 6, "acoustics-resonance", "double"),
     # a variable alpha: per-element panels, whose fronts are never shared
     ("fosls-strong", 2, 8, "poisson-alpha-sine", "double"),
-    # the element bubbles become private columns of the patches
+    # the element bubbles become private columns of the round-1 fronts
     ("ultraweak-dpg", 2, 6, "poisson-sine", "double-uncondensed"),
 ]
 
@@ -481,7 +484,7 @@ def test_qr_matches_dense_lstsq_on_assembled_system(fname, p, n, cname, setting)
 ])
 def test_dp0_wide_fronts_raise_rank_deficient(fname, cname):
     """At dp = 0 the element panels have fewer rows than columns, so some
-    patch fronts are wide; the QR path reports the lost rank as
+    tree fronts are wide; the QR path reports the lost rank as
     RankDeficient."""
     form = make_formulation(fname, p=2, dp=0)
     ctx = build_context(uniform_mesh(8), form, make_case(cname), Options(condense=False))
@@ -492,6 +495,42 @@ def test_dp0_wide_fronts_raise_rank_deficient(fname, cname):
 
 def _wide(x):
     return x.astype(np.complex128 if np.iscomplexobj(x) else np.float64)
+
+
+# the tree QR against the sliding-window QR it replaced, on assembled
+# (preconditioned) systems: element classes, per-element panels under a
+# variable alpha, complex panels and the square system's one-row panels
+WINDOW_SYSTEMS = [
+    ("ultraweak-dpg", 2, 16, "poisson-sine"),
+    ("fosls-strong", 2, 8, "poisson-alpha-sine"),
+    ("acoustics-ultraweak", 2, 6, "acoustics-resonance"),
+    ("bubnov-galerkin", 2, 12, "poisson-sine10"),
+]
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("fname,p,n,cname", WINDOW_SYSTEMS)
+def test_tree_qr_matches_window_reference(fname, p, n, cname, precision):
+    """Both QRs are backward stable: in double they agree to 1e-12; in
+    single, to twice the least-squares forward error bound
+    100 u kappa (1 + kappa ||r|| / (||B|| ||x||)) that each of them meets."""
+    case = make_case(cname)
+    form = make_formulation(fname, p=p, dp=1, alpha=case.alpha)
+    ctx = build_context(uniform_mesh(n), form, case, Options(precision=precision))
+    bt, lt, _ = assemble_overdetermined(ctx)
+    pbt, plt, _ = precondition_global_rect(bt, lt)
+    got, _ = solve_blocked_ls(pbt.stacks, plt, pbt.n_cols, pbt.scale)
+    want, _ = solve_window_ls(pbt.stacks, plt, pbt.n_cols, pbt.scale, sort_keys=ctx.sort_keys())
+    assert got.dtype == want.dtype == pbt.scale.dtype
+    if precision == "double":
+        bound = 1e-12
+    else:
+        ev = np.linalg.eigvalsh(pbt.normal_matrix().to_dense())
+        kappa = math.sqrt(ev[-1] / ev[0])
+        eta = np.linalg.norm(pbt.matvec(_wide(want)) - plt) / (math.sqrt(ev[-1]) * np.linalg.norm(_wide(want)))
+        bound = 2 * 100.0 * np.finfo(got.dtype).eps * kappa * (1.0 + kappa * eta)
+        assert bound < 0.1
+    assert np.linalg.norm(_wide(got) - want) <= bound * np.linalg.norm(_wide(want))
 
 
 # the banded Cholesky against the dense one it replaced at small sizes:
