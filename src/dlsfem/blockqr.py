@@ -11,18 +11,18 @@ finds z = D u from R z = Q* l.
    groups of cells, the elimination tree of a multifrontal QR (George &
    Heath, 1980; Davis, SuiteSparseQR, 2011), until one group holds all
    that is left.  A column that only the panels of one group touch is
-   private to it.  One ``?geqrf`` of the group's stacked rows (its front,
-   private columns first) gives the final R rows of the private columns,
-   and the round-1 front is also each element's own QR; only the rows
-   over the group's other columns go on, as one panel of the next round.
-   At the root every column left is private, so the tree finishes every
-   column.  Groups whose panels are the same arrays at the same relative
-   column layout have the same front, so each front is factored once per
-   signature (once per element class in round 1) and the loads of all its
-   groups are projected in one ``?ormqr``/``?unmqr`` call.  The signature
-   is taken from the data (panel identities and column incidence), never
-   from the cells: a poor grouping costs speed, not accuracy.  Panels of a
-   per-element stack are never shared.
+   private to it.  One ``?geqrt`` factors the group's stacked rows (its
+   front, private columns first) in place, in compact-WY form (Schreiber &
+   Van Loan, 1989) with recursive level-3 panels (Elmroth & Gustavson,
+   2000).  Copies of its private rows [R11 | R12] are final (the round-1
+   front is also each element's own QR); a copy of the triangle over the
+   other columns goes on, as one panel of the next round; at the root
+   every column left is private.  Groups whose panels are the same arrays
+   (never those of a per-element stack) at the same relative column
+   layout share a front, factored once per signature (once per element
+   class in round 1); their loads are projected in one ``?gemqrt`` call.
+   Signatures come from the data (panel identities, column incidence),
+   never from the cells: a poor grouping costs speed, not accuracy.
 2. Back-substitution.  One triangular solve per front, last front first,
    for all its groups, in z = D u; then u = z / D.
 
@@ -83,15 +83,14 @@ class _Front:
 
 
 def _qr(a, loads, dtype):
-    """R (min(m, n) rows) of one ?geqrf of a (m, n), and Q* loads for loads (m, I)."""
-    geqrf, ormqr = scipy.linalg.get_lapack_funcs(("geqrf", "ormqr"), dtype=dtype)
+    """?geqrt of an F-ordered a (m, n) in place, and Q* loads: the first min(m, n) rows of each."""
+    geqrt, gemqrt = scipy.linalg.get_lapack_funcs(("geqrt", "gemqrt"), dtype=dtype)
     trans = "C" if np.issubdtype(dtype, np.complexfloating) else "T"
-    # not np.linalg.qr, which factors float32/complex64 in double
-    qr, tau = geqrf(a)[:2]
     r = min(a.shape)
-    # a wide front (m < n) has m reflectors only: hand ?ormqr those columns
-    lwork = int(ormqr("L", trans, qr[:, :r], tau, loads, -1)[1][0].real)
-    return np.triu(qr[:r]), ormqr("L", trans, qr[:, :r], tau, loads, lwork)[0][:r]
+    # not np.linalg.qr, which factors float32/complex64 in double
+    a, t = geqrt(min(32, r), a, overwrite_a=1)[:2]
+    # a wide front (m < n) has m reflectors only: hand ?gemqrt those columns
+    return a[:r], gemqrt(a[:, :r], t, loads, "L", trans, overwrite_c=1)[0][:r]
 
 
 def _group_round(parts, n_cols, dtype):
@@ -146,7 +145,7 @@ def _group_round(parts, n_cols, dtype):
         panels = [parts[s] for s in src[members[0]]]
         n_rows = max(sum(pt.panel.shape[-2] for pt in panels), p)
         own = any(pt.panel.ndim == 3 for pt in panels)
-        front = np.zeros((groups.size if own else 1, n_rows, u), dtype=dtype)
+        front = np.zeros((groups.size if own else 1, u, n_rows), dtype=dtype).transpose(0, 2, 1)  # F-ordered
         loads = np.zeros((n_rows, groups.size), dtype=dtype, order="F")
         ucols = np.empty((groups.size, u), dtype=np.int64)
         row = col = 0
@@ -158,11 +157,12 @@ def _group_round(parts, n_cols, dtype):
             row, col = row + m, col + k
         for i, a in enumerate(front):
             of = slice(i, i + 1) if own else slice(None)     # the groups of this front
-            r, proj = _qr(a, loads[:, of], dtype)
+            r, proj = _qr(a, loads[:, of], dtype)  # copies below: no view keeps a front alive
             if p:
-                fronts.append(_Front(r[:p, :p], r[:p, p:], ucols[of, :p], ucols[of, p:], proj[:p].T))
+                r11, r12, rhs = np.triu(r[:p, :p]), r[:p, p:].copy(), proj[:p].T.copy()
+                fronts.append(_Front(r11, r12, ucols[of, :p], ucols[of, p:], rhs))
             if r.shape[0] > p:
-                out.append(_Part(r[p:, p:], ucols[of, p:], proj[p:].T, cells[members[of, 0]] // 2))
+                out.append(_Part(np.triu(r[p:, p:]), ucols[of, p:], proj[p:].T, cells[members[of, 0]] // 2))
     return out, fronts
 
 

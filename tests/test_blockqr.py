@@ -3,8 +3,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from dlsfem.blockqr import RowStack, solve_blocked_ls
-from dlsfem.linalg import RankDeficient
+from dlsfem.blockqr import RowStack, _group_round, _Part, _qr, solve_blocked_ls
+from dlsfem.linalg import RankDeficient, eps
 
 
 def random_blocked(rng, ncols, nblocks, dtype=np.float64, kmax=8, max_rows=lambda k: k + 4):
@@ -127,7 +127,7 @@ def test_compression_runs_in_working_dtype(dtype, monkeypatch):
     for cells in (spread, np.zeros_like(spread)):
         requested.clear()
         check_matches_dense_lstsq(dtype, (*as_stacks(blocks, rhs, cells), ncols, {}))
-        assert {name for name, _ in requested} == {"geqrf", "ormqr"}
+        assert {name for name, _ in requested} == {"geqrt", "gemqrt"}
         assert {f.typecode for _, f in requested} == {"s" if dtype == np.float32 else "c"}
 
 
@@ -425,3 +425,50 @@ def test_property_rank_deficient_private_column_raises(dtype, data, kind):
     load = np.concatenate([load, _random(rng, 5, dtype)])
     with pytest.raises(RankDeficient):
         solve_blocked_ls(stacks, load, ncols + 2, scale=np.concatenate([how["scale"], np.ones(2, dtype=dtype)]))
+
+
+# ---------------------------------------------------------------------------
+# The front kernel and what the fronts keep
+# ---------------------------------------------------------------------------
+
+# 1 x k, m x 1, wide, r < 32 and r > 32 (across ?geqrt's block of 32 columns)
+FRONT_SHAPES = [(1, 1), (1, 6), (9, 1), (5, 9), (20, 12), (12, 12), (80, 33), (70, 64), (100, 70), (40, 75)]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", FRONT_SHAPES)
+def test_front_kernel_matches_dense_qr(dtype, shape):
+    """_qr factors an F-ordered front in place: its R has R* R = A* A, and
+    the projected loads Q* l have the column norms that a dense QR gives,
+    both to a backward error of C u max(m, n) times the size of the data."""
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    a, loads = _random(rng, shape, dtype), _random(rng, (shape[0], 3), dtype)
+    front, proj_in = np.array(a, order="F"), np.array(loads, order="F")
+    r, proj = _qr(front, proj_in, dtype)
+    k = min(shape)
+    assert r.shape == (k, shape[1]) and proj.shape == (k, 3)
+    assert r.dtype == dtype and proj.dtype == dtype
+    assert np.shares_memory(r, front)
+    wide = np.complex128 if np.issubdtype(dtype, np.complexfloating) else np.float64
+    a, loads, r = a.astype(wide), loads.astype(wide), np.triu(r).astype(wide)
+    tol = 10.0 * eps(dtype) * max(shape)
+    gram = a.conj().T @ a
+    assert np.linalg.norm(r.conj().T @ r - gram) <= tol * np.linalg.norm(a) ** 2
+    q = scipy.linalg.qr(a, mode="economic")[0]
+    ref = np.linalg.norm(q.conj().T @ loads, axis=0)
+    np.testing.assert_allclose(np.linalg.norm(proj.astype(wide), axis=0), ref, atol=tol * np.linalg.norm(loads))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@PROPERTY
+@given(data=st.data())
+def test_property_fronts_keep_no_factored_front_alive(dtype, data):
+    """Every round of the tree keeps copies, never views: the R11/R12 and
+    projected loads of each finished front and the panel each group passes
+    up own their data, so a factored front is freed once its round is over."""
+    stacks, load, ncols, _ = data.draw(patch_problems(dtype))
+    parts = [_Part(st.panel, st.cols, load[st.rows], st.cells) for st in stacks]
+    while parts:
+        parts, fronts = _group_round(parts, ncols, dtype)
+        assert all(f.r11.base is None and f.r12.base is None and f.rhs.base is None for f in fronts)
+        assert all(pt.panel.base is None for pt in parts)

@@ -25,7 +25,8 @@ The other tests hold the class design to its claims: a solution does not
 depend on which assembler ran first on its context, reassembly is
 bit-identical, threads sharing one context get identical systems, the
 number of triangular solves does not grow with the number of elements, and
-that of ``?geqrf`` calls grows with the depth of the block QR's tree only.
+that of ``?geqrt`` calls grows with the depth of the block QR's tree only,
+and the block QR requests no LAPACK kernel but ``?geqrt``/``?gemqrt``.
 """
 
 from __future__ import annotations
@@ -322,8 +323,8 @@ def test_triangular_solves_do_not_grow_with_the_mesh(monkeypatch, name):
 
 
 def _lapack_calls(monkeypatch, routine):
-    """List that receives the positional arguments of every call of the
-    LAPACK ``routine`` made through the handles that
+    """List that receives the (positional, keyword) arguments of every call
+    of the LAPACK ``routine`` made through the handles that
     ``scipy.linalg.get_lapack_funcs`` hands out, the way the block QR
     reaches LAPACK."""
     original = scipy.linalg.get_lapack_funcs
@@ -340,7 +341,7 @@ def _lapack_calls(monkeypatch, routine):
             return fn
 
         def wrapper(*args, **kwargs):
-            calls.append(args)
+            calls.append((args, kwargs))
             return fn(*args, **kwargs)
 
         return wrapper
@@ -350,11 +351,11 @@ def _lapack_calls(monkeypatch, routine):
 
 
 def test_qr_factorizations_grow_by_one_round_per_doubling(monkeypatch):
-    """Overdetermined assembly and QR solve make O(log n) ?geqrf calls: the
+    """Overdetermined assembly and QR solve make O(log n) ?geqrt calls: the
     block QR factors each tree front once per signature, the round-1 fronts
     taking the element panels as they are, so each doubling of n adds one
     round of the same few signatures."""
-    calls = _lapack_calls(monkeypatch, "geqrf")
+    calls = _lapack_calls(monkeypatch, "geqrt")
     counts = []
     for n in (8, 16, 32, 64):
         calls.clear()
@@ -368,8 +369,10 @@ def test_qr_factorizations_grow_by_one_round_per_doubling(monkeypatch):
 
 @pytest.mark.parametrize("name", ["ultraweak-p2-double", "acoustics-complex128", "bubnov"])
 def test_no_solve_requests_tpqrt(monkeypatch, name):
-    """The tree runs to the root: no QR solve merges rows by ?tpqrt, and the
-    square system's one-row panels go through ?geqrf fronts too."""
+    """The tree runs to the root: no QR solve merges rows by ?tpqrt, every
+    front is factored by the compact-WY ?geqrt and projected by ?gemqrt,
+    never by ?geqrf/?ormqr, and the square system's one-row panels go
+    through ?geqrt fronts too."""
     original = scipy.linalg.get_lapack_funcs
     requested = []
 
@@ -381,5 +384,16 @@ def test_no_solve_requests_tpqrt(monkeypatch, name):
     ctx = _context(name)
     bt, lt, _ = assemble_overdetermined(ctx)
     solve_ls(bt, lt, ctx)
-    assert "tpqrt" not in requested
-    assert "geqrf" in requested
+    assert not {"tpqrt", "geqrf", "ormqr", "unmqr"} & set(requested)
+    assert "geqrt" in requested
+
+
+@pytest.mark.parametrize("name", ["ultraweak-p2-double", "acoustics-complex128", "bubnov"])
+def test_fronts_are_factored_in_place(monkeypatch, name):
+    """The block QR hands ?geqrt its fronts F-ordered and lets it overwrite
+    them, so the factor takes the place of the front instead of a copy."""
+    calls = _lapack_calls(monkeypatch, "geqrt")
+    ctx = _context(name)
+    bt, lt, _ = assemble_overdetermined(ctx)
+    solve_ls(bt, lt, ctx)
+    assert calls and all(a.flags.f_contiguous and kwargs.get("overwrite_a") for (_, a), kwargs in calls)
