@@ -3,9 +3,12 @@
 One element pipeline (compute, Gram preconditioning, precision cast,
 whitening, Dirichlet modification, condensation) feeds two assembly paths:
 
-* ``assemble_ne``  accumulates the element normal equations
-  A_K = Btilde_K* Btilde_K into one sparse Hermitian matrix (standard
-  conforming-FEM accumulation).
+* ``assemble_ne``  gives the element normal equations
+  A_K = Btilde_K* Btilde_K as one :class:`BlockStack` per element class,
+  whose sum is A (the accumulation of conforming FEM, summed as CSR only
+  when read); each block carries its element's mesh cell, which places it
+  in the elimination tree of the Cholesky.  The square product S* S is
+  one sparse matrix.
 * ``assemble_overdetermined`` gives the whitened rectangular system as one
   :class:`RowStack` per element class: its shared panel with the columns
   and row offsets of its elements (the broken test space means no two
@@ -39,7 +42,7 @@ import scipy.sparse
 
 from . import basis, element, linalg
 from .basis import gauss_rule
-from .blockqr import RowStack
+from .blockqr import BlockStack, RowStack
 from .element import NonpositiveDiagonal, RankDeficientBubbles, SingularBubbleBlock
 from .formulation import Formulation, ManufacturedCase
 from .mesh import Mesh, build_layout
@@ -63,18 +66,47 @@ class Options:
         return self.real_dtype()
 
 
-@dataclass
 class SparseSymmetric:
-    """Hermitian sparse matrix in deduplicated coordinate storage."""
+    """Hermitian matrix D A D, D the diagonal column ``scale``.
 
-    n: int
-    matrix: scipy.sparse.csr_matrix
+    A is the sum of the Hermitian element blocks ``blocks`` (one
+    :class:`BlockStack` per element class), which ``solve_ne`` factors on
+    the elimination tree of :mod:`dlsfem.blockqr`; their CSR sum (``matrix``)
+    is built only when it is read (diagnostics, export, matrix distances).
+    Scaling the columns shares the blocks.  A system without blocks (the
+    square product S* S) is given as its ``matrix``.
+    """
+
+    def __init__(self, n: int, matrix=None, blocks=None, scale=None):
+        self.n = n
+        self.blocks = blocks
+        self.scale = scale             # (n,) in the blocks' dtype, with blocks only
+        self._matrix = matrix
+
+    @property
+    def dtype(self):
+        return self._matrix.dtype if self.blocks is None else self.scale.dtype
+
+    @property
+    def matrix(self) -> scipy.sparse.csr_matrix:
+        if self._matrix is None:
+            a = _sum_blocks(self.n, [(st.cols, st.block) for st in self.blocks])
+            rows = np.repeat(np.arange(self.n), np.diff(a.indptr))
+            a.data = self.scale.conj()[rows] * a.data * self.scale[a.indices]
+            self._matrix = a
+        return self._matrix
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
     def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
+        if self.blocks is None:
+            return self.matrix.diagonal()
+        d = np.zeros(self.n)
+        for st in self.blocks:
+            diag = np.broadcast_to(np.real(np.diagonal(st.block, axis1=-2, axis2=-1)), st.cols.shape)
+            d += np.bincount(st.cols.ravel(), weights=diag.ravel(), minlength=self.n)
+        return d * np.abs(self.scale) ** 2
 
     def hermitian_defect(self) -> float:
         diff = self.matrix - self.matrix.conj().T
@@ -531,6 +563,11 @@ def _class_system(c: ElementClass, condense: bool, solve_index, ls: bool):
     return mat, vec, solve_index[ids]
 
 
+def element_cells(mesh: Mesh) -> np.ndarray:
+    """(n_elements, 2) integer mesh cell of every element."""
+    return np.rint(mesh.element_origins() / mesh.h).astype(np.int64)
+
+
 def assemble_overdetermined(ctx: AssemblyContext):
     """Row-blocked rectangular system (Btilde, ltilde) per Algorithm-3 order.
 
@@ -554,37 +591,44 @@ def assemble_overdetermined(ctx: AssemblyContext):
         bt._gram.append((s64.conj().T @ s64).tocsr())
         return bt, ctx.square_data["rhs"].copy(), ctx
     ne, m = ctx.mesh.n_elements, ctx.formulation.n_test_local
-    element_cells = np.rint(ctx.mesh.element_origins() / ctx.mesh.h).astype(np.int64)
+    cells = element_cells(ctx.mesh)
     ltilde = np.zeros((ne, m), dtype=dtype)
     stacks = []
     for c in ctx.classes:
         mat, vec, cols = _class_system(c, ctx.options.condense, ctx.solve_index, ls=True)
         ltilde[c.elements] = vec
         # element e owns rows e*m .. e*m + m - 1
-        stacks.append(RowStack(panel=mat, cols=cols, offsets=c.elements * m, cells=element_cells[c.elements]))
+        stacks.append(RowStack(panel=mat, cols=cols, offsets=c.elements * m, cells=cells[c.elements]))
     bt = RectangularRowBlocked(ctx.n_solve, ne * m, stacks, np.ones(ctx.n_solve, dtype=dtype))
     return bt, ltilde.ravel(), ctx
 
 
 def assemble_ne(ctx: AssemblyContext):
-    """Accumulated sparse Hermitian normal equation (A, f) per Algorithm 2.
+    """Hermitian normal equation (A, f) per Algorithm 2: A is the sum of the
+    element normal equations, one :class:`BlockStack` per element class
+    with its elements' mesh cells; f is accumulated.  The square product
+    S* S is one sparse matrix.
 
     Returns (SparseSymmetric, f, ctx).
     """
+    dtype = ctx.options.working_dtype(ctx.formulation)
     if ctx.square_data is not None:
         s, rhs = ctx.square_data["matrix"], ctx.square_data["rhs"]
         s_adj = s.conj().T
         return SparseSymmetric(n=ctx.n_solve, matrix=(s_adj @ s).tocsr()), s_adj @ rhs, ctx
-    a, f = _accumulate(
-        ctx.classes, ctx.n_solve, ctx.options.condense, ctx.solve_index,
-        ctx.options.working_dtype(ctx.formulation),
-    )
-    return SparseSymmetric(n=ctx.n_solve, matrix=a), f, ctx
+    cells = element_cells(ctx.mesh)
+    blocks = []
+    f = np.zeros(ctx.n_solve, dtype=dtype)
+    for c in ctx.classes:
+        mat, vec, cols = _class_system(c, ctx.options.condense, ctx.solve_index, ls=False)
+        blocks.append(BlockStack(block=mat, cols=cols, cells=cells[c.elements]))
+        np.add.at(f, cols, vec)
+    return SparseSymmetric(ctx.n_solve, blocks=blocks, scale=np.ones(ctx.n_solve, dtype=dtype)), f, ctx
 
 
 def _accumulate(classes, n, condense, solve_index, dtype):
-    """Sparse sum of the classes' element normal equations (for a conforming
-    test space, their square matrices) and of their loads, (CSR, vector)."""
+    """Sparse sum of the classes' square matrices of a conforming test
+    space and of their loads, (CSR, vector)."""
     parts = []
     fvec = np.zeros(n, dtype=dtype)
     for c in classes:
@@ -625,9 +669,12 @@ def precondition_global(a: SparseSymmetric, f: np.ndarray):
     d = np.real(a.diagonal())
     if np.any(d <= 0):
         raise NonpositiveDiagonal("zero or negative diagonal entry (disconnected DOF?)")
-    s = (1.0 / np.sqrt(d)).astype(np.result_type(a.matrix.dtype, np.float64))
-    sd = scipy.sparse.diags(s.astype(a.matrix.dtype))
-    scaled = SparseSymmetric(n=a.n, matrix=(sd @ a.matrix @ sd).tocsr())
+    s = (1.0 / np.sqrt(d)).astype(np.result_type(a.dtype, np.float64))
+    if a.blocks is None:
+        sd = scipy.sparse.diags(s.astype(a.dtype))
+        scaled = SparseSymmetric(n=a.n, matrix=(sd @ a.matrix @ sd).tocsr())
+    else:
+        scaled = SparseSymmetric(a.n, blocks=a.blocks, scale=a.scale * s.astype(a.dtype))
     return scaled, f * s.astype(f.dtype), s
 
 

@@ -1,35 +1,52 @@
-"""Least-squares solver for row-blocked rectangular systems.
+"""Block solvers on one elimination tree: least squares and normal equations.
 
-Solves min ||B D u - l||_2 for a column scale D > 0 and B given as stacks
-of dense row panels (:class:`RowStack`): the elements of a class share one
-panel over their own columns, and every panel carries a mesh cell.  The
-algorithm is a sequential Householder QR of the unscaled B, in two steps,
-each made of LAPACK calls on small dense arrays.  As B D = Q (R D), it
-finds z = D u from R z = Q* l.
+``solve_blocked_ls`` solves min ||B D u - l||_2 for a column scale D > 0
+and B given as stacks of dense row panels (:class:`RowStack`): the
+elements of a class share one panel over their own columns, and every
+panel carries a mesh cell.  ``solve_blocked_ne`` solves D A D u = f for A
+the sum of Hermitian positive-definite element blocks
+(:class:`BlockStack`), such as the element normal equations of B* B.
+Both run one algorithm in two steps, each made of LAPACK calls on small
+dense arrays, and differ only in the kernel that factors a front.
 
-1. Tree fronts to the root.  The panels are merged in rounds of 2 x 2
-   groups of cells, the elimination tree of a multifrontal QR (George &
-   Heath, 1980; Davis, SuiteSparseQR, 2011), until one group holds all
-   that is left.  A column that only the panels of one group touch is
-   private to it.  One ``?geqrt`` factors the group's stacked rows (its
-   front, private columns first) in place, in compact-WY form (Schreiber &
-   Van Loan, 1989) with recursive level-3 panels (Elmroth & Gustavson,
-   2000).  Copies of its private rows [R11 | R12] are final (the round-1
-   front is also each element's own QR); a copy of the triangle over the
-   other columns goes on, as one panel of the next round; at the root
-   every column left is private.  Groups whose panels are the same arrays
-   (never those of a per-element stack) at the same relative column
-   layout share a front, factored once per signature (once per element
-   class in round 1); their loads are projected in one ``?gemqrt`` call.
+1. Tree fronts to the root.  The panels (blocks) are merged in rounds of
+   2 x 2 groups of cells, the elimination tree of a multifrontal
+   factorization (George, 1973; George & Heath, 1980; Liu, 1992; Davis,
+   SuiteSparseQR, 2011), until one group holds all that is left.  A
+   column that only the panels of one group touch is private to it.  The
+   group's front holds its panels over its columns, private ones first,
+   and one kernel finishes the private columns:
+
+   * a row front stacks the panels' rows; one ``?geqrt`` factors it in
+     place, in compact-WY form (Schreiber & Van Loan, 1989) with recursive
+     level-3 panels (Elmroth & Gustavson, 2000), and ``?gemqrt`` projects
+     its loads.  The triangle over the other columns goes on.  Since
+     B D = Q (R D), the rows [R11 | R12] solve for z = D u.
+   * a Hermitian front sums the blocks over their columns (the summed
+     element contributions of a multifrontal Cholesky).  ``?potrf``
+     factors A11 = R11* R11, one ``?trtrs`` gives R12 = R11^-* A12 and the
+     projected loads R11^-* f1, and the Schur complement A22 - R12* R12
+     (``?syrk``/``?herk``) goes on with the loads f2 - R12* R11^-* f1
+     (``?gemm``).  Since D A D u = f is A z = f / D, the rows
+     [R11 | R12] solve for z = D u here too.
+
+   At the root every column left is private.  Groups whose panels are the
+   same arrays (never those of a per-element stack) at the same relative
+   column layout share a front, factored once per signature (once per
+   element class in round 1); their loads are projected in the same calls.
    Signatures come from the data (panel identities, column incidence),
    never from the cells: a poor grouping costs speed, not accuracy.
 2. Back-substitution.  One triangular solve per front, last front first,
    for all its groups, in z = D u; then u = z / D.
 
-The work stays proportional to rows x (front width)^2 instead of
-rows x columns^2.  Every LAPACK call runs in the dtype of the panels
-(single/double, real or complex), so single-precision systems are factored
-in single precision; no normal equations are formed anywhere.
+The work stays proportional to (front rows) x (front width)^2 summed over
+the fronts instead of rows x columns^2, and no global matrix or band is
+formed.  Every LAPACK/BLAS call of a front goes through scipy's wrappers
+in the dtype of the panels (single/double, real or complex), so
+single-precision systems are factored in single precision.  None goes
+through numpy's ``@``: numpy and scipy bundle separate OpenBLAS libraries
+with separate thread pools, and alternating between them in the front loop
+made the NE tree at ne-p1 n = 96 about twice as slow at 2 threads.
 """
 
 from __future__ import annotations
@@ -39,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import RankDeficient, eps
+from .linalg import NotPositiveDefinite, RankDeficient, eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,9 +77,21 @@ class RowStack:
 
 
 @dataclass(frozen=True, eq=False)
+class BlockStack:
+    """E Hermitian blocks: block i is ``block`` (k, k) (shared) or
+    ``block[i]`` of an (E, k, k) stack, over the columns cols[i]; cells[i]
+    is its mesh cell, which places it in the tree."""
+
+    block: np.ndarray
+    cols: np.ndarray           # (E, k)
+    cells: np.ndarray          # (E, 2) integer
+
+
+@dataclass(frozen=True, eq=False)
 class _Part:
     """E unscaled panels with their loads: ``panel`` is (m, k) (shared) or
-    (E, m, k)."""
+    (E, m, k), rows with loads (E, m) per row, or a Hermitian block
+    (m = k) with loads (E, k) per column."""
 
     panel: np.ndarray
     cols: np.ndarray           # (E, k)
@@ -93,8 +122,43 @@ def _qr(a, loads, dtype):
     return a[:r], gemqrt(a[:, :r], t, loads, "L", trans, overwrite_c=1)[0][:r]
 
 
-def _group_round(parts, n_cols, dtype):
-    """One round of the tree: the parts' panels in 2 x 2 groups of cells.
+def _qr_front(a, loads, p, dtype):
+    """Row front a (m, u), first p columns private: (R11, R12, rhs (G, p),
+    the triangle over the other columns and its loads (G, .), passed up)."""
+    r, proj = _qr(a, loads, dtype)
+    # copies: no view keeps a factored front alive
+    return np.triu(r[:p, :p]), r[:p, p:].copy(), proj[:p].T.copy(), np.triu(r[p:, p:]), proj[p:].T
+
+
+def _cholesky_front(a, loads, p, dtype):
+    """Hermitian front a (u, u), first p columns private: (R11, R12, rhs
+    (G, p), the Schur complement A22 - R12* R12 and its loads (G, .),
+    passed up).  Raises NotPositiveDefinite at a nonpositive pivot."""
+    if not p:
+        return a[:0, :0], a[:0], loads[:0].T, a.copy(), loads.T.copy()
+    b = a.shape[0] - p
+    potrf, trtrs = scipy.linalg.get_lapack_funcs(("potrf", "trtrs"), dtype=dtype)
+    r11, info = potrf(a[:p, :p], clean=1)
+    if info:
+        raise NotPositiveDefinite(f"pivot {info} of a front with {p} private columns is not positive")
+    # one solve R11* [R12 | rhs] = [A12 | f1]
+    x = trtrs(r11, np.concatenate([a[:p, p:], loads[:p]], axis=1), trans=2)[0]
+    r12, schur, proj = x[:, :b], a[p:, p:], loads[p:]
+    if b:
+        rk = "herk" if np.issubdtype(dtype, np.complexfloating) else "syrk"
+        syrk, gemm = scipy.linalg.get_blas_funcs((rk, "gemm"), dtype=dtype)
+        # ?syrk/?herk updates the upper triangle only; the next round places
+        # the block in another column order, so it goes on whole
+        schur = np.triu(syrk(-1.0, r12, beta=1.0, c=schur, trans=2))
+        schur += np.triu(schur, 1).conj().T
+        proj = gemm(-1.0, r12, x[:, b:], beta=1.0, c=proj, trans_a=2)
+    # copies: no view keeps a front alive
+    return r11, r12.copy(), x[:, b:].T.copy(), schur, proj.T
+
+
+def _group_round(parts, n_cols, dtype, hermitian=False):
+    """One round of the tree: the parts' panels in 2 x 2 groups of cells,
+    row fronts (``_qr_front``), or Hermitian ones (``_cholesky_front``).
     Returns (parts that go on, fronts)."""
     sizes = [len(pt.cols) for pt in parts]
     src = np.repeat(np.arange(len(parts)), sizes)
@@ -136,6 +200,7 @@ def _group_round(parts, n_cols, dtype):
     sig = np.ascontiguousarray(np.column_stack([n_private, who, layout]))
     sig_id = np.unique(sig.view(f"V{sig.shape[1] * sig.itemsize}").ravel(), return_inverse=True)[1].ravel()
 
+    factor = _cholesky_front if hermitian else _qr_front
     out, fronts = [], []
     for groups in np.split(np.argsort(sig_id, kind="stable"), np.cumsum(np.bincount(sig_id))[:-1]):
         g, p = groups[0], int(n_private[groups[0]])
@@ -143,7 +208,8 @@ def _group_round(parts, n_cols, dtype):
         at = layout[g][layout[g] >= 0]
         u = int(at.max()) + 1
         panels = [parts[s] for s in src[members[0]]]
-        n_rows = max(sum(pt.panel.shape[-2] for pt in panels), p)
+        # a row front stacks its panels' rows, a Hermitian one sums its blocks
+        n_rows = u if hermitian else max(sum(pt.panel.shape[-2] for pt in panels), p)
         own = any(pt.panel.ndim == 3 for pt in panels)
         front = np.zeros((groups.size if own else 1, u, n_rows), dtype=dtype).transpose(0, 2, 1)  # F-ordered
         loads = np.zeros((n_rows, groups.size), dtype=dtype, order="F")
@@ -151,19 +217,45 @@ def _group_round(parts, n_cols, dtype):
         row = col = 0
         for pt, inst in zip(panels, idx[members].T):
             m, k = pt.panel.shape[-2:]
-            front[:, row : row + m, at[col : col + k]] = pt.panel if pt.panel.ndim == 2 else pt.panel[inst]
-            loads[row : row + m] = pt.loads[inst].T
-            ucols[:, at[col : col + k]] = pt.cols[inst]
+            c = at[col : col + k]
+            panel = pt.panel if pt.panel.ndim == 2 else pt.panel[inst]
+            if hermitian:
+                front[:, c[:, None], c] += panel
+                loads[c] += pt.loads[inst].T
+            else:
+                front[:, row : row + m, c] = panel
+                loads[row : row + m] = pt.loads[inst].T
+            ucols[:, c] = pt.cols[inst]
             row, col = row + m, col + k
         for i, a in enumerate(front):
             of = slice(i, i + 1) if own else slice(None)     # the groups of this front
-            r, proj = _qr(a, loads[:, of], dtype)  # copies below: no view keeps a front alive
+            r11, r12, rhs, up, up_loads = factor(a, loads[:, of], p, dtype)
             if p:
-                r11, r12, rhs = np.triu(r[:p, :p]), r[:p, p:].copy(), proj[:p].T.copy()
                 fronts.append(_Front(r11, r12, ucols[of, :p], ucols[of, p:], rhs))
-            if r.shape[0] > p:
-                out.append(_Part(np.triu(r[p:, p:]), ucols[of, p:], proj[p:].T, cells[members[of, 0]] // 2))
+            if up.shape[0]:
+                out.append(_Part(up, ucols[of, p:], up_loads, cells[members[of, 0]] // 2))
     return out, fronts
+
+
+def _tree(parts, n_cols, dtype, hermitian):
+    """The fronts of every round to the root, and the magnitudes of their
+    R diagonal on the n_cols columns (0 where no front finishes one)."""
+    fronts = []
+    while parts:
+        parts, done = _group_round(parts, n_cols, dtype, hermitian)
+        fronts += done
+    r_diag = np.zeros(n_cols)
+    for f in fronts:
+        r_diag[f.cols] = np.abs(np.diagonal(f.r11))
+    return fronts, r_diag
+
+
+def _back_substitute(fronts, scale):
+    """u = z / D from R z = rhs, one triangular solve per front, last first."""
+    z = np.zeros(scale.size, dtype=scale.dtype)
+    for f in reversed(fronts):
+        z[f.cols] = scipy.linalg.solve_triangular(f.r11, (f.rhs - z[f.rest] @ f.r12.T).T, check_finite=False).T
+    return z / scale
 
 
 def solve_blocked_ls(stacks, rhs, n_cols, scale=None):
@@ -179,22 +271,45 @@ def solve_blocked_ls(stacks, rhs, n_cols, scale=None):
     dtype = stacks[0].panel.dtype if stacks else np.float64
     scale = np.ones(n_cols, dtype=dtype) if scale is None else np.asarray(scale, dtype=dtype)
     parts = [_Part(st.panel, st.cols, rhs[st.rows], st.cells) for st in stacks if st.panel.size]
-    fronts = []
-    while parts:
-        parts, done = _group_round(parts, n_cols, dtype)
-        fronts += done
-
-    r_diag = np.zeros(n_cols)
-    for f in fronts:
-        r_diag[f.cols] = np.abs(np.diagonal(f.r11)) * np.abs(scale[f.cols])
+    fronts, r_diag = _tree(parts, n_cols, dtype, hermitian=False)
+    r_diag *= np.abs(scale)
     # structural rank guard: legitimate ill-conditioning may push diagonal
     # entries to eps-level of the scale, but a lost column falls far below
     floor = 100.0 * eps(dtype) * r_diag.max()
     low = np.flatnonzero((r_diag < floor) | (r_diag == 0.0))
     if low.size:
         raise RankDeficient(f"{low.size} R diagonal entries below {floor:g} (first: column {low[0]})")
+    return _back_substitute(fronts, scale), r_diag
 
-    z = np.zeros(n_cols, dtype=dtype)
-    for f in reversed(fronts):
-        z[f.cols] = scipy.linalg.solve_triangular(f.r11, (f.rhs - z[f.rest] @ f.r12.T).T, check_finite=False).T
-    return z / scale, r_diag
+
+def solve_blocked_ne(stacks, rhs, n_cols, scale=None):
+    """Solve D A D u = f for A the sum of the Hermitian blocks of a list of
+    :class:`BlockStack`, by Cholesky on the elimination tree.
+
+    ``rhs`` is the load f and ``scale`` the positive column scale D (the
+    identity when omitted).  Returns (x, r_diag): the solution and the
+    magnitudes of the diagonal of the Cholesky factor R of D A D, both of
+    length n_cols.  Raises NotPositiveDefinite at a nonpositive pivot, or
+    when no block holds a column.
+    """
+    if n_cols == 0:
+        return np.zeros(0), np.zeros(0)
+    dtype = stacks[0].block.dtype if stacks else np.float64
+    scale = np.ones(n_cols, dtype=dtype) if scale is None else np.asarray(scale, dtype=dtype)
+    stacks = [st for st in stacks if st.block.size]
+    # A z = f / D with z = D u; each column's load enters with the first block that holds it
+    f = np.asarray(rhs, dtype=dtype) / scale
+    flat = np.concatenate([st.cols.ravel() for st in stacks]) if stacks else np.zeros(0, dtype=np.int64)
+    first = np.unique(flat, return_index=True)[1]
+    loads = np.zeros(flat.size, dtype=dtype)
+    loads[first] = f[flat[first]]
+    ends = np.cumsum([st.cols.size for st in stacks])
+    parts = [
+        _Part(st.block, st.cols, part.reshape(st.cols.shape), st.cells)
+        for st, part in zip(stacks, np.split(loads, ends[:-1]))
+    ]
+    fronts, r_diag = _tree(parts, n_cols, dtype, hermitian=True)
+    missing = np.flatnonzero(r_diag == 0.0)
+    if missing.size:
+        raise NotPositiveDefinite(f"{missing.size} columns in no block (first: column {missing[0]})")
+    return _back_substitute(fronts, scale), r_diag * np.abs(scale)

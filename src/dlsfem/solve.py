@@ -1,12 +1,15 @@
 """Global solution paths and post-processing.
 
-``solve_ne`` factors the assembled Hermitian normal equation by banded
-Cholesky after a geometric bandwidth-reducing reordering; ``solve_ls``
-solves the row-blocked rectangular system by the multifrontal Householder
-QR of :mod:`dlsfem.blockqr`, whose elimination tree follows the mesh cells
-that the assembled panels carry.  Both return a :class:`Solution` with the
-full coefficient vector (lift re-inserted, bubbles recovered) and the
-per-element residual indicators eta_K.
+Both solution paths run on the one elimination tree of
+:mod:`dlsfem.blockqr`, which follows the mesh cells that the assembled
+panels and blocks carry, with two front kernels: ``solve_ls`` solves the
+row-blocked rectangular system by multifrontal Householder QR, and
+``solve_ne`` the Hermitian normal equation by multifrontal Cholesky on the
+element blocks it was given.  Only the square product S* S of a
+conforming test space, which carries no blocks, is factored by banded
+Cholesky after a geometric bandwidth-reducing reordering.  Both return a
+:class:`Solution` with the full coefficient vector (lift re-inserted,
+bubbles recovered) and the per-element residual indicators eta_K.
 Bubble recovery and the indicators run once per element class of the
 context: a class's bubble factor solves for all its elements in one
 triangular solve, and its residuals come from one stacked product.
@@ -33,7 +36,7 @@ from .assembly import (
     precondition_global,
     precondition_global_rect,
 )
-from .blockqr import solve_blocked_ls
+from .blockqr import solve_blocked_ls, solve_blocked_ne
 from .linalg import NotPositiveDefinite, RankDeficient
 
 
@@ -169,11 +172,17 @@ def _banded_cholesky_solve(a: SparseSymmetric, f: np.ndarray, keys: np.ndarray):
 
 
 def solve_ne(a: SparseSymmetric, f: np.ndarray, ctx: AssemblyContext, precondition: bool = True) -> Solution:
-    """Normal-equation path: A u = f by Cholesky."""
+    """Normal-equation path: A u = f by Cholesky, on the elimination tree
+    over the blocks of ``a``, or banded for a system without blocks (S* S)."""
     scale = None
     if precondition and a.n:
         a, f, scale = precondition_global(a, f)
-    u = _banded_cholesky_solve(a, f, ctx.sort_keys()) if a.n else np.zeros(0, dtype=f.dtype)
+    if not a.n:
+        u = np.zeros(0, dtype=f.dtype)
+    elif a.blocks is None:
+        u = _banded_cholesky_solve(a, f, ctx.sort_keys())
+    else:
+        u = solve_blocked_ne(a.blocks, f, a.n, a.scale)[0]
     if scale is not None:
         u = u * scale.astype(u.dtype)
     full = _recover(ctx, u, "NE")

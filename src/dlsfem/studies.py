@@ -10,10 +10,10 @@ built around:
     acoustics      near-resonance complex ultraweak study
     compare-fosls  distance between the classical least-squares system
                    and the discretized-Riesz-map system as the test space
-                   is enriched; the classical system is assembled sparse
-                   over the free columns of the Riesz-map context and
-                   solved by the same banded Cholesky (at p = 2 it
-                   reaches n = 64)
+                   is enriched; the classical system is assembled as
+                   element blocks over the free columns of the Riesz-map
+                   context and solved by the same tree Cholesky (at p = 2
+                   it reaches n = 64)
 
 Reported error columns are combined relative L2 errors over the field
 components ((u, sigma) for Poisson formulations, (p, u) for acoustics).
@@ -41,15 +41,16 @@ from .assembly import (
     AssemblyError,
     Options,
     SparseSymmetric,
-    _sum_blocks,
     assemble_ne,
     assemble_overdetermined,
     build_context,
     build_square_context,
+    element_cells,
     precondition_global,
     precondition_global_rect,
     write_matrix_market,
 )
+from .blockqr import BlockStack
 from .element import NonpositiveDiagonal
 from .formulation import (
     FORMULATION_NAMES,
@@ -352,7 +353,9 @@ def assemble_fosls_monolithic(ctx, case):
     boundary data, so no lift enters the load.  The quadrature rule is
     that of dp = 1 (order p + 3) for every dp.  The element matrices h^2 C* W C,
     C = L(u, sigma) at the quadrature points, are formed in one batch (one
-    per element only where alpha varies).  Returns (SparseSymmetric, f).
+    per element only where alpha varies), and kept as one block stack per
+    element class with the elements' mesh cells.  Returns
+    (SparseSymmetric, f).
     """
     p, h = ctx.formulation.p, ctx.mesh.h
     rule = basis.gauss_rule(p + 3)
@@ -377,13 +380,15 @@ def assemble_fosls_monolithic(ctx, case):
     # move by 1e-6 relative under a one-ulp change of these entries
     a_k = sum(np.einsum("...ip,p,...jp->...ij", c[..., k, :], w, c[..., k, :]) for k in range(3))
     f_k = np.einsum("...ip,...p->...i", c[..., 0, :], w * case.f(px, py))
-    parts, f = [], np.zeros(ctx.n_solve)
+    cells = element_cells(ctx.mesh)
+    blocks, f = [], np.zeros(ctx.n_solve)
     for cl in ctx.classes:
         fl = cl.free_local
         cols = ctx.solve_index[cl.free_ids]
-        parts.append((cols, (a_k if a_k.ndim == 2 else a_k[cl.elements])[..., fl[:, None], fl]))
+        block = (a_k if a_k.ndim == 2 else a_k[cl.elements])[..., fl[:, None], fl]
+        blocks.append(BlockStack(block=block, cols=cols, cells=cells[cl.elements]))
         np.add.at(f, cols, f_k[cl.elements][:, fl])
-    return SparseSymmetric(n=ctx.n_solve, matrix=_sum_blocks(ctx.n_solve, parts)), f
+    return SparseSymmetric(ctx.n_solve, blocks=blocks, scale=np.ones(ctx.n_solve)), f
 
 
 def compare_fosls(p: int, dp_list, refinements: int, alpha="sine", out_dir="."):
@@ -393,9 +398,9 @@ def compare_fosls(p: int, dp_list, refinements: int, alpha="sine", out_dir="."):
     convergence study); alpha = 0 checks the exact-containment identity.
     The classical system is assembled once per level over the free
     columns of the uncondensed fosls-strong context, and both systems are
-    solved by the same banded Cholesky.  Returns (rows, csv_path); rows
-    carry n, h, dp, the relative Frobenius matrix distance, and the
-    U-norm solution distance.
+    solved by the same Cholesky on the elimination tree of their element
+    blocks.  Returns (rows, csv_path); rows carry n, h, dp, the relative
+    Frobenius matrix distance, and the U-norm solution distance.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

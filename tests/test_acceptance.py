@@ -11,13 +11,16 @@ stall: an NE error ratio > 0.9 at a transition while the QR error keeps
 decreasing.  For p = 2 and p = 3 the stall lies under the cap and is
 asserted.  For p = 1 it does not: the loop stops at n = 128
 (N_free = 98,305), where the NE round-off, ||u_NE - u_QR|| / ||u_QR|| =
-2.2e-3, is still about seven times smaller than the discretization error
+1.8e-3, is still about nine times smaller than the discretization error
 (err_qr = 1.6e-2).  One level further, at n = 256 (N_free = 393,217,
-measured outside the suite: 100 s of QR solve, 1.9 GB peak), err_ne =
-1.13e-2 against err_qr = 8.19e-3; the NE convergence ratio is 0.69 against
-QR's 0.50 and the NE round-off grows 5.6x in that one level.  The stall
-therefore falls at the n = 256 -> 512 step (N_free ~ 1.57M), which needs
-about 4.8 GB of float32 band for the Cholesky factor alone.
+measured outside the suite on 2 cores: 1.1 s of QR solve and 0.96 s of NE
+solve, the NE lifting the process peak from 170 to 193 MB), err_ne =
+1.01e-2 against err_qr = 8.19e-3; the NE convergence ratio is 0.62 against
+QR's 0.50 and the NE round-off grows 5.2x in that one level.  The stall
+would fall at the n = 256 -> 512 step (N_free ~ 1.57M), which single
+precision does not reach: at n = 512 the float32 Cholesky of the element
+Gram matrix (``element.whiten``) breaks down while the context is built,
+before any global system exists.
 
 So at every level with N_free >= dof_target the p = 1 leg asserts what
 the squared condition number predicts well before the stall, measuring
@@ -33,8 +36,8 @@ mesh:
 
 An NE Cholesky that breaks down (``NotPositiveDefinite``) counts as "NE
 lost all digits".  A stall seen by the scan would settle p = 1 as well.
-Measured: d_NE / d_QR = 55 at n = 64 and 42 at n = 128, with d_NE going
-from 7.9e-4 to 2.2e-3.
+Measured: d_NE / d_QR = 85 at n = 64 and 165 at n = 128, with d_NE going
+from 4.4e-4 to 1.8e-3.
 """
 
 import math

@@ -24,9 +24,10 @@ the condition number that bounds the forward error of the step:
 The other tests hold the class design to its claims: a solution does not
 depend on which assembler ran first on its context, reassembly is
 bit-identical, threads sharing one context get identical systems, the
-number of triangular solves does not grow with the number of elements, and
-that of ``?geqrt`` calls grows with the depth of the block QR's tree only,
-and the block QR requests no LAPACK kernel but ``?geqrt``/``?gemqrt``.
+number of triangular solves outside the tree's back-substitution does not
+grow with the number of elements, that of ``?geqrt`` (``?potrf``) calls
+grows with the depth of the block QR's (the NE Cholesky's) tree only, and
+the block QR requests no LAPACK kernel but ``?geqrt``/``?gemqrt``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dlsfem import element, linalg
+from dlsfem import blockqr, element, linalg
 from dlsfem.assembly import (
     Options,
     assemble_ne,
@@ -303,12 +304,15 @@ def test_threads_assembling_one_context_agree(name):
 @pytest.mark.parametrize("name", ["ultraweak-p1-single", "fosls-alpha-condensed"])
 def test_triangular_solves_do_not_grow_with_the_mesh(monkeypatch, name):
     """Build, NE assembly and NE solve make a fixed number of triangular
-    solves, one per element class and step, whatever the element count."""
+    solves, one per element class and step, whatever the element count,
+    besides the back-substitution of the elimination tree, which solves
+    once per front (``test_ne_factorizations_grow_by_one_round_per_doubling``)."""
     original = scipy.linalg.solve_triangular
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        if sys._getframe(1).f_code is not blockqr._back_substitute.__code__:
+            calls.append(1)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "solve_triangular", counting)
@@ -362,6 +366,22 @@ def test_qr_factorizations_grow_by_one_round_per_doubling(monkeypatch):
         ctx = _context("ultraweak-p2-double", n)
         bt, lt, _ = assemble_overdetermined(ctx)
         solve_ls(bt, lt, ctx)
+        counts.append(len(calls))
+    steps = np.diff(counts)
+    assert counts[0] > 0 and steps[0] > 0 and np.all(steps == steps[0])
+
+
+def test_ne_factorizations_grow_by_one_round_per_doubling(monkeypatch):
+    """NE assembly and solve make O(log n) ?potrf calls: the Cholesky on the
+    elimination tree factors each front once per signature, so each
+    doubling of n adds one round of the same few signatures."""
+    calls = _lapack_calls(monkeypatch, "potrf")
+    counts = []
+    for n in (8, 16, 32, 64):
+        calls.clear()
+        ctx = _context("ultraweak-p1-single", n)
+        a, f, _ = assemble_ne(ctx)
+        solve_ne(a, f, ctx)
         counts.append(len(calls))
     steps = np.diff(counts)
     assert counts[0] > 0 and steps[0] > 0 and np.all(steps == steps[0])

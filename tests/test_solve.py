@@ -533,8 +533,9 @@ def test_tree_qr_matches_window_reference(fname, p, n, cname, precision):
     assert np.linalg.norm(_wide(got) - want) <= bound * np.linalg.norm(_wide(want))
 
 
-# the banded Cholesky against the dense one it replaced at small sizes:
-# both are backward stable, so they agree to the forward error 100 u kappa(A)
+# solve_ne (the Cholesky on the elimination tree; the banded one before it)
+# against a dense Cholesky at small sizes: both are backward stable, so
+# they agree to the forward error 100 u kappa(A)
 NE_SYSTEMS = [
     ("ultraweak-dpg", 1, 8, "poisson-sine", "double", np.float64),
     ("ultraweak-dpg", 1, 8, "poisson-sine", "single", np.float32),
