@@ -91,9 +91,7 @@ class SparseSymmetric:
     def matrix(self) -> scipy.sparse.csr_matrix:
         if self._matrix is None:
             a = _sum_blocks(self.n, [(st.cols, st.block) for st in self.blocks])
-            rows = np.repeat(np.arange(self.n), np.diff(a.indptr))
-            a.data = self.scale.conj()[rows] * a.data * self.scale[a.indices]
-            self._matrix = a
+            self._matrix = _scale_columns(a, self.scale)
         return self._matrix
 
     def to_dense(self) -> np.ndarray:
@@ -102,10 +100,7 @@ class SparseSymmetric:
     def diagonal(self) -> np.ndarray:
         if self.blocks is None:
             return self.matrix.diagonal()
-        d = np.zeros(self.n)
-        for st in self.blocks:
-            diag = np.broadcast_to(np.real(np.diagonal(st.block, axis1=-2, axis2=-1)), st.cols.shape)
-            d += np.bincount(st.cols.ravel(), weights=diag.ravel(), minlength=self.n)
+        d = _sum_columns(self.n, [(st.cols, np.real(np.diagonal(st.block, axis1=-2, axis2=-1))) for st in self.blocks])
         return d * np.abs(self.scale) ** 2
 
     def hermitian_defect(self) -> float:
@@ -169,20 +164,13 @@ class RectangularRowBlocked:
     def normal_matrix(self) -> SparseSymmetric:
         """Sparse (B D)* (B D) = D* (B* B) D, in double (diagnostics, rho)."""
         g = self.panel_gram()
-        s = self.scale.astype(g.dtype)
-        rows = np.repeat(np.arange(self.n_cols), np.diff(g.indptr))
-        data = s.conj()[rows] * g.data * s[g.indices]
-        return SparseSymmetric(
-            n=self.n_cols,
-            matrix=scipy.sparse.csr_matrix((data, g.indices, g.indptr), shape=g.shape),
-        )
+        return SparseSymmetric(n=self.n_cols, matrix=_scale_columns(g, self.scale.astype(g.dtype)))
 
     def col_norms_sq(self) -> np.ndarray:
-        d = np.zeros(self.n_cols)
-        for st in self.stacks:
-            sq = np.sum(np.abs(st.panel) ** 2, axis=-2) * np.abs(self.scale[st.cols]) ** 2
-            d += np.bincount(st.cols.ravel(), weights=sq.ravel(), minlength=self.n_cols)
-        return d
+        return _sum_columns(
+            self.n_cols,
+            [(st.cols, np.sum(np.abs(st.panel) ** 2, axis=-2) * np.abs(self.scale[st.cols]) ** 2) for st in self.stacks],
+        )
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """B D x, one batched product per stack (each row lies in one stack)."""
@@ -657,6 +645,22 @@ def _sum_blocks(n, parts):
     return csr
 
 
+def _scale_columns(csr, scale):
+    """D* csr D for the diagonal D = ``scale``, a new CSR on the same pattern."""
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    data = scale.conj()[rows] * csr.data * scale[csr.indices]
+    return scipy.sparse.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
+
+
+def _sum_columns(n, parts):
+    """(n,) sum of per-column values: ``parts`` holds (cols (E, k), values
+    (k,) or (E, k))."""
+    d = np.zeros(n)
+    for cols, vals in parts:
+        d += np.bincount(cols.ravel(), weights=np.broadcast_to(vals, cols.shape).ravel(), minlength=n)
+    return d
+
+
 # ---------------------------------------------------------------------------
 # Global diagonal preconditioning
 # ---------------------------------------------------------------------------
@@ -671,8 +675,7 @@ def precondition_global(a: SparseSymmetric, f: np.ndarray):
         raise NonpositiveDiagonal("zero or negative diagonal entry (disconnected DOF?)")
     s = (1.0 / np.sqrt(d)).astype(np.result_type(a.dtype, np.float64))
     if a.blocks is None:
-        sd = scipy.sparse.diags(s.astype(a.dtype))
-        scaled = SparseSymmetric(n=a.n, matrix=(sd @ a.matrix @ sd).tocsr())
+        scaled = SparseSymmetric(n=a.n, matrix=_scale_columns(a.matrix, s.astype(a.dtype)))
     else:
         scaled = SparseSymmetric(a.n, blocks=a.blocks, scale=a.scale * s.astype(a.dtype))
     return scaled, f * s.astype(f.dtype), s

@@ -24,10 +24,11 @@ the condition number that bounds the forward error of the step:
 The other tests hold the class design to its claims: a solution does not
 depend on which assembler ran first on its context, reassembly is
 bit-identical, threads sharing one context get identical systems, the
-number of triangular solves outside the tree's back-substitution does not
-grow with the number of elements, that of ``?geqrt`` (``?potrf``) calls
-grows with the depth of the block QR's (the NE Cholesky's) tree only, and
-the block QR requests no LAPACK kernel but ``?geqrt``/``?gemqrt``.
+element steps make the same number of triangular solves at any element
+count and the tree's back-substitution one per front, ``?geqrt`` calls
+(and ``?potrf`` calls on shared element blocks) grow with the depth of the
+tree only, ``?potrf`` calls on per-element blocks grow with the element
+count, and the block QR requests no LAPACK kernel but ``?geqrt``/``?gemqrt``.
 """
 
 from __future__ import annotations
@@ -305,25 +306,43 @@ def test_threads_assembling_one_context_agree(name):
 def test_triangular_solves_do_not_grow_with_the_mesh(monkeypatch, name):
     """Build, NE assembly and NE solve make a fixed number of triangular
     solves, one per element class and step, whatever the element count,
-    besides the back-substitution of the elimination tree, which solves
-    once per front (``test_ne_factorizations_grow_by_one_round_per_doubling``)."""
+    and the back-substitution of the elimination tree one solve per front
+    it is given: exactly as many as the tree made ?potrf calls.  Every
+    triangular solve is counted; how the fronts grow with the mesh is held
+    by ``test_ne_factorizations_grow_by_one_round_per_doubling`` (shared
+    blocks) and ``test_per_element_ne_fronts_grow_with_the_elements``."""
     original = scipy.linalg.solve_triangular
-    calls = []
+    back_substitute = blockqr._back_substitute
+    calls = {"element steps": 0, "back-substitution": 0}
+    fronts, inside = [], [False]
 
     def counting(*args, **kwargs):
-        if sys._getframe(1).f_code is not blockqr._back_substitute.__code__:
-            calls.append(1)
+        calls["back-substitution" if inside[0] else "element steps"] += 1
         return original(*args, **kwargs)
 
+    def counting_fronts(tree_fronts, scale):
+        fronts.append(len(tree_fronts))
+        inside[0] = True
+        try:
+            return back_substitute(tree_fronts, scale)
+        finally:
+            inside[0] = False
+
     monkeypatch.setattr(scipy.linalg, "solve_triangular", counting)
-    counts = []
+    monkeypatch.setattr(blockqr, "_back_substitute", counting_fronts)
+    potrf = _lapack_calls(monkeypatch, "potrf")
+    steps = []
     for n in (8, 16):
-        calls.clear()
+        calls.update({key: 0 for key in calls})
+        fronts.clear()
+        potrf.clear()
         ctx = _context(name, n)
         a, f, _ = assemble_ne(ctx)
         solve_ne(a, f, ctx)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        assert fronts == [len(potrf)] and len(potrf) > 0
+        assert calls["back-substitution"] == len(potrf)
+        steps.append(calls["element steps"])
+    assert steps[0] == steps[1] > 0
 
 
 def _lapack_calls(monkeypatch, routine):
@@ -385,6 +404,21 @@ def test_ne_factorizations_grow_by_one_round_per_doubling(monkeypatch):
         counts.append(len(calls))
     steps = np.diff(counts)
     assert counts[0] > 0 and steps[0] > 0 and np.all(steps == steps[0])
+
+
+def test_per_element_ne_fronts_grow_with_the_elements(monkeypatch):
+    """Per-element NE blocks (a variable coefficient) share no front: the
+    tree factors one front per 2 x 2 group of every round, (E - 1) / 3 of
+    them on a 2^L x 2^L mesh of E elements, so ?potrf calls grow with E,
+    not with the depth of the tree."""
+    calls = _lapack_calls(monkeypatch, "potrf")
+    for n in (8, 16, 32):
+        calls.clear()
+        ctx = _context("fosls-alpha-condensed", n)
+        assert ctx.classes[0].bt.ndim == 3
+        a, f, _ = assemble_ne(ctx)
+        solve_ne(a, f, ctx)
+        assert len(calls) == (ctx.mesh.n_elements - 1) // 3
 
 
 @pytest.mark.parametrize("name", ["ultraweak-p2-double", "acoustics-complex128", "bubnov"])
