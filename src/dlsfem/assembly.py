@@ -103,6 +103,18 @@ class SparseSymmetric:
         d = _sum_columns(self.n, [(st.cols, np.real(np.diagonal(st.block, axis1=-2, axis2=-1))) for st in self.blocks])
         return d * np.abs(self.scale) ** 2
 
+    def quadratic_form(self, x: np.ndarray) -> float:
+        """Re x* (D A D) x, block by block: no CSR sum of the blocks is made."""
+        if self.blocks is None:
+            return float(np.real(np.vdot(x, self.matrix @ x)))
+        y = self.scale * x
+        total = 0.0
+        for st in self.blocks:
+            v = y[st.cols]
+            av = v @ st.block.T if st.block.ndim == 2 else linalg.matvec(st.block, v)
+            total += np.real(np.vdot(v, av))
+        return float(total)
+
     def hermitian_defect(self) -> float:
         diff = self.matrix - self.matrix.conj().T
         scale = scipy.sparse.linalg.norm(self.matrix)

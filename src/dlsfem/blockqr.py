@@ -156,6 +156,15 @@ def _cholesky_front(a, loads, p, dtype):
     return r11, r12.copy(), x[:, b:].T.copy(), schur, proj.T
 
 
+def _cell_groups(cells):
+    """The 2 x 2 group of every nonnegative cell (x, y), numbered in
+    lexicographic order of (x // 2, y // 2).  The groups are found by one
+    integer key: np.unique(..., axis=0) compares rows field by field, about
+    20x slower."""
+    gx, gy = (cells // 2).T
+    return np.unique(gx * (gy.max() + 1) + gy, return_inverse=True)[1].ravel()
+
+
 def _group_round(parts, n_cols, dtype, hermitian=False):
     """One round of the tree: the parts' panels in 2 x 2 groups of cells,
     row fronts (``_qr_front``), or Hermitian ones (``_cholesky_front``).
@@ -168,7 +177,7 @@ def _group_round(parts, n_cols, dtype, hermitian=False):
     cols = np.full((src.size, max(pt.cols.shape[1] for pt in parts)), -1)
     for pt, start in zip(parts, np.cumsum(sizes) - sizes):
         cols[start : start + len(pt.cols), : pt.cols.shape[1]] = pt.cols
-    group = np.unique(cells // 2, axis=0, return_inverse=True)[1].ravel()
+    group = _cell_groups(cells)
     # the panels in canonical order: by group, cell within the group, part, index
     order = np.lexsort((idx, src, (cells % 2) @ [1, 2], group))
     src, idx, cells, cols, group = src[order], idx[order], cells[order], cols[order], group[order]

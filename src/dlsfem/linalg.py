@@ -10,12 +10,17 @@ the contracts the rest of the library relies on (Hermitian checks,
 deterministic QR phases, rank diagnostics, typed failures).
 
 Condition numbers are diagnostics, not part of any solve path, and are
-always evaluated in double precision.  ``hpd_condition_number`` takes a
-sparse Hermitian positive-definite matrix and needs only its two extreme
-eigenvalues: lambda_max by ARPACK Lanczos, lambda_min by Lanczos on the
-inverse (shift-invert at sigma = 0, one sparse LU).  The dense
-``singular_values``/``condition_number`` pair computes the whole spectrum
-and serves as its reference.
+always evaluated in double precision.  ``hpd_extreme_eigenpairs`` takes a
+sparse Hermitian positive-definite matrix and computes only its two
+extreme eigenpairs: lambda_max by ARPACK Lanczos, lambda_min by Lanczos on
+the inverse (shift-invert at sigma = 0, one sparse LU).
+``hpd_condition_number`` is their ratio.  The eigenvectors serve a nearby
+Hermitian matrix too: its Rayleigh quotients at them give its extreme
+eigenvalues to second order in the difference (Parlett, The Symmetric
+Eigenvalue Problem, 1998), which is how one spectrum per study level gives
+both cond(Btilde) and cond(A), A = Btilde* Btilde up to round-off.  The
+dense ``singular_values``/``condition_number`` pair computes the whole
+spectrum and serves as their reference.
 """
 
 from __future__ import annotations
@@ -215,18 +220,19 @@ def condition_number(m: np.ndarray) -> float:
     return float(sig[0] / nonzero[-1])
 
 
-def hpd_condition_number(a) -> float:
-    """lambda_max / lambda_min of a Hermitian positive-definite (sparse) ``a``.
+def hpd_extreme_eigenpairs(a):
+    """Smallest and largest eigenpair of a Hermitian positive-definite (sparse) ``a``.
 
-    Evaluated in double precision from the two extreme eigenvalues:
-    lambda_max by ARPACK Lanczos to full precision, lambda_min by Lanczos on
-    A^-1 (shift-invert at sigma = 0) through a sparse LU with diagonal
-    pivots in a symmetric ordering.  The LU pivots are those of LDL*, so an
-    off-diagonal or nonpositive pivot proves the matrix indefinite or
-    singular, and so does lambda_min <= N eps lambda_max; either raises
-    NotPositiveDefinite.  The Lanczos start vector is fixed, so repeated
-    calls are bit-identical.  A matrix too small for ARPACK (N < 3) takes
-    the dense eigvalsh.
+    Returns (lam, v): lam = [lambda_min, lambda_max] and the unit
+    eigenvectors as the columns of v (N, 2), in double precision (complex128
+    for complex ``a``).  lambda_max comes from ARPACK Lanczos to full
+    precision, lambda_min from Lanczos on A^-1 (shift-invert at sigma = 0)
+    through a sparse LU with diagonal pivots in a symmetric ordering.  The
+    LU pivots are those of LDL*, so an off-diagonal or nonpositive pivot
+    proves the matrix indefinite or singular, and so does lambda_min <=
+    N eps lambda_max (:func:`hpd_ratio`); either raises NotPositiveDefinite.
+    The Lanczos start vector is fixed, so repeated calls are bit-identical.
+    A matrix too small for ARPACK (N < 3) takes the dense eigh.
     """
     dtype = np.complex128 if is_complex(a.dtype) else np.float64
     a = scipy.sparse.csc_matrix(a, dtype=dtype)
@@ -234,8 +240,8 @@ def hpd_condition_number(a) -> float:
     if n == 0:
         raise ZeroMatrix("condition number of an empty matrix")
     if n < 3:
-        lam = np.linalg.eigvalsh(a.toarray())
-        lam_min, lam_max = lam[0], lam[-1]
+        lam, v = np.linalg.eigh(a.toarray())
+        lam, v = lam[[0, -1]], v[:, [0, -1]]
     else:
         try:
             lu = scipy.sparse.linalg.splu(
@@ -250,17 +256,34 @@ def hpd_condition_number(a) -> float:
             raise NotPositiveDefinite("nonpositive LDL* pivot: matrix is not HPD")
         v0 = np.random.default_rng(0).standard_normal(n).astype(dtype)
         eigsh = scipy.sparse.linalg.eigsh
-        lam_max = eigsh(a, k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False)[0]
+        lam_max, v_max = eigsh(a, k=1, which="LA", tol=0, v0=v0)
         inverse = scipy.sparse.linalg.LinearOperator(a.shape, matvec=lu.solve, dtype=dtype)
-        lam_min = eigsh(
-            a, k=1, sigma=0.0, which="LM", tol=0, v0=v0, OPinv=inverse,
-            return_eigenvectors=False,
-        )[0]
+        lam_min, v_min = eigsh(a, k=1, sigma=0.0, which="LM", tol=0, v0=v0, OPinv=inverse)
+        lam, v = np.concatenate([lam_min, lam_max]), np.column_stack([v_min, v_max])
+    hpd_ratio(lam[0], lam[1], n)      # raises at the floor
+    return lam, v
+
+
+def hpd_ratio(lam_min: float, lam_max: float, n: int) -> float:
+    """lam_max / lam_min of extreme eigenvalues (or Rayleigh quotients) of
+    an N x N Hermitian positive-definite matrix, evaluated in double.
+
+    lam_min <= N eps lam_max lies within round-off of zero, which proves
+    the matrix singular or indefinite: raises NotPositiveDefinite.
+    """
     if not lam_min > n * eps(np.float64) * abs(lam_max):
         raise NotPositiveDefinite(
             "lambda_min %g <= N eps lambda_max (lambda_max %g)" % (lam_min, lam_max)
         )
     return float(lam_max / lam_min)
+
+
+def hpd_condition_number(a) -> float:
+    """lambda_max / lambda_min of a Hermitian positive-definite (sparse) ``a``,
+    from :func:`hpd_extreme_eigenpairs` (which raises NotPositiveDefinite
+    for a matrix that is not HPD)."""
+    lam, _ = hpd_extreme_eigenpairs(a)
+    return float(lam[1] / lam[0])
 
 
 def saddle_solve(a, c, f, d):

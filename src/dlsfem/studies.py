@@ -18,11 +18,14 @@ built around:
 Reported error columns are combined relative L2 errors over the field
 components ((u, sigma) for Poisson formulations, (p, u) for acoustics).
 Condition numbers are diagnostics computed only up to N <= 5000 columns,
-in double precision regardless of the working precision, from the two
-extreme eigenvalues of the sparse preconditioned A and Btilde* Btilde
-(Lanczos for lambda_max, shift-invert Lanczos for lambda_min).  A
-double-precision study reuses the systems it assembled for its solves;
-a single-precision one assembles them once more in double precision.
+in double precision regardless of the working precision, from one
+spectrum per level: the two extreme eigenpairs of the sparse
+preconditioned Btilde* Btilde (Lanczos for lambda_max, shift-invert
+Lanczos for lambda_min) give cond(Btilde), and the Rayleigh quotients of
+the preconditioned A at those eigenvectors give cond(A).  A level that
+assembled A only uses A's own extreme eigenvalues.  A double-precision
+study reuses the systems it assembled for its solves; a single-precision
+one assembles them once more in double precision.
 """
 
 from __future__ import annotations
@@ -194,9 +197,17 @@ def _cond_diagnostics(mesh, form, case, options, need_a, need_b, assembled=None)
     (A, f) and (Btilde, ltilde) it assembled there, None where an assembly
     failed or did not run.  In double precision these are used as they are
     and a missing system leaves its cell empty; otherwise a double-precision
-    context is built and assembled here.  Both numbers come from the
-    extreme eigenvalues of A_s and Btilde_s* Btilde_s, so a singular or
-    indefinite matrix leaves its cell empty as well.
+    context is built and assembled here.
+
+    One spectrum serves the level, one sparse LU and two Lanczos runs: that
+    of the Gram Btilde_s* Btilde_s when Btilde was assembled, else that of
+    A_s.  cond(Btilde) is the square root of the Gram's eigenvalue ratio.
+    cond(A) is the ratio of A_s's Rayleigh quotients at the Gram's extreme
+    eigenvectors, evaluated on A_s's element blocks (on S* S for a square
+    system).  Since A = Btilde* Btilde up to round-off, these quotients are
+    A_s's extreme eigenvalues to second order in the difference.  A
+    singular or indefinite matrix leaves its cell empty, and a singular or
+    indefinite Gram leaves both cells empty.
     """
     if assembled is not None and not 0 < assembled[0].n_solve <= COND_LIMIT:
         return None, None           # the size does not depend on precision
@@ -208,18 +219,32 @@ def _cond_diagnostics(mesh, form, case, options, need_a, need_b, assembled=None)
             return None, None
         ne = _try_assemble(assemble_ne, ctx) if need_a else None
         ls = _try_assemble(assemble_overdetermined, ctx) if need_b else None
-    cond_a = cond_b = None
+    a_s = gram = None
     if ne is not None:
         try:
             a_s, _, _ = precondition_global(*ne)
-            cond_a = linalg.hpd_condition_number(a_s.matrix)
-        except (NotPositiveDefinite, NonpositiveDiagonal):
+        except NonpositiveDiagonal:
             pass
     if ls is not None:
         try:
-            bt_s, _, _ = precondition_global_rect(*ls)
-            cond_b = math.sqrt(linalg.hpd_condition_number(bt_s.normal_matrix().matrix))
-        except (NotPositiveDefinite, NonpositiveDiagonal):
+            gram = precondition_global_rect(*ls)[0].normal_matrix()
+        except NonpositiveDiagonal:
+            pass
+    spectral = a_s if gram is None else gram
+    if spectral is None:
+        return None, None
+    try:
+        lam, v = linalg.hpd_extreme_eigenpairs(spectral.matrix)
+    except NotPositiveDefinite:
+        return None, None
+    ratio = float(lam[1] / lam[0])
+    cond_a = ratio if a_s is spectral else None
+    cond_b = None if gram is None else math.sqrt(ratio)
+    if a_s is not None and gram is not None:
+        q = [a_s.quadratic_form(x) / np.vdot(x, x).real for x in v.T]
+        try:
+            cond_a = linalg.hpd_ratio(q[0], q[1], a_s.n)
+        except NotPositiveDefinite:
             pass
     return cond_a, cond_b
 

@@ -333,6 +333,24 @@ class TestStackProducts:
         assert g.dtype == want.dtype == np.float64
         assert scipy.sparse.linalg.norm(g - want) <= 1e-14 * scipy.sparse.linalg.norm(want)
 
+    @pytest.mark.parametrize("name", list(STACK_SYSTEMS))
+    def test_ne_quadratic_form_matches_dense(self, name):
+        """x* A_s x from the element blocks (from S* S for the square system)
+        equals the dense product with the CSR sum, and that sum is not built."""
+        fname, p, n, cname = STACK_SYSTEMS[name]
+        case = make_case(cname)
+        form = make_formulation(fname, p=p, dp=1, alpha=case.alpha)
+        a, f, _ = assemble_ne(build_context(uniform_mesh(n), form, case))
+        a_s = precondition_global(a, f)[0]
+        rng = np.random.default_rng(5)
+        xs = [_random_vector(rng, a_s.n, a_s.dtype) for _ in range(3)]
+        got = [a_s.quadratic_form(x) for x in xs]
+        assert (a_s._matrix is None) == (a_s.blocks is not None)
+        dense = a_s.to_dense()
+        for x, q in zip(xs, got):
+            ref = np.vdot(x, dense @ x)
+            assert abs(q - ref.real) <= 64 * np.finfo(np.float64).eps * np.vdot(abs(x), abs(dense) @ abs(x)).real
+
     @pytest.mark.parametrize("dtype", DTYPES)
     @PROPERTY
     @given(data=st.data())

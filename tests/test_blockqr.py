@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from dlsfem.blockqr import RowStack, _group_round, _Part, _qr, solve_blocked_ls
+from dlsfem.blockqr import RowStack, _cell_groups, _group_round, _Part, _qr, solve_blocked_ls
 from dlsfem.linalg import RankDeficient, eps
 
 
@@ -472,3 +472,14 @@ def test_property_fronts_keep_no_factored_front_alive(dtype, data):
         parts, fronts = _group_round(parts, ncols, dtype)
         assert all(f.r11.base is None and f.r12.base is None and f.rhs.base is None for f in fronts)
         assert all(pt.panel.base is None for pt in parts)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cell_groups_match_unique_rows(seed):
+    """The integer key numbers the 2 x 2 groups as np.unique over the rows
+    of cells // 2 does: lexicographic in (x, y), repeats and gaps included."""
+    rng = np.random.default_rng(seed)
+    n, hi = rng.integers(1, 300), rng.integers(1, 70, 2)
+    cells = np.column_stack([rng.integers(0, hi[0], n), rng.integers(0, hi[1], n)])
+    ref = np.unique(cells // 2, axis=0, return_inverse=True)[1].ravel()
+    assert np.array_equal(_cell_groups(cells), ref)

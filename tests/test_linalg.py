@@ -14,6 +14,8 @@ from dlsfem.linalg import (
     eps,
     householder_qr,
     hpd_condition_number,
+    hpd_extreme_eigenpairs,
+    hpd_ratio,
     least_squares_qr,
     saddle_solve,
     solve_spd,
@@ -295,6 +297,42 @@ class TestHpdConditionNumber:
     def test_not_hpd_raises(self, a):
         with pytest.raises(NotPositiveDefinite):
             hpd_condition_number(scipy.sparse.csr_matrix(a))
+
+
+class TestHpdExtremeEigenpairs:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 40])
+    def test_eigenpairs_of_the_extremes(self, dtype, n):
+        """Unit eigenvectors with a residual of round-off size, at the
+        extreme eigenvalues of the dense eigh; their ratio is
+        hpd_condition_number, bit for bit."""
+        a = random_spd(np.random.default_rng(n + 7), n, dtype, shift=1e-2)
+        lam, v = hpd_extreme_eigenpairs(scipy.sparse.csr_matrix(a))
+        ref = np.linalg.eigvalsh(a)
+        assert lam.shape == (2,) and v.shape == (n, 2) and v.dtype == dtype
+        norm = np.linalg.norm(a, 2)
+        np.testing.assert_allclose(lam, ref[[0, -1]], rtol=0, atol=100 * eps(np.float64) * norm)
+        np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0, rtol=1e-13)
+        assert np.linalg.norm(a @ v - v * lam, axis=0).max() <= 100 * eps(np.float64) * norm
+        assert hpd_condition_number(scipy.sparse.csr_matrix(a)) == lam[1] / lam[0]
+
+    def test_rayleigh_quotients_of_a_nearby_matrix(self):
+        """At the eigenvectors of A, the Rayleigh quotients of A + E give the
+        extreme eigenvalues of A + E to second order in ||E||."""
+        rng = np.random.default_rng(4)
+        a = random_spd(rng, 40, np.float64, shift=1e-1)
+        e = random_spd(rng, 40, np.float64) * 1e-7
+        _, v = hpd_extreme_eigenpairs(scipy.sparse.csr_matrix(a))
+        q = np.einsum("ij,ik,kj->j", v, a + e, v)
+        ref = np.linalg.eigvalsh(a + e)[[0, -1]]
+        assert np.abs(q - ref).max() <= 1e-3 * np.linalg.norm(e, 2)
+
+    def test_floor(self):
+        assert hpd_ratio(1.0, 4.0, 3) == 4.0
+        with pytest.raises(NotPositiveDefinite):
+            hpd_ratio(4.0 * 3 * eps(np.float64), 4.0, 3)
+        with pytest.raises(NotPositiveDefinite):
+            hpd_ratio(-1.0, 4.0, 3)
 
 
 class TestSaddleSolve:

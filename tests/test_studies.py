@@ -4,12 +4,14 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from dlsfem import linalg, studies
 from dlsfem.assembly import (
     AssemblyError,
     Options,
     RectangularRowBlocked,
+    SparseSymmetric,
     assemble_ne,
     assemble_overdetermined,
     build_context,
@@ -18,7 +20,7 @@ from dlsfem.assembly import (
     precondition_global_rect,
 )
 from dlsfem.cli import main as cli_main
-from dlsfem.formulation import RESONANCE_OMEGA, make_case, make_formulation
+from dlsfem.formulation import FORMULATION_NAMES, RESONANCE_OMEGA, make_case, make_formulation
 from dlsfem.mesh import uniform_mesh
 from dlsfem.solve import ZeroSolution
 from dlsfem.studies import (
@@ -26,7 +28,9 @@ from dlsfem.studies import (
     ConfigError,
     StudyConfig,
     _cond_diagnostics,
+    _formulation_for,
     assemble_fosls_monolithic,
+    case_for,
     compare_fosls,
     run_study,
 )
@@ -135,6 +139,42 @@ class TestRunStudy:
         assert coo_calls == []
         run_study(StudyConfig(out_dir=str(tmp_path / "b"), dump_matrices=True, **cfg))
         assert len(coo_calls) == 2          # the dumps, one per level
+
+    @pytest.mark.parametrize(
+        "formulation,solvers,quotients",
+        [
+            ("ultraweak-dpg", ("ne", "qr"), 2),
+            ("bubnov-galerkin", ("ne", "qr"), 2),
+            ("ultraweak-dpg", ("qr",), 0),
+            ("ultraweak-dpg", ("ne",), 0),
+        ],
+    )
+    def test_one_spectrum_per_level(self, tmp_path, monkeypatch, formulation, solvers, quotients):
+        """A double-precision level factors one matrix and runs Lanczos twice,
+        whichever systems it assembled; with both, cond_A comes from two
+        Rayleigh quotients on A_s."""
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting("splu", scipy.sparse.linalg.splu))
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting("eigsh", scipy.sparse.linalg.eigsh))
+        monkeypatch.setattr(
+            SparseSymmetric, "quadratic_form", counting("quadratic_form", SparseSymmetric.quadratic_form)
+        )
+        cfg = StudyConfig(
+            study="converge", formulation=formulation, p=1, dp=1, start_n=4,
+            refinements=1, solvers=solvers, out_dir=str(tmp_path),
+        )
+        (row,), _ = run_study(cfg)
+        assert 3 <= row.n_trial <= studies.COND_LIMIT
+        assert (row.cond_a is not None) == ("ne" in solvers)
+        assert (row.cond_btilde is not None) == ("qr" in solvers)
+        assert sorted(calls) == ["eigsh", "eigsh"] + ["quadratic_form"] * quotients + ["splu"]
 
     def test_condition_study_cond_squaring(self, tmp_path):
         cfg = StudyConfig(
@@ -369,6 +409,26 @@ class TestCondDiagnostics:
         )
         assert reused == (cond_a, cond_b)
 
+    @pytest.mark.parametrize("precondition_gram", [True, False])
+    @pytest.mark.parametrize("condense", [True, False])
+    @pytest.mark.parametrize("formulation", FORMULATION_NAMES)
+    def test_ne_matrix_is_the_gram_of_btilde(self, formulation, condense, precondition_gram):
+        """A_s and Btilde_s* Btilde_s, the two matrices whose spectrum one
+        Lanczos pair serves, agree entrywise to round-off, real and complex."""
+        study = "acoustics" if formulation == "acoustics-ultraweak" else "condition"
+        cfg = StudyConfig(
+            study=study, formulation=formulation, p=2, dp=1, condense=condense,
+            precondition_gram=precondition_gram,
+        ).validate()
+        case, _ = case_for(cfg)
+        form = _formulation_for(cfg, case)
+        options = Options(condense=condense, precondition_gram=precondition_gram)
+        ctx = studies._build(uniform_mesh(4), form, case, options)
+        a_s = precondition_global(*assemble_ne(ctx)[:2])[0].to_dense()
+        gram = precondition_global_rect(*assemble_overdetermined(ctx)[:2])[0].normal_matrix().to_dense()
+        assert np.iscomplexobj(a_s) == (formulation == "acoustics-ultraweak")
+        assert np.abs(a_s - gram).max() <= 1e-12 * np.abs(a_s).max()
+
     def test_single_precision_reports_double_precision_cond(self, tmp_path):
         cfg = dict(
             study="converge", formulation="ultraweak-dpg", p=1, dp=1,
@@ -402,7 +462,7 @@ class TestCondDiagnostics:
         def fail(a):
             raise linalg.NotPositiveDefinite("forced")
 
-        monkeypatch.setattr(linalg, "hpd_condition_number", fail)
+        monkeypatch.setattr(linalg, "hpd_extreme_eigenpairs", fail)
         cfg = StudyConfig(
             study="condition", formulation="fosls-strong", p=1, dp=1,
             refinements=2, out_dir=str(tmp_path),
