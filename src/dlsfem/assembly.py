@@ -54,7 +54,6 @@ class Options:
 
     condense: bool = True
     precondition_gram: bool = True
-    eliminate_bc: bool = True
     precision: str = "double"     # "single" | "double"
 
     def real_dtype(self):
@@ -379,7 +378,7 @@ def build_context(
 
     fixed_mask = np.zeros(n_total, dtype=bool)
     lift_full = np.zeros(n_total, dtype=form.dtype)
-    if options.eliminate_bc and form.dirichlet_component is not None:
+    if form.dirichlet_component is not None:
         for comp, lay, off in zip(form.trial, layouts, offsets):
             if comp.name != form.dirichlet_component:
                 continue

@@ -303,7 +303,7 @@ def trace_flux_edge_tables(p: int, t: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Public evaluation and pullback operations
+# Public evaluation
 # ---------------------------------------------------------------------------
 
 def eval_basis(space: str, p: int, points: np.ndarray):
@@ -332,23 +332,3 @@ def eval_basis(space: str, p: int, points: np.ndarray):
         leg, _ = legendre_shifted(p - 1, t)
         return {"values": leg}
     raise ValueError(f"unknown space {space!r}")
-
-
-def pullback(h: float, space: str, tables: dict) -> dict:
-    """Map master tables to an axis-aligned element of side h.
-
-    H1 values are unchanged and gradients scale by 1/h.  H(div) uses the
-    contravariant Piola map: values scale by 1/h and divergences by 1/h^2,
-    which keeps the divergence theorem exact (volume measure h^2, edge
-    measure h).  L2 values are unchanged; the measure enters through the
-    quadrature weights.
-    """
-    out = dict(tables)
-    if space == "W":
-        out["grad"] = tables["grad"] / h
-    elif space == "V":
-        out["values"] = tables["values"] / h
-        out["div"] = tables["div"] / (h * h)
-    elif space != "Y":
-        raise ValueError(f"unknown space {space!r}")
-    return out

@@ -13,8 +13,8 @@ Condition numbers are diagnostics, not part of any solve path, and are
 always evaluated in double precision.  ``hpd_extreme_eigenpairs`` takes a
 sparse Hermitian positive-definite matrix and computes only its two
 extreme eigenpairs: lambda_max by ARPACK Lanczos, lambda_min by Lanczos on
-the inverse (shift-invert at sigma = 0, one sparse LU).
-``hpd_condition_number`` is their ratio.  The eigenvectors serve a nearby
+the inverse (shift-invert at sigma = 0, one sparse LU); cond is their
+ratio (:func:`hpd_ratio`).  The eigenvectors serve a nearby
 Hermitian matrix too: its Rayleigh quotients at them give its extreme
 eigenvalues to second order in the difference (Parlett, The Symmetric
 Eigenvalue Problem, 1998), which is how one spectrum per study level gives
@@ -47,10 +47,6 @@ class RankDeficient(Exception):
 
 class ZeroMatrix(Exception):
     """Condition number of an all-zero matrix was requested."""
-
-
-class SingularSaddle(Exception):
-    """KKT system is singular or violates the well-posedness conditions."""
 
 
 def eps(dtype) -> float:
@@ -163,25 +159,6 @@ def householder_qr(m: np.ndarray) -> QrFactors:
     return QrFactors(q=q, r=r)
 
 
-def least_squares_qr(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimizer of ||M x - b||_2 via Householder QR, M full column rank.
-
-    Rank is diagnosed from the R diagonal: any |R_kk| below
-    rows * eps * |R_11| raises RankDeficient.
-    """
-    m = np.asarray(m)
-    b = np.asarray(b)
-    qr = householder_qr(m)
-    diag = np.abs(np.diag(qr.r))
-    if diag.size:
-        threshold = m.shape[0] * eps(m.dtype) * diag[0]
-        if np.any(diag < threshold):
-            raise RankDeficient(
-                "R diagonal below %g (min %g)" % (threshold, diag.min())
-            )
-    return triangular_solve(qr.r.conj().T, qr.q.conj().T @ b, trans="C")
-
-
 def solve_spd(a: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Solve A u = f for Hermitian positive-definite A by Cholesky."""
     ell = cholesky(a)
@@ -276,42 +253,3 @@ def hpd_ratio(lam_min: float, lam_max: float, n: int) -> float:
             "lambda_min %g <= N eps lambda_max (lambda_max %g)" % (lam_min, lam_max)
         )
     return float(lam_max / lam_min)
-
-
-def hpd_condition_number(a) -> float:
-    """lambda_max / lambda_min of a Hermitian positive-definite (sparse) ``a``,
-    from :func:`hpd_extreme_eigenpairs` (which raises NotPositiveDefinite
-    for a matrix that is not HPD)."""
-    lam, _ = hpd_extreme_eigenpairs(a)
-    return float(lam[1] / lam[0])
-
-
-def saddle_solve(a, c, f, d):
-    """Solve the KKT system [[A, C*], [C, 0]] [u; w] = [f; d].
-
-    A is Hermitian N x N, C is L x N with full row rank and
-    Null(A) and Null(C) intersecting only in zero.  With an empty C this
-    reduces to solve_spd.
-    """
-    a = np.asarray(a)
-    c = np.asarray(c)
-    f = np.asarray(f)
-    n = a.shape[0]
-    ell = c.shape[0] if c.size else 0
-    if ell == 0:
-        return solve_spd(a, f), np.zeros(0, dtype=a.dtype)
-    d = np.asarray(d)
-    dtype = np.result_type(a.dtype, c.dtype, f.dtype, d.dtype)
-    kkt = np.zeros((n + ell, n + ell), dtype=dtype)
-    kkt[:n, :n] = a
-    kkt[:n, n:] = c.conj().T
-    kkt[n:, :n] = c
-    rhs = np.concatenate([f.astype(dtype), d.astype(dtype)])
-    try:
-        sol = scipy.linalg.solve(kkt, rhs, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as err:
-        raise SingularSaddle(str(err)) from err
-    scale = fro(kkt) * max(fro(rhs), 1.0)
-    if fro(kkt @ sol - rhs) > 1000.0 * eps(dtype) * max(scale, 1.0):
-        raise SingularSaddle("block residual exceeds well-posedness tolerance")
-    return sol[:n], sol[n:]

@@ -13,10 +13,6 @@ bubbles recovered) and the per-element residual indicators eta_K.
 Bubble recovery and the indicators run once per element class of the
 context: a class's bubble factor solves for all its elements in one
 triangular solve, and its residuals come from one stacked product.
-
-Constrained variants implement the method of weighting (stacked alpha*C
-rows) and the KKT saddle system; they are intended for desk-scale
-verification runs and work on densified systems.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from .assembly import (
     precondition_global_rect,
 )
 from .blockqr import solve_blocked_ls, solve_blocked_ne
-from .linalg import NotPositiveDefinite, RankDeficient
+from .linalg import NotPositiveDefinite
 
 
 class ZeroSolution(Exception):
@@ -100,20 +96,15 @@ def _recover(ctx: AssemblyContext, u_solve: np.ndarray, solver: str) -> np.ndarr
     return full
 
 
-def _indicators(ctx: AssemblyContext, full: np.ndarray, solver: str, lt_global=None):
+def _indicators(ctx: AssemblyContext, full: np.ndarray, solver: str):
     """Per-element whitened residual norms plus global residual data.
 
     eta_K is always measured on the uncondensed element system with the
     recovered local coefficients; the global residual norm is taken from
     the system that was actually solved (condensed rows when the QR path
     solved a condensed system), so the sum identity is a genuine
-    cross-check.
-
-    For uncondensed systems a caller-supplied global load vector takes
-    precedence over the stored element loads (constraint and consistency
-    experiments feed custom right-hand sides); condensed systems are tied
-    to the loads they were assembled with, since bubble recovery needs the
-    unprojected element load.
+    cross-check.  The residuals are taken against the loads stored in the
+    context, which are the ones the assembled systems carry.
     """
     ne = ctx.mesh.n_elements
     eta = np.zeros(ne)
@@ -121,7 +112,7 @@ def _indicators(ctx: AssemblyContext, full: np.ndarray, solver: str, lt_global=N
     if ctx.square_data is not None:
         # conforming test space: no localizable residual decomposition
         s = ctx.square_data["matrix"]
-        rhs = ctx.square_data["rhs"] if lt_global is None else lt_global
+        rhs = ctx.square_data["rhs"]
         hom = (full - ctx.lift_full)[ctx.solve_ids].astype(s.dtype)
         r = rhs - s @ hom
         return eta, float(np.linalg.norm(r)), float(np.linalg.norm(s.conj().T @ r)), r
@@ -131,10 +122,7 @@ def _indicators(ctx: AssemblyContext, full: np.ndarray, solver: str, lt_global=N
     rvec = np.empty((ne, ctx.formulation.n_test_local), dtype=ctx.options.working_dtype(ctx.formulation))
     for c in ctx.classes:
         u_free = hom_full[c.free_ids].astype(c.bt.dtype)
-        lt = c.lt
-        if lt_global is not None and not condensed_qr:
-            lt = lt_global.reshape(ne, -1)[c.elements]
-        r = lt - linalg.matvec(c.bt, u_free)
+        r = c.lt - linalg.matvec(c.bt, u_free)
         eta[c.elements] = np.linalg.norm(r, axis=-1)
         if condensed_qr:
             mat, ids = c.cond_ls.rows, c.interface_ids
@@ -191,7 +179,11 @@ def solve_ne(a: SparseSymmetric, f: np.ndarray, ctx: AssemblyContext, preconditi
 
 
 def solve_ls(bt: RectangularRowBlocked, ltilde: np.ndarray, ctx: AssemblyContext, precondition: bool = True) -> Solution:
-    """Least-squares path: min ||Btilde u - ltilde|| by Householder QR."""
+    """Least-squares path: min ||Btilde u - ltilde|| by Householder QR.
+
+    ``ltilde`` is the load assembled from ``ctx``: the residual indicators
+    and the bubble recovery use the element loads stored in the context.
+    """
     scale = None
     if precondition and bt.n_cols:
         bt, ltilde, scale = precondition_global_rect(bt, ltilde)
@@ -199,7 +191,7 @@ def solve_ls(bt: RectangularRowBlocked, ltilde: np.ndarray, ctx: AssemblyContext
     if scale is not None:
         u = u * scale.astype(u.dtype)
     full = _recover(ctx, u, "QR")
-    eta, rnorm, gal, rvec = _indicators(ctx, full, "QR", lt_global=ltilde)
+    eta, rnorm, gal, rvec = _indicators(ctx, full, "QR")
     sol = Solution(full, "QR", eta, rnorm, gal, u, ctx, rvec)
     if r_diag.size:
         sol.r_diag_min, sol.r_diag_max = float(r_diag.min()), float(r_diag.max())
@@ -252,77 +244,8 @@ def residual_rho(bt: RectangularRowBlocked, ltilde: np.ndarray, solution: Soluti
 
 
 # ---------------------------------------------------------------------------
-# Equality constraints: method of weighting and the KKT saddle system
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ConstraintSystem:
-    """Equality constraints C u = d with penalty Gram H = alpha^-2 I."""
-
-    c: np.ndarray
-    d: np.ndarray
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        self.c = np.atleast_2d(np.asarray(self.c))
-        self.d = np.atleast_1d(np.asarray(self.d))
-        if self.c.shape[0]:
-            qr = linalg.householder_qr(self.c.conj().T)
-            diag = np.abs(np.diag(qr.r))
-            if diag.size and diag.min() < self.c.shape[1] * linalg.eps(self.c.dtype) * max(diag.max(), 1.0):
-                raise RankDeficient("constraint matrix is not full row rank")
-
-
-def solve_weighted_constraints(
-    bt: RectangularRowBlocked,
-    ltilde: np.ndarray,
-    cons: ConstraintSystem,
-    ctx: AssemblyContext,
-) -> Solution:
-    """Stacked least-squares [alpha C; Btilde] u ~ [alpha d; ltilde]."""
-    dense = bt.to_dense()
-    dtype = np.result_type(dense.dtype, cons.c.dtype)
-    if cons.alpha == 0.0 or cons.c.shape[0] == 0:
-        stack = dense.astype(dtype)
-        rhs = ltilde.astype(dtype)
-    else:
-        stack = np.vstack([(cons.alpha * cons.c).astype(dtype), dense.astype(dtype)])
-        rhs = np.concatenate([(cons.alpha * cons.d).astype(dtype), ltilde.astype(dtype)])
-    u = linalg.least_squares_qr(stack, rhs)
-    full = _recover(ctx, u, "QR")
-    eta, rnorm, gal, rvec = _indicators(ctx, full, "QR", lt_global=ltilde)
-    return Solution(full, "QR", eta, rnorm, gal, u, ctx, rvec)
-
-
-def solve_saddle_constraints(
-    a: SparseSymmetric,
-    f: np.ndarray,
-    cons: ConstraintSystem,
-    ctx: AssemblyContext,
-):
-    """KKT system [[A, C*], [C, 0]]; returns (Solution, multipliers)."""
-    u, w = linalg.saddle_solve(a.to_dense(), cons.c, f, cons.d)
-    full = _recover(ctx, u, "NE")
-    eta, rnorm, gal, rvec = _indicators(ctx, full, "NE")
-    return Solution(full, "NE", eta, rnorm, gal, u, ctx, rvec), w
-
-
-# ---------------------------------------------------------------------------
 # Error norms
 # ---------------------------------------------------------------------------
-
-
-def _field_tables(form, comp, rule):
-    if comp.kind == "l2":
-        return {"values": basis.y_table(comp.p, rule.points)}
-    if comp.kind == "h1":
-        vals, grads = basis.w_table(comp.p, rule.points)
-        return {"values": vals, "grad": grads}
-    if comp.kind == "hdiv":
-        vals, divs = basis.v_table(comp.p, rule.points)
-        return {"values": vals, "div": divs}
-    raise ValueError(comp.kind)
 
 
 def _accumulate_norms(form, mesh_obj, coeffs, ctx_layouts, offsets, rule, exact=None, case=None):
@@ -349,7 +272,7 @@ def _accumulate_norms(form, mesh_obj, coeffs, ctx_layouts, offsets, rule, exact=
     for comp, lay, off in zip(form.trial, ctx_layouts, offsets):
         if comp not in comps:
             continue
-        tabs = _field_tables(form, comp, rule)
+        tabs = basis.eval_basis({"l2": "Y", "h1": "W", "hdiv": "V"}[comp.kind], comp.p, rule.points)
         call = coeffs[off + lay.element_dofs]  # (ne, nloc)
         if comp.kind in ("l2", "h1"):
             integrate(comp.name, [(np.einsum("ei,ip->ep", call, tabs["values"]), field(comp.name))])

@@ -63,6 +63,8 @@ from dlsfem.mesh import uniform_mesh
 from dlsfem.solve import error_norms, solve_ls, solve_ne
 from dlsfem.studies import _cond_diagnostics, compare_fosls
 
+from dense_reference import least_squares_qr
+
 POISSON = ("fosls-strong", "primal-dpg", "ultraweak-dpg")
 
 
@@ -301,7 +303,7 @@ def test_ac8_condensation_equivalence():
         bt, lt = whiten(g, b, ell)
         bub, intf = np.arange(nb), np.arange(nb, nb + ni)
         cond = condense_ls(bt, lt, bub, intf)
-        u_i_ls = linalg.least_squares_qr(cond.rows, cond.rhs)
+        u_i_ls = least_squares_qr(cond.rows, cond.rhs)
         u_b_ls = recover_bubbles(cond, u_i_ls)
         a, f = element_ne(bt, lt)
         schur = condense_ne(a, f, bub, intf)

@@ -6,7 +6,6 @@ from dlsfem.basis import (
     UnsupportedOrder,
     eval_basis,
     gauss_rule,
-    pullback,
     v_dim,
     w_dim,
     y_dim,
@@ -136,23 +135,6 @@ class TestEdgeTraces:
 
 
 class TestPullback:
-    def test_h_equal_one_is_identity(self):
-        r = gauss_rule(3)
-        for space, tabs in (
-            ("W", dict(zip(("values", "grad"), basis.w_table(2, r.points)))),
-            ("V", dict(zip(("values", "div"), basis.v_table(2, r.points)))),
-            ("Y", {"values": basis.y_table(2, r.points)}),
-        ):
-            out = pullback(1.0, space, tabs)
-            for key in tabs:
-                np.testing.assert_array_equal(out[key], tabs[key])
-
-    def test_gradient_chain_rule(self):
-        r = gauss_rule(3)
-        tabs = dict(zip(("values", "grad"), basis.w_table(1, r.points)))
-        out = pullback(0.5, "W", tabs)
-        np.testing.assert_allclose(out["grad"], 2.0 * tabs["grad"])
-
     def test_divergence_theorem_on_element(self):
         # volume integral of div sigma equals the boundary flux for a
         # random V^2 combination on an h=1/3 element

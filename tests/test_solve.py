@@ -21,17 +21,15 @@ from dlsfem.blockqr import solve_blocked_ls
 from dlsfem.interpolate import interpolate_case
 from dlsfem.mesh import uniform_mesh
 from dlsfem.solve import (
-    ConstraintSystem,
     Solution,
     ZeroSolution,
     error_norms,
     residual_rho,
     solve_ls,
     solve_ne,
-    solve_saddle_constraints,
-    solve_weighted_constraints,
 )
 
+from dense_reference import ConstraintSystem, solve_saddle_constraints, solve_weighted_constraints
 from window_reference import solve_window_ls
 
 POISSON_FORMULATIONS = ["fosls-strong", "primal-dpg", "ultraweak-dpg"]
@@ -99,6 +97,9 @@ class TestSolutionInvariants:
         bt, lt, _ = assemble_overdetermined(ctx)
         ui = interpolate_case(ctx, case)
         lt_consistent = bt.matvec(ui[ctx.solve_ids])
+        # the residual is taken against the context's element loads
+        rows = lt_consistent.reshape(mesh.n_elements, -1)
+        ctx.classes = [dataclasses.replace(c, lt=rows[c.elements]) for c in ctx.classes]
         sol = solve_ls(bt, lt_consistent, ctx)
         assert sol.residual_norm <= 1e-12
 
@@ -169,8 +170,9 @@ class TestConstraints:
         form = make_formulation("primal-dpg", p=1, dp=1)
         case = make_case("poisson-sine")
         mesh = uniform_mesh(n)
-        options = Options(condense=False, eliminate_bc=False)
-        ctx = build_context(mesh, form, case, options)
+        # no Dirichlet component: every boundary DOF stays a solve column
+        free = dataclasses.replace(form, dirichlet_component=None)
+        ctx = build_context(mesh, free, case, Options(condense=False))
         bt, lt, _ = assemble_overdetermined(ctx)
         a, f, _ = assemble_ne(ctx)
         return form, case, mesh, ctx, bt, lt, a, f
@@ -268,6 +270,44 @@ class TestConstraints:
         scale = np.linalg.norm(ad) * np.linalg.norm(sol.system_vector)
         assert np.linalg.norm(r1) <= 1e-11 * max(scale, 1.0)
         assert np.linalg.norm(r2) <= 1e-11 * max(np.linalg.norm(cons.d), 1.0)
+
+
+# every formulation with the case a study solves it on
+LOAD_SYSTEMS = [
+    ("fosls-strong", 1, "poisson-sine"),
+    ("primal-dpg", 1, "poisson-sine"),
+    ("ultraweak-dpg", 1, "poisson-sine"),
+    ("acoustics-ultraweak", 1, "acoustics-resonance"),
+    ("bubnov-galerkin", 0, "poisson-sine10"),
+]
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("condense", [True, False])
+@pytest.mark.parametrize("fname,dp,cname", LOAD_SYSTEMS)
+def test_assembled_load_is_the_stored_load(fname, dp, cname, condense, precision):
+    """The load ltilde of the assembled system is, bit for bit, the one the
+    context stores: the element loads (their condensed rows when condensed)
+    or the square system's right-hand side.  So the indicators of solve_ls,
+    which read the stored loads, are those of the load it solved for."""
+    form = make_formulation(fname, p=2, dp=dp)
+    ctx = build_context(uniform_mesh(3), form, make_case(cname), Options(condense=condense, precision=precision))
+    bt, lt, _ = assemble_overdetermined(ctx)
+    ne = ctx.mesh.n_elements
+    eta = np.zeros(ne)
+    sol = solve_ls(bt, lt, ctx)
+    if ctx.square_data is not None:
+        np.testing.assert_array_equal(lt, ctx.square_data["rhs"])
+    else:
+        rows = lt.reshape(ne, -1)
+        hom = sol.coefficients - ctx.lift_full
+        for c in ctx.classes:
+            np.testing.assert_array_equal(rows[c.elements], c.cond_ls.rhs if condense else c.lt)
+            u = hom[c.free_ids].astype(c.bt.dtype)
+            eta[c.elements] = np.linalg.norm(c.lt - linalg.matvec(c.bt, u), axis=-1)
+    tol = 100.0 * np.finfo(lt.dtype).eps * np.linalg.norm(lt)
+    np.testing.assert_allclose(sol.eta, eta, rtol=0, atol=tol)
+    assert abs(sol.residual_norm - np.linalg.norm(lt - bt.matvec(sol.system_vector))) <= tol
 
 
 def power_rho(bt, ltilde, solution):

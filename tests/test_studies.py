@@ -19,7 +19,7 @@ from dlsfem.assembly import (
     precondition_global,
     precondition_global_rect,
 )
-from dlsfem.cli import main as cli_main
+from dlsfem.cli import build_parser, main as cli_main
 from dlsfem.formulation import FORMULATION_NAMES, RESONANCE_OMEGA, make_case, make_formulation
 from dlsfem.mesh import uniform_mesh
 from dlsfem.solve import ZeroSolution
@@ -366,6 +366,18 @@ class TestCli:
             "--out", str(tmp_path),
         ])
         assert rc == 0
+
+
+    def test_every_assembly_option_has_a_flag(self):
+        """Each field of assembly.Options is set by a dls flag (``--name`` or
+        ``--no-name``) through the study configuration: an option that no
+        flag reaches is a knob no study can turn."""
+        flags = set(build_parser()._option_string_actions)
+        config_fields = {f.name for f in dataclasses.fields(StudyConfig)}
+        for field in dataclasses.fields(Options):
+            name = field.name.replace("_", "-")
+            assert {f"--{name}", f"--no-{name}"} & flags, field.name
+            assert field.name in config_fields, field.name
 
 
 def test_acoustics_study_complex_cond_squaring(tmp_path):
