@@ -50,10 +50,15 @@ from .mesh import Mesh, build_layout
 
 @dataclass
 class Options:
-    """Assembly options: toggles mirror the CLI flags."""
+    """Assembly options, each set by a CLI flag.
+
+    The two diagonal scalings are no options: the element Gram matrix is
+    always scaled to unit diagonal before whitening (a row scaling, which
+    leaves the whitened matrix unchanged in exact arithmetic), and the
+    solvers always scale the global columns (:func:`precondition_global`).
+    """
 
     condense: bool = True
-    precondition_gram: bool = True
     precision: str = "double"     # "single" | "double"
 
     def real_dtype(self):
@@ -282,12 +287,6 @@ class AssemblyContext:
     def n_free(self) -> int:
         return self.free_ids.size
 
-    def component_slice(self, name: str) -> slice:
-        for comp, lay, off in zip(self.formulation.trial, self.layouts, self.offsets):
-            if comp.name == name:
-                return slice(off, off + lay.n_total)
-        raise KeyError(name)
-
     def sort_keys(self) -> np.ndarray:
         """(x, y, component) keys of the solve columns, for solver orderings."""
         pos = self.positions[self.solve_ids]
@@ -420,16 +419,8 @@ def build_context(
 
     # --- master element data, whitened loads of every element -------------
     wdtype = options.working_dtype(form)
-    g_master = kern["G"]
-    b_master = kern["B"]
-    if options.precondition_gram:
-        g_scaled, b_scaled, _, dvec = element.precondition_gram(
-            g_master, b_master, np.zeros(form.n_test_local)
-        )
-        row_scale = 1.0 / np.sqrt(dvec)
-    else:
-        g_scaled, b_scaled = g_master, b_master
-        row_scale = np.ones(form.n_test_local)
+    g_scaled, b_scaled, _, dvec = element.precondition_gram(kern["G"], kern["B"], np.zeros(form.n_test_local))
+    row_scale = 1.0 / np.sqrt(dvec)
 
     ne, m_test = mesh.n_elements, form.n_test_local
     origins = mesh.element_origins()
@@ -711,16 +702,17 @@ def precondition_global_rect(bt: RectangularRowBlocked, ltilde: np.ndarray):
 # Matrix Market export
 # ---------------------------------------------------------------------------
 
-def write_matrix_market(path, obj, symmetry: Optional[str] = None):
-    """Write a matrix or vector in Matrix Market format, 17 digits."""
+def write_matrix_market(path, obj):
+    """Write a matrix or vector in Matrix Market format, 17 digits; a
+    complex normal equation as the lower triangle of a Hermitian matrix."""
     import scipy.io
 
     if isinstance(obj, SparseSymmetric):
         mat = obj.coo()
-        sym = symmetry or ("hermitian" if np.iscomplexobj(mat.data) else "general")
-        if sym == "hermitian":
-            mat = scipy.sparse.tril(mat)
-        scipy.io.mmwrite(path, mat, precision=17, symmetry=sym)
+        if np.iscomplexobj(mat.data):
+            scipy.io.mmwrite(path, scipy.sparse.tril(mat), precision=17, symmetry="hermitian")
+        else:
+            scipy.io.mmwrite(path, mat, precision=17, symmetry="general")
     elif isinstance(obj, RectangularRowBlocked):
         scipy.io.mmwrite(path, obj.to_coo(), precision=17, symmetry="general")
     else:

@@ -31,8 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--precision", choices=("single", "double"), default="double")
     parser.add_argument("--solver", choices=("ne", "qr", "both"), default="qr")
     parser.add_argument("--no-condense", action="store_true")
-    parser.add_argument("--no-precondition-gram", action="store_true")
-    parser.add_argument("--no-precondition-global", action="store_true")
     parser.add_argument("--dump-matrices", action="store_true")
     parser.add_argument("--out", required=True)
     return parser
@@ -54,8 +52,6 @@ def main(argv=None) -> int:
             precision=args.precision,
             solvers=("ne", "qr") if args.solver == "both" else (args.solver,),
             condense=not args.no_condense,
-            precondition_gram=not args.no_precondition_gram,
-            precondition_global=not args.no_precondition_global,
             dump_matrices=args.dump_matrices,
             out_dir=args.out,
         )

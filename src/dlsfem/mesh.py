@@ -142,10 +142,6 @@ class DofLayout:
     positions: np.ndarray           # (n_total, 2) representative coordinates
     counts: dict = field(default_factory=dict)  # per-entity DOF counts
 
-    @property
-    def n_local(self) -> int:
-        return self.element_dofs.shape[1]
-
 
 def _edge_dofs(mesh: Mesh, per_edge: int, base: int = 0) -> np.ndarray:
     """(ne, 4 * per_edge) ids of the element edges' DOFs, edge by edge."""

@@ -45,8 +45,9 @@ class Solution:
     """Solved coefficients with residual bookkeeping.
 
     ``coefficients`` covers the full trial layout in double precision;
-    ``system_vector`` is the raw solution of the assembled (preconditioned)
-    system in the working precision; ``residual`` is the whitened global
+    ``system_vector`` is the solution u of the assembled system in the
+    working precision, over its columns (the solvers' column scaling
+    undone); ``residual`` is the whitened global
     residual ltilde - Btilde u in element-row order (the discrete Riesz
     representative of the residual, whose element slices give eta_K).
     ``r_diag_min``/``r_diag_max`` bound the magnitudes of the R diagonal of
@@ -63,9 +64,6 @@ class Solution:
     residual: np.ndarray = None
     r_diag_min: Optional[float] = None
     r_diag_max: Optional[float] = None
-
-    def component(self, name: str) -> np.ndarray:
-        return self.coefficients[self.context.component_slice(name)]
 
     @property
     def eta_total(self) -> float:
@@ -159,37 +157,44 @@ def _banded_cholesky_solve(a: SparseSymmetric, f: np.ndarray, keys: np.ndarray):
     return out
 
 
-def solve_ne(a: SparseSymmetric, f: np.ndarray, ctx: AssemblyContext, precondition: bool = True) -> Solution:
+def solve_ne(a: SparseSymmetric, f: np.ndarray, ctx: AssemblyContext) -> Solution:
     """Normal-equation path: A u = f by Cholesky, on the elimination tree
-    over the blocks of ``a``, or banded for a system without blocks (S* S)."""
-    scale = None
-    if precondition and a.n:
-        a, f, scale = precondition_global(a, f)
+    over the blocks of ``a``, or banded for a system without blocks (S* S).
+
+    The system is always scaled to unit diagonal first
+    (:func:`precondition_global`).  The tree factors the unscaled blocks
+    and applies the scale D only to the load and to the solution, so D
+    rounds u and nothing else; the banded Cholesky of S* S factors the
+    scaled matrix.
+    """
     if not a.n:
         u = np.zeros(0, dtype=f.dtype)
-    elif a.blocks is None:
-        u = _banded_cholesky_solve(a, f, ctx.sort_keys())
     else:
-        u = solve_blocked_ne(a.blocks, f, a.n, a.scale)[0]
-    if scale is not None:
+        a, f, scale = precondition_global(a, f)
+        if a.blocks is None:
+            u = _banded_cholesky_solve(a, f, ctx.sort_keys())
+        else:
+            u = solve_blocked_ne(a.blocks, f, a.n, a.scale)[0]
         u = u * scale.astype(u.dtype)
     full = _recover(ctx, u, "NE")
     eta, rnorm, gal, rvec = _indicators(ctx, full, "NE")
     return Solution(full, "NE", eta, rnorm, gal, u, ctx, rvec)
 
 
-def solve_ls(bt: RectangularRowBlocked, ltilde: np.ndarray, ctx: AssemblyContext, precondition: bool = True) -> Solution:
+def solve_ls(bt: RectangularRowBlocked, ltilde: np.ndarray, ctx: AssemblyContext) -> Solution:
     """Least-squares path: min ||Btilde u - ltilde|| by Householder QR.
 
     ``ltilde`` is the load assembled from ``ctx``: the residual indicators
     and the bubble recovery use the element loads stored in the context.
+    The columns are always scaled to unit norm first
+    (:func:`precondition_global_rect`).  Householder QR is invariant under
+    column scaling and the tree factors the unscaled panels, so the scale
+    D only enters the rank guard, which then reads the R diagonal of the
+    unit-norm columns whatever the units of the unknowns, and rounds u.
     """
-    scale = None
-    if precondition and bt.n_cols:
-        bt, ltilde, scale = precondition_global_rect(bt, ltilde)
+    bt, ltilde, scale = precondition_global_rect(bt, ltilde)
     u, r_diag = solve_blocked_ls(bt.stacks, ltilde, bt.n_cols, bt.scale)
-    if scale is not None:
-        u = u * scale.astype(u.dtype)
+    u = u * scale.astype(u.dtype)
     full = _recover(ctx, u, "QR")
     eta, rnorm, gal, rvec = _indicators(ctx, full, "QR")
     sol = Solution(full, "QR", eta, rnorm, gal, u, ctx, rvec)
@@ -246,6 +251,8 @@ def residual_rho(bt: RectangularRowBlocked, ltilde: np.ndarray, solution: Soluti
 # ---------------------------------------------------------------------------
 # Error norms
 # ---------------------------------------------------------------------------
+
+NORM_EXTRA_ORDER = 2    # quadrature orders of the error norms above the assembly rule
 
 
 def _accumulate_norms(form, mesh_obj, coeffs, ctx_layouts, offsets, rule, exact=None, case=None):
@@ -307,14 +314,14 @@ def _accumulate_norms(form, mesh_obj, coeffs, ctx_layouts, offsets, rule, exact=
     return norms(sq), norms(sq_exact)
 
 
-def error_norms(solution: Solution, case, form, mesh_obj, extra_order: int = 2) -> dict:
+def error_norms(solution: Solution, case, form, mesh_obj) -> dict:
     """Absolute and relative error norms by element quadrature.
 
-    Uses a rule two orders above the assembly rule.  Relative norms divide
-    by the matching norm of the exact solution.
+    Uses a rule NORM_EXTRA_ORDER orders above the assembly rule.  Relative
+    norms divide by the matching norm of the exact solution.
     """
     ctx = solution.context
-    rule = basis.gauss_rule(form.quadrature_order + extra_order)
+    rule = basis.gauss_rule(form.quadrature_order + NORM_EXTRA_ORDER)
     errs, refs = _accumulate_norms(
         form, mesh_obj, solution.coefficients, ctx.layouts, ctx.offsets, rule,
         exact=case.fields, case=case,
@@ -326,7 +333,7 @@ def error_norms(solution: Solution, case, form, mesh_obj, extra_order: int = 2) 
     return out
 
 
-def discrete_norms(form, mesh_obj, ctx: AssemblyContext, coeffs: np.ndarray, extra_order: int = 2) -> dict:
+def discrete_norms(form, mesh_obj, ctx: AssemblyContext, coeffs: np.ndarray) -> dict:
     """Norms of a discrete function given by trial coefficients."""
-    rule = basis.gauss_rule(form.quadrature_order + extra_order)
+    rule = basis.gauss_rule(form.quadrature_order + NORM_EXTRA_ORDER)
     return _accumulate_norms(form, mesh_obj, coeffs, ctx.layouts, ctx.offsets, rule)[0]

@@ -55,15 +55,11 @@ from .assembly import (
 )
 from .blockqr import BlockStack
 from .element import NonpositiveDiagonal
-from .formulation import (
-    FORMULATION_NAMES,
-    RESONANCE_OMEGA,
-    make_case,
-    make_formulation,
-)
+from .formulation import FORMULATION_NAMES, make_case, make_formulation
 from .linalg import NotPositiveDefinite, RankDeficient
 from .mesh import uniform_mesh
 from .solve import (
+    NORM_EXTRA_ORDER,
     ZeroSolution,
     _accumulate_norms,
     discrete_norms,
@@ -93,13 +89,9 @@ class StudyConfig:
     precision: str = "double"
     solvers: tuple = ("qr",)
     condense: bool = True
-    precondition_gram: bool = True
-    precondition_global: bool = True
     out_dir: str = "."
     dump_matrices: bool = False
-    omega: float = RESONANCE_OMEGA
     start_n: Optional[int] = None
-    max_trial_dofs: Optional[int] = None
     dp_list: tuple = ()            # compare-fosls only
 
     def validate(self):
@@ -165,7 +157,7 @@ def case_for(config: StudyConfig):
     if config.study == "failure":
         return make_case("poisson-quartic"), 1
     if config.study == "acoustics":
-        return make_case("acoustics-resonance", omega=config.omega), 1
+        return make_case("acoustics-resonance"), 1
     if config.study == "compare-fosls":
         return make_case("poisson-alpha-sine"), 2
     if config.formulation in ("primal-dpg", "bubnov-galerkin"):
@@ -174,11 +166,7 @@ def case_for(config: StudyConfig):
 
 
 def _formulation_for(config: StudyConfig, case):
-    kwargs = {}
-    if config.formulation == "fosls-strong":
-        kwargs["alpha"] = case.alpha
-    if config.formulation == "acoustics-ultraweak":
-        kwargs["omega"] = config.omega
+    kwargs = {"alpha": case.alpha} if config.formulation == "fosls-strong" else {}
     return make_formulation(config.formulation, config.p, config.dp, **kwargs)
 
 
@@ -279,11 +267,7 @@ def run_study(config: StudyConfig):
     case, default_start = case_for(config)
     start_n = config.start_n or default_start
     form = _formulation_for(config, case)
-    options = Options(
-        condense=config.condense,
-        precondition_gram=config.precondition_gram,
-        precision=config.precision,
-    )
+    options = Options(condense=config.condense, precision=config.precision)
     rows = []
     for level in range(config.refinements):
         n = start_n * (2**level)
@@ -305,14 +289,14 @@ def run_study(config: StudyConfig):
             try:
                 bt, lt, _ = assemble_overdetermined(ctx)
                 row.m_rows = bt.n_rows
-                sol = solve_ls(bt, lt, ctx, precondition=config.precondition_global)
+                sol = solve_ls(bt, lt, ctx)
                 sol_by["qr"] = sol
             except (RankDeficient, NotPositiveDefinite, AssemblyError) as err:
                 row.failed["qr"] = str(err)
         if "ne" in config.solvers:
             try:
                 a, f, _ = assemble_ne(ctx)
-                sol = solve_ne(a, f, ctx, precondition=config.precondition_global)
+                sol = solve_ne(a, f, ctx)
                 sol_by["ne"] = sol
             except (NotPositiveDefinite, AssemblyError) as err:
                 row.failed["ne"] = str(err)
@@ -352,8 +336,6 @@ def run_study(config: StudyConfig):
         row.wall_ms = 1000.0 * (time.perf_counter() - t0)
         rows.append(row)
         if len(row.failed) == len(config.solvers):
-            break
-        if config.max_trial_dofs and row.n_trial >= config.max_trial_dofs:
             break
     csv_path = out_dir / "study.csv"
     with open(csv_path, "w") as fh:
@@ -441,18 +423,18 @@ def compare_fosls(p: int, dp_list, refinements: int, alpha="sine", out_dir="."):
             if a_ls is None:
                 a_ls, f_ls = assemble_fosls_monolithic(ctx, case)
                 a_ls_norm = scipy.sparse.linalg.norm(a_ls.matrix)
-                u_ls = solve_ne(a_ls, f_ls, ctx, precondition=False).coefficients
+                u_ls = solve_ne(a_ls, f_ls, ctx).coefficients
             a, f, _ = assemble_ne(ctx)
             mat_dist = float(scipy.sparse.linalg.norm(a.matrix - a_ls.matrix) / a_ls_norm)
             try:
-                u = solve_ne(a, f, ctx, precondition=False).coefficients
+                u = solve_ne(a, f, ctx).coefficients
             except NotPositiveDefinite:
                 # a too-poor test space can lose rank; the matrix distance
                 # is still well defined
                 sol_dist = sol_dist_rel = math.nan
             else:
                 sol_dist = discrete_norms(form, mesh, ctx, u - u_ls)["U"]
-                rule = basis.gauss_rule(form.quadrature_order + 2)
+                rule = basis.gauss_rule(form.quadrature_order + NORM_EXTRA_ORDER)
                 _, exact = _accumulate_norms(
                     form, mesh, u, ctx.layouts, ctx.offsets, rule, exact=case.fields, case=case
                 )

@@ -1,7 +1,8 @@
-"""The per-edge interpolant that :func:`dlsfem.interpolate.interpolate_case`
-replaced: vertex interpolation and edge projections one edge at a time, in
-Python loops.  Kept as the reference its vectorized successor is checked
-against.
+"""Interpolation of manufactured solutions into the trial space, one edge
+at a time in Python loops: vertex values directly, edge and interior
+coefficients by local L2 projections.  The reference of the Dirichlet lift
+(``assembly.edge_coefficients`` projects all boundary edges at once) and
+the interpolant of the consistency tests.
 """
 
 from __future__ import annotations

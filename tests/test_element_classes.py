@@ -111,8 +111,7 @@ def _reference(ctx):
     for e in range(mesh.n_elements):
         sys = compute_element(form, mesh, e, ctx.case, ctx.rule)
         g, bk, lk = sys.g, sys.b, sys.l
-        if opts.precondition_gram:
-            g, bk, lk, _ = element.precondition_gram(g, bk, lk)
+        g, bk, lk, _ = element.precondition_gram(g, bk, lk)
         kappa_l = max(kappa_l, np.sqrt(_kappa(g)))
         bt, lt = element.whiten(g.astype(rdtype), bk.astype(wdtype), lk.astype(wdtype))
         gd = gdofs[e]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from dlsfem.formulation import (
     make_case,
     make_formulation,
 )
-from dlsfem.interpolate import interpolate_case
 from dlsfem.mesh import uniform_mesh
 
 import interpolate_reference
@@ -225,7 +226,7 @@ def test_consistency_interpolant_residual_decreases(fname, cname):
     resids = []
     for n in (2, 4, 8):
         ctx = build_context(uniform_mesh(n), form, case)
-        ui = interpolate_case(ctx, case)
+        ui = interpolate_reference.interpolate_case(ctx, case)
         r2 = 0.0
         for cls in ctx.classes:
             r = cls.lt - ui[cls.free_ids] @ cls.bt.T
@@ -246,11 +247,33 @@ def test_consistency_interpolant_residual_decreases(fname, cname):
     ],
 )
 def test_interpolant_matches_per_edge_reference(fname, cname, p):
-    """The interpolant, whose vertex and edge parts come from the vectorized
-    projection of the Dirichlet lift, equals the per-edge loops it replaced."""
-    case = make_case(cname)
+    """The Dirichlet lift, projected onto all boundary edges at once by
+    ``assembly.edge_coefficients``, equals the per-edge interpolant on the
+    fixed DOFs."""
+    case = _nonzero_on_boundary(make_case(cname))
     ctx = build_context(uniform_mesh(5), make_formulation(fname, p=p, dp=1, alpha=case.alpha), case)
-    want = interpolate_reference.interpolate_case(ctx, case)
-    got = interpolate_case(ctx, case)
+    want = interpolate_reference.interpolate_case(ctx, case)[ctx.fixed_mask]
+    got = ctx.lift_full[ctx.fixed_mask]
     assert got.dtype == want.dtype
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def _nonzero_on_boundary(case):
+    """``case`` plus a smooth field that is nonzero on the boundary, added
+    to its fields and its boundary data alike (the cases themselves vanish
+    there, which leaves the lift zero)."""
+    fields = dict(case.fields)
+    if case.kind == "poisson":
+        u, gx, gy = fields["u"], fields["sigx"], fields["sigy"]
+        fields.update(
+            u=lambda x, y: u(x, y) + 1.0 + x * y + 2.0 * y * y,
+            sigx=lambda x, y: gx(x, y) + y,
+            sigy=lambda x, y: gy(x, y) + x + 4.0 * y,
+        )
+        return dataclasses.replace(case, fields=fields, boundary_value=fields["u"])
+    ux, uy = fields["ux"], fields["uy"]
+    fields.update(ux=lambda x, y: ux(x, y) + 1.0 + y * y, uy=lambda x, y: uy(x, y) + x - 0.5)
+    return dataclasses.replace(
+        case, fields=fields,
+        boundary_flux=lambda x, y, nx, ny: fields["ux"](x, y) * nx + fields["uy"](x, y) * ny,
+    )

@@ -305,10 +305,10 @@ def test_solve_ne_solves_the_monolithic_fosls_system_it_is_given():
     ctx = build_context(uniform_mesh(8), form, case, Options(condense=False))
     a, f = assemble_fosls_monolithic(ctx, case)
     assert a.blocks is not None
-    got = solve_ne(a, f, ctx, precondition=False).system_vector
+    got = solve_ne(a, f, ctx).system_vector
     want = _banded_cholesky_solve(a, f, ctx.sort_keys())
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     # the Riesz-map system of the context is about 1e-6 away at dp = 1
     a_ctx, f_ctx, _ = assemble_ne(ctx)
-    other = solve_ne(a_ctx, f_ctx, ctx, precondition=False).system_vector
+    other = solve_ne(a_ctx, f_ctx, ctx).system_vector
     assert np.linalg.norm(other - want) > 1e-9 * np.linalg.norm(want)

@@ -18,7 +18,6 @@ from dlsfem.assembly import (
 )
 from dlsfem.formulation import ManufacturedCase, make_case, make_formulation
 from dlsfem.blockqr import solve_blocked_ls
-from dlsfem.interpolate import interpolate_case
 from dlsfem.mesh import uniform_mesh
 from dlsfem.solve import (
     Solution,
@@ -30,6 +29,7 @@ from dlsfem.solve import (
 )
 
 from dense_reference import ConstraintSystem, solve_saddle_constraints, solve_weighted_constraints
+from interpolate_reference import interpolate_case
 from window_reference import solve_window_ls
 
 POISSON_FORMULATIONS = ["fosls-strong", "primal-dpg", "ultraweak-dpg"]
@@ -203,7 +203,7 @@ class TestConstraints:
         c[0, 0] = 1.0
         cons = ConstraintSystem(c=c, d=np.array([3.0]), alpha=0.0)
         sol = solve_weighted_constraints(bt, lt, cons, ctx)
-        ref = solve_ls(bt, lt, ctx, precondition=False)
+        ref = solve_ls(bt, lt, ctx)
         np.testing.assert_allclose(
             sol.system_vector, ref.system_vector, atol=1e-10 * np.linalg.norm(ref.system_vector)
         )
@@ -235,7 +235,7 @@ class TestConstraints:
         a, f, _ = assemble_ne(ctx)
         cons = ConstraintSystem(c=np.zeros((0, ctx.n_solve)), d=np.zeros(0))
         sol, w = solve_saddle_constraints(a, f, cons, ctx)
-        ref = solve_ne(a, f, ctx, precondition=False)
+        ref = solve_ne(a, f, ctx)
         np.testing.assert_allclose(sol.system_vector, ref.system_vector, atol=1e-11)
         assert w.size == 0
 

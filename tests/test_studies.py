@@ -1,12 +1,14 @@
 import csv
 import dataclasses
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from dlsfem import linalg, studies
+from dlsfem import cli, element, linalg, studies
 from dlsfem.assembly import (
     AssemblyError,
     Options,
@@ -36,6 +38,8 @@ from dlsfem.studies import (
 )
 
 from fosls_reference import assemble_fosls_monolithic as fosls_reference
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def read_rows(path):
@@ -216,16 +220,6 @@ class TestRunStudy:
         rows, _ = run_study(cfg)
         assert all(row.err_ne is not None and row.err_qr is not None for row in rows)
 
-    def test_max_trial_dofs_stops_early(self, tmp_path):
-        cfg = StudyConfig(
-            study="converge", formulation="ultraweak-dpg", p=1, dp=1,
-            refinements=10, solvers=("qr",), out_dir=str(tmp_path),
-            max_trial_dofs=300,
-        )
-        rows, _ = run_study(cfg)
-        assert rows[-1].n_trial >= 300
-        assert rows[-2].n_trial < 300
-
 
 class TestCompareFosls:
     def test_identity_alpha_zero(self, tmp_path):
@@ -362,7 +356,6 @@ class TestCli:
         rc = cli_main([
             "converge", "--formulation", "fosls-strong", "--p", "1", "--dp", "1",
             "--refinements", "2", "--solver", "both", "--no-condense",
-            "--no-precondition-gram", "--no-precondition-global",
             "--out", str(tmp_path),
         ])
         assert rc == 0
@@ -378,6 +371,24 @@ class TestCli:
             name = field.name.replace("_", "-")
             assert {f"--{name}", f"--no-{name}"} & flags, field.name
             assert field.name in config_fields, field.name
+
+    def test_every_study_knob_is_set_outside_the_tests(self, tmp_path, monkeypatch):
+        """Each field of StudyConfig is passed by ``dls`` (``cli.main``) or
+        set by a benchmark workload: a field that only tests set is a knob
+        no study turns."""
+        passed = set()
+
+        def record(**kwargs):
+            passed.update(kwargs)
+            return StudyConfig(**kwargs)
+
+        monkeypatch.setattr(cli, "StudyConfig", record)
+        monkeypatch.setattr(cli, "run_study", lambda config: ([], tmp_path / "study.csv"))
+        assert cli_main(["converge", "--out", str(tmp_path)]) == 0
+        workloads = runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
+        set_by_workloads = set().union(*workloads.values())
+        for field in dataclasses.fields(StudyConfig):
+            assert field.name in passed | set_by_workloads, field.name
 
 
 def test_acoustics_study_complex_cond_squaring(tmp_path):
@@ -421,21 +432,20 @@ class TestCondDiagnostics:
         )
         assert reused == (cond_a, cond_b)
 
-    @pytest.mark.parametrize("precondition_gram", [True, False])
+    @pytest.mark.parametrize("gram_scaled", [True, False])
     @pytest.mark.parametrize("condense", [True, False])
     @pytest.mark.parametrize("formulation", FORMULATION_NAMES)
-    def test_ne_matrix_is_the_gram_of_btilde(self, formulation, condense, precondition_gram):
+    def test_ne_matrix_is_the_gram_of_btilde(self, formulation, condense, gram_scaled, monkeypatch):
         """A_s and Btilde_s* Btilde_s, the two matrices whose spectrum one
-        Lanczos pair serves, agree entrywise to round-off, real and complex."""
+        Lanczos pair serves, agree entrywise to round-off, real and complex,
+        also when the element Gram matrix is whitened unscaled."""
+        if not gram_scaled:
+            monkeypatch.setattr(element, "precondition_gram", lambda g, b, l: (g, b, l, np.ones(len(g))))
         study = "acoustics" if formulation == "acoustics-ultraweak" else "condition"
-        cfg = StudyConfig(
-            study=study, formulation=formulation, p=2, dp=1, condense=condense,
-            precondition_gram=precondition_gram,
-        ).validate()
+        cfg = StudyConfig(study=study, formulation=formulation, p=2, dp=1, condense=condense).validate()
         case, _ = case_for(cfg)
         form = _formulation_for(cfg, case)
-        options = Options(condense=condense, precondition_gram=precondition_gram)
-        ctx = studies._build(uniform_mesh(4), form, case, options)
+        ctx = studies._build(uniform_mesh(4), form, case, Options(condense=condense))
         a_s = precondition_global(*assemble_ne(ctx)[:2])[0].to_dense()
         gram = precondition_global_rect(*assemble_overdetermined(ctx)[:2])[0].normal_matrix().to_dense()
         assert np.iscomplexobj(a_s) == (formulation == "acoustics-ultraweak")
