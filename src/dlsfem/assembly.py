@@ -8,7 +8,7 @@ whitening, Dirichlet modification, condensation) feeds two assembly paths:
   whose sum is A (the accumulation of conforming FEM, summed as CSR only
   when read); each block carries its element's mesh cell, which places it
   in the elimination tree of the Cholesky.  The square product S* S is
-  one sparse matrix.
+  one sparse matrix, formed once per context.
 * ``assemble_overdetermined`` gives the whitened rectangular system as one
   :class:`RowStack` per element class: its shared panel with the columns
   and row offsets of its elements (the broken test space means no two
@@ -16,6 +16,9 @@ whitening, Dirichlet modification, condensation) feeds two assembly paths:
   square system is one stack of one-row panels per row width of S.  Each
   panel carries the mesh cell of its element (a row of S, that of its
   DOF), which places it in the block QR's elimination tree.
+
+Both are immutable data over the unscaled matrix; the global column
+scale is a vector that its users apply (:func:`precondition_global`).
 
 The pipeline runs on element classes, not on single elements.  The master
 element system is computed once; the elements whose Dirichlet column
@@ -71,31 +74,27 @@ class Options:
 
 
 class SparseSymmetric:
-    """Hermitian matrix D A D, D the diagonal column ``scale``.
-
-    A is the sum of the Hermitian element blocks ``blocks`` (one
-    :class:`BlockStack` per element class), which ``solve_ne`` factors on
-    the elimination tree of :mod:`dlsfem.blockqr`; their CSR sum (``matrix``)
-    is built only when it is read (diagnostics, export, matrix distances).
-    Scaling the columns shares the blocks.  A system without blocks (the
-    square product S* S) is given as its ``matrix``.
+    """Hermitian matrix A, the sum of the Hermitian element blocks ``blocks``
+    (one :class:`BlockStack` per element class), which ``solve_ne`` factors
+    on the elimination tree of :mod:`dlsfem.blockqr`; their CSR sum
+    (``matrix``) is built only when it is read (diagnostics, export, matrix
+    distances).  A system without blocks (the square product S* S) is given
+    as its ``matrix``.
     """
 
-    def __init__(self, n: int, matrix=None, blocks=None, scale=None):
+    def __init__(self, n: int, matrix=None, blocks=None):
         self.n = n
         self.blocks = blocks
-        self.scale = scale             # (n,) in the blocks' dtype, with blocks only
         self._matrix = matrix
 
     @property
     def dtype(self):
-        return self._matrix.dtype if self.blocks is None else self.scale.dtype
+        return self._matrix.dtype if self.blocks is None else self.blocks[0].block.dtype
 
     @property
     def matrix(self) -> scipy.sparse.csr_matrix:
         if self._matrix is None:
-            a = _sum_blocks(self.n, [(st.cols, st.block) for st in self.blocks])
-            self._matrix = _scale_columns(a, self.scale)
+            self._matrix = _sum_blocks(self.n, [(st.cols, st.block) for st in self.blocks])
         return self._matrix
 
     def to_dense(self) -> np.ndarray:
@@ -104,17 +103,15 @@ class SparseSymmetric:
     def diagonal(self) -> np.ndarray:
         if self.blocks is None:
             return self.matrix.diagonal()
-        d = _sum_columns(self.n, [(st.cols, np.real(np.diagonal(st.block, axis1=-2, axis2=-1))) for st in self.blocks])
-        return d * np.abs(self.scale) ** 2
+        return _sum_columns(self.n, [(st.cols, np.real(np.diagonal(st.block, axis1=-2, axis2=-1))) for st in self.blocks])
 
     def quadratic_form(self, x: np.ndarray) -> float:
-        """Re x* (D A D) x, block by block: no CSR sum of the blocks is made."""
+        """Re x* A x, block by block: no CSR sum of the blocks is made."""
         if self.blocks is None:
             return float(np.real(np.vdot(x, self.matrix @ x)))
-        y = self.scale * x
         total = 0.0
         for st in self.blocks:
-            v = y[st.cols]
+            v = x[st.cols]
             av = v @ st.block.T if st.block.ndim == 2 else linalg.matvec(st.block, v)
             total += np.real(np.vdot(v, av))
         return float(total)
@@ -124,87 +121,74 @@ class SparseSymmetric:
         scale = scipy.sparse.linalg.norm(self.matrix)
         return float(scipy.sparse.linalg.norm(diff) / scale) if scale else 0.0
 
-    def coo(self):
-        return self.matrix.tocoo()
 
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RectangularRowBlocked:
-    """Row-blocked rectangular matrix B D: B as :class:`RowStack` s (one per
-    element class, or per row width of a square S), D the diagonal column
-    ``scale`` (scaling the columns shares the panels).
+    """Row-blocked rectangular matrix B as :class:`RowStack` s, one per
+    element class (or per row width of a square S).
 
     Products run stack by stack on the panels; no global copy of B is
-    formed.  The unscaled Gram matrix B* B is built on first use
-    (:meth:`panel_gram`) and shared by every column scaling of the same
-    stacks (:func:`precondition_global_rect` passes it on).  Not to be
-    changed once the Gram matrix has been built.
+    formed.  The solvers' column scale is not part of it.
     """
 
     n_cols: int
     n_rows: int
     stacks: list
-    scale: np.ndarray              # (n_cols,) in the panels' dtype
-    _gram: list = dc_field(default_factory=list, init=False, repr=False, compare=False)
+    square_gram: Optional[scipy.sparse.csr_matrix] = dc_field(default=None, repr=False)  # S* S of a square system
+
+    @property
+    def dtype(self):
+        return self.stacks[0].panel.dtype if self.stacks else np.dtype(np.float64)
 
     def to_coo(self):
         # filled stack by stack: only one stack's panels are held besides the output
         nnz = sum(st.cols.size * st.panel.shape[-2] for st in self.stacks)
-        vals = np.empty(nnz, dtype=self.scale.dtype)
+        vals = np.empty(nnz, dtype=self.dtype)
         rows, cols = np.empty(nnz, dtype=np.int64), np.empty(nnz, dtype=np.int64)
         pos = 0
         for st in self.stacks:
-            panel = st.panel * self.scale[st.cols][:, None, :]
-            end = pos + panel.size
-            vals[pos:end] = panel.ravel()
-            rows[pos:end].reshape(panel.shape)[...] = st.rows[:, :, None]
-            cols[pos:end].reshape(panel.shape)[...] = st.cols[:, None, :]
+            shape = (st.cols.shape[0],) + st.panel.shape[-2:]
+            end = pos + st.cols.size * st.panel.shape[-2]
+            vals[pos:end].reshape(shape)[...] = st.panel
+            rows[pos:end].reshape(shape)[...] = st.rows[:, :, None]
+            cols[pos:end].reshape(shape)[...] = st.cols[:, None, :]
             pos = end
         return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(self.n_rows, self.n_cols))
 
     def to_dense(self) -> np.ndarray:
         return self.to_coo().toarray()
 
-    def panel_gram(self) -> scipy.sparse.csr_matrix:
-        """Unscaled B* B, the sum of the panels' P* P, accumulated in double
-        (complex128 for complex panels); built once per set of stacks (a
-        square system's assembly puts in S* S)."""
-        if not self._gram:
-            grams = []
-            for st in self.stacks:
-                p = st.panel.astype(np.result_type(st.panel.dtype, np.float64), copy=False)
-                grams.append((st.cols, p.conj().swapaxes(-1, -2) @ p))
-            self._gram.append(_sum_blocks(self.n_cols, grams))
-        return self._gram[0]
-
-    def normal_matrix(self) -> SparseSymmetric:
-        """Sparse (B D)* (B D) = D* (B* B) D, in double (diagnostics, rho)."""
-        g = self.panel_gram()
-        return SparseSymmetric(n=self.n_cols, matrix=_scale_columns(g, self.scale.astype(g.dtype)))
+    @cached_property
+    def gram(self) -> scipy.sparse.csr_matrix:
+        """B* B, the sum of the panels' P* P in double (complex128 for complex
+        panels), built on first use; a square system's assembly gives S* S."""
+        if self.square_gram is not None:
+            return self.square_gram
+        grams = []
+        for st in self.stacks:
+            p = st.panel.astype(np.result_type(st.panel.dtype, np.float64), copy=False)
+            grams.append((st.cols, p.conj().swapaxes(-1, -2) @ p))
+        return _sum_blocks(self.n_cols, grams)
 
     def col_norms_sq(self) -> np.ndarray:
-        return _sum_columns(
-            self.n_cols,
-            [(st.cols, np.sum(np.abs(st.panel) ** 2, axis=-2) * np.abs(self.scale[st.cols]) ** 2) for st in self.stacks],
-        )
+        return _sum_columns(self.n_cols, [(st.cols, np.sum(np.abs(st.panel) ** 2, axis=-2)) for st in self.stacks])
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """B D x, one batched product per stack (each row lies in one stack)."""
-        xs = self.scale * x
-        out = np.zeros(self.n_rows, dtype=xs.dtype)
+        """B x, one batched product per stack (each row lies in one stack)."""
+        out = np.zeros(self.n_rows, dtype=np.result_type(self.dtype, x))
         for st in self.stacks:
-            v = xs[st.cols]
+            v = x[st.cols]
             out[st.rows] = v @ st.panel.T if st.panel.ndim == 2 else (st.panel @ v[..., None])[..., 0]
         return out
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
-        """(B D)* r, one batched product per stack."""
-        out = np.zeros(self.n_cols, dtype=np.result_type(self.scale, r))
+        """B* r, one batched product per stack."""
+        out = np.zeros(self.n_cols, dtype=np.result_type(self.dtype, r))
         for st in self.stacks:
             v = r[st.rows]
             ph = st.panel.conj()
             np.add.at(out, st.cols, v @ ph if ph.ndim == 2 else (v[:, None, :] @ ph)[:, 0])
-        return out * self.scale.conj()
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,7 +466,7 @@ def build_context(
     square_data = None
     if square:
         s, rhs = _accumulate(classes, solve_ids.size, options.condense, solve_index, wdtype)
-        square_data = {"matrix": s, "rhs": rhs}
+        square_data = {"matrix": s, "rhs": rhs, "normal": (s.conj().T @ s).tocsr()}
 
     return AssemblyContext(
         formulation=form,
@@ -575,11 +559,10 @@ def assemble_overdetermined(ctx: AssemblyContext):
             rows = np.flatnonzero(width == w)
             at = s.indptr[rows, None] + np.arange(w)
             stacks.append(RowStack(panel=s.data[at][:, None, :], cols=s.indices[at], offsets=rows, cells=cells[rows]))
-        bt = RectangularRowBlocked(ctx.n_solve, s.shape[0], stacks, np.ones(ctx.n_solve, dtype=dtype))
-        # the Gram S* S as one sparse product, not a sum over the one-row panels
+        # the Gram S* S as one sparse product: the context's in double
         s64 = s.astype(np.result_type(s.dtype, np.float64), copy=False)
-        bt._gram.append((s64.conj().T @ s64).tocsr())
-        return bt, ctx.square_data["rhs"].copy(), ctx
+        gram = ctx.square_data["normal"] if s64 is s else (s64.conj().T @ s64).tocsr()
+        return RectangularRowBlocked(ctx.n_solve, s.shape[0], stacks, gram), ctx.square_data["rhs"].copy(), ctx
     ne, m = ctx.mesh.n_elements, ctx.formulation.n_test_local
     cells = element_cells(ctx.mesh)
     ltilde = np.zeros((ne, m), dtype=dtype)
@@ -589,23 +572,21 @@ def assemble_overdetermined(ctx: AssemblyContext):
         ltilde[c.elements] = vec
         # element e owns rows e*m .. e*m + m - 1
         stacks.append(RowStack(panel=mat, cols=cols, offsets=c.elements * m, cells=cells[c.elements]))
-    bt = RectangularRowBlocked(ctx.n_solve, ne * m, stacks, np.ones(ctx.n_solve, dtype=dtype))
-    return bt, ltilde.ravel(), ctx
+    return RectangularRowBlocked(ctx.n_solve, ne * m, stacks), ltilde.ravel(), ctx
 
 
 def assemble_ne(ctx: AssemblyContext):
     """Hermitian normal equation (A, f) per Algorithm 2: A is the sum of the
     element normal equations, one :class:`BlockStack` per element class
     with its elements' mesh cells; f is accumulated.  The square product
-    S* S is one sparse matrix.
+    S* S is the one sparse matrix of the context.
 
     Returns (SparseSymmetric, f, ctx).
     """
     dtype = ctx.options.working_dtype(ctx.formulation)
     if ctx.square_data is not None:
         s, rhs = ctx.square_data["matrix"], ctx.square_data["rhs"]
-        s_adj = s.conj().T
-        return SparseSymmetric(n=ctx.n_solve, matrix=(s_adj @ s).tocsr()), s_adj @ rhs, ctx
+        return SparseSymmetric(ctx.n_solve, matrix=ctx.square_data["normal"]), s.conj().T @ rhs, ctx
     cells = element_cells(ctx.mesh)
     blocks = []
     f = np.zeros(ctx.n_solve, dtype=dtype)
@@ -613,7 +594,7 @@ def assemble_ne(ctx: AssemblyContext):
         mat, vec, cols = _class_system(c, ctx.options.condense, ctx.solve_index, ls=False)
         blocks.append(BlockStack(block=mat, cols=cols, cells=cells[c.elements]))
         np.add.at(f, cols, vec)
-    return SparseSymmetric(ctx.n_solve, blocks=blocks, scale=np.ones(ctx.n_solve, dtype=dtype)), f, ctx
+    return SparseSymmetric(ctx.n_solve, blocks=blocks), f, ctx
 
 
 def _accumulate(classes, n, condense, solve_index, dtype):
@@ -667,35 +648,22 @@ def _sum_columns(n, parts):
 # Global diagonal preconditioning
 # ---------------------------------------------------------------------------
 
-def precondition_global(a: SparseSymmetric, f: np.ndarray):
-    """A -> D^-1/2 A D^-1/2 with D = diag(A); returns (A', f', scale).
-
-    The solution of the original system is scale * u_scaled.
-    """
+def precondition_global(a: SparseSymmetric) -> np.ndarray:
+    """Column scale s = diag(A)^-1/2 in A's dtype: D A D has unit diagonal
+    for D = diag(s), and A x = f is solved by x = s * u, D A D u = s * f."""
     d = np.real(a.diagonal())
     if np.any(d <= 0):
         raise NonpositiveDiagonal("zero or negative diagonal entry (disconnected DOF?)")
-    s = (1.0 / np.sqrt(d)).astype(np.result_type(a.dtype, np.float64))
-    if a.blocks is None:
-        scaled = SparseSymmetric(n=a.n, matrix=_scale_columns(a.matrix, s.astype(a.dtype)))
-    else:
-        scaled = SparseSymmetric(a.n, blocks=a.blocks, scale=a.scale * s.astype(a.dtype))
-    return scaled, f * s.astype(f.dtype), s
+    return (1.0 / np.sqrt(d)).astype(a.dtype)
 
 
-def precondition_global_rect(bt: RectangularRowBlocked, ltilde: np.ndarray):
-    """Btilde -> Btilde D^-1/2 with D the squared column norms.
-
-    Equivalent to the normal-equation scaling; the load is unchanged and
-    the solution of the original problem is scale * u_scaled.
-    """
+def precondition_global_rect(bt: RectangularRowBlocked) -> np.ndarray:
+    """Column scale s to unit column norms in Btilde's dtype, that of
+    :func:`precondition_global` for Btilde* Btilde: x = s * u, u = argmin ||Btilde D u - ltilde||."""
     d = bt.col_norms_sq()
     if np.any(d <= 0):
         raise NonpositiveDiagonal("zero column in Btilde (disconnected DOF?)")
-    s = (1.0 / np.sqrt(d)).astype(bt.scale.dtype)
-    scaled = RectangularRowBlocked(bt.n_cols, bt.n_rows, bt.stacks, bt.scale * s)
-    scaled._gram = bt._gram        # same panels, one Gram matrix
-    return scaled, ltilde, s
+    return (1.0 / np.sqrt(d)).astype(bt.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +676,7 @@ def write_matrix_market(path, obj):
     import scipy.io
 
     if isinstance(obj, SparseSymmetric):
-        mat = obj.coo()
+        mat = obj.matrix.tocoo()
         if np.iscomplexobj(mat.data):
             scipy.io.mmwrite(path, scipy.sparse.tril(mat), precision=17, symmetry="hermitian")
         else:

@@ -7,7 +7,8 @@ row-blocked rectangular system by multifrontal Householder QR, and
 ``solve_ne`` the Hermitian normal equation by multifrontal Cholesky on the
 element blocks it was given.  Only the square product S* S of a
 conforming test space, which carries no blocks, is factored by banded
-Cholesky after a geometric bandwidth-reducing reordering.  Both return a
+Cholesky after a geometric bandwidth-reducing reordering.  Both scale
+the columns by a vector that they apply where they use it.  Both return a
 :class:`Solution` with the full coefficient vector (lift re-inserted,
 bubbles recovered) and the per-element residual indicators eta_K.
 Bubble recovery and the indicators run once per element class of the
@@ -29,6 +30,7 @@ from .assembly import (
     AssemblyContext,
     RectangularRowBlocked,
     SparseSymmetric,
+    _scale_columns,
     precondition_global,
     precondition_global_rect,
 )
@@ -51,7 +53,8 @@ class Solution:
     residual ltilde - Btilde u in element-row order (the discrete Riesz
     representative of the residual, whose element slices give eta_K).
     ``r_diag_min``/``r_diag_max`` bound the magnitudes of the R diagonal of
-    the system the QR path solved (None for the other paths).
+    the column-scaled system the tree factored: R of Btilde D (QR) or the
+    Cholesky factor of D A D (NE); None on the banded path of S* S.
     """
 
     coefficients: np.ndarray
@@ -135,17 +138,15 @@ def _indicators(ctx: AssemblyContext, full: np.ndarray, solver: str):
     return eta, resid, float(np.linalg.norm(gal)), rvec.ravel()
 
 
-def _banded_cholesky_solve(a: SparseSymmetric, f: np.ndarray, keys: np.ndarray):
-    """Cholesky solve after a geometric bandwidth-reducing permutation."""
+def _banded_cholesky_solve(csr, f: np.ndarray, keys: np.ndarray):
+    """Cholesky solve of a CSR matrix after a geometric bandwidth-reducing permutation."""
     order = np.lexsort(tuple(keys[:, k] for k in range(keys.shape[1] - 1, -1, -1)))
-    csr = a.matrix.tocsr()
     ap = csr[order][:, order].tocoo()
     i, j, v = ap.row, ap.col, ap.data
     lower = i >= j
     i, j, v = i[lower], j[lower], v[lower]
     bw = int(np.max(i - j)) if i.size else 0
-    n = a.n
-    ab = np.zeros((bw + 1, n), dtype=v.dtype)
+    ab = np.zeros((bw + 1, csr.shape[0]), dtype=v.dtype)
     ab[i - j, j] = v
     try:
         cb = scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
@@ -157,58 +158,63 @@ def _banded_cholesky_solve(a: SparseSymmetric, f: np.ndarray, keys: np.ndarray):
     return out
 
 
+def _r_range(r_diag):
+    """(min, max) of an R diagonal's magnitudes, Nones without one."""
+    return (float(r_diag.min()), float(r_diag.max())) if r_diag is not None and r_diag.size else (None, None)
+
+
 def solve_ne(a: SparseSymmetric, f: np.ndarray, ctx: AssemblyContext) -> Solution:
-    """Normal-equation path: A u = f by Cholesky, on the elimination tree
+    """Normal-equation path: A x = f by Cholesky, on the elimination tree
     over the blocks of ``a``, or banded for a system without blocks (S* S).
 
-    The system is always scaled to unit diagonal first
-    (:func:`precondition_global`).  The tree factors the unscaled blocks
-    and applies the scale D only to the load and to the solution, so D
-    rounds u and nothing else; the banded Cholesky of S* S factors the
-    scaled matrix.
+    The columns are always scaled to unit diagonal first: the scale s of
+    :func:`precondition_global` gives D A D u = s * f and x = s * u.  The
+    tree factors the unscaled blocks and applies D only to the load and to
+    the solution, so D rounds u and nothing else; the banded Cholesky of
+    S* S factors the scaled CSR.
     """
+    r_diag = None
     if not a.n:
         u = np.zeros(0, dtype=f.dtype)
     else:
-        a, f, scale = precondition_global(a, f)
+        s = precondition_global(a)
+        fs = f * s.astype(f.dtype)
         if a.blocks is None:
-            u = _banded_cholesky_solve(a, f, ctx.sort_keys())
+            u = _banded_cholesky_solve(_scale_columns(a.matrix, s), fs, ctx.sort_keys())
         else:
-            u = solve_blocked_ne(a.blocks, f, a.n, a.scale)[0]
-        u = u * scale.astype(u.dtype)
+            u, r_diag = solve_blocked_ne(a.blocks, fs, a.n, s)
+        u = u * s.astype(u.dtype)
     full = _recover(ctx, u, "NE")
     eta, rnorm, gal, rvec = _indicators(ctx, full, "NE")
-    return Solution(full, "NE", eta, rnorm, gal, u, ctx, rvec)
+    return Solution(full, "NE", eta, rnorm, gal, u, ctx, rvec, *_r_range(r_diag))
 
 
 def solve_ls(bt: RectangularRowBlocked, ltilde: np.ndarray, ctx: AssemblyContext) -> Solution:
-    """Least-squares path: min ||Btilde u - ltilde|| by Householder QR.
+    """Least-squares path: min ||Btilde x - ltilde|| by Householder QR.
 
     ``ltilde`` is the load assembled from ``ctx``: the residual indicators
     and the bubble recovery use the element loads stored in the context.
-    The columns are always scaled to unit norm first
-    (:func:`precondition_global_rect`).  Householder QR is invariant under
-    column scaling and the tree factors the unscaled panels, so the scale
-    D only enters the rank guard, which then reads the R diagonal of the
-    unit-norm columns whatever the units of the unknowns, and rounds u.
+    The columns are always scaled to unit norm first: the scale s of
+    :func:`precondition_global_rect` gives min ||Btilde D u - ltilde|| and
+    x = s * u.  Householder QR is invariant under column scaling and the
+    tree factors the unscaled panels, so D only enters the rank guard,
+    which then reads the R diagonal of the unit-norm columns whatever the
+    units of the unknowns, and rounds u.
     """
-    bt, ltilde, scale = precondition_global_rect(bt, ltilde)
-    u, r_diag = solve_blocked_ls(bt.stacks, ltilde, bt.n_cols, bt.scale)
-    u = u * scale.astype(u.dtype)
+    s = precondition_global_rect(bt)
+    u, r_diag = solve_blocked_ls(bt.stacks, ltilde, bt.n_cols, s)
+    u = u * s.astype(u.dtype)
     full = _recover(ctx, u, "QR")
     eta, rnorm, gal, rvec = _indicators(ctx, full, "QR")
-    sol = Solution(full, "QR", eta, rnorm, gal, u, ctx, rvec)
-    if r_diag.size:
-        sol.r_diag_min, sol.r_diag_max = float(r_diag.min()), float(r_diag.max())
-    return sol
+    return Solution(full, "QR", eta, rnorm, gal, u, ctx, rvec, *_r_range(r_diag))
 
 
 def residual_rho(bt: RectangularRowBlocked, ltilde: np.ndarray, solution: Solution) -> float:
     """rho = ||Btilde u - ltilde|| / (||Btilde||_2 ||u||_2) of Eq.-(3.14) type.
 
-    ||Btilde||_2 comes from a power iteration on the Gram matrix
-    Btilde* Btilde (:meth:`RectangularRowBlocked.normal_matrix`, built once
-    per set of panels and shared with the condition diagnostic): a fixed
+    ||Btilde||_2 comes from a power iteration on the unscaled Gram matrix
+    Btilde* Btilde (:attr:`RectangularRowBlocked.gram`, built once per
+    system and shared with the condition diagnostic): a fixed
     start (seed 1234), at most 60 steps, stopped at a 1e-10 relative change.
     The cap usually ends it before convergence: on the finer ultraweak
     levels the norm reads low by 0.5-0.7% against Lanczos, and rho high by
@@ -221,14 +227,12 @@ def residual_rho(bt: RectangularRowBlocked, ltilde: np.ndarray, solution: Soluti
     resid = float(np.linalg.norm(bt.matvec(u) - ltilde))
     if unorm == 0.0 and float(np.linalg.norm(ltilde)) == 0.0:
         raise ZeroSolution("rho undefined for zero solution of zero load")
-    gram = bt.normal_matrix().matrix
-    n = bt.n_cols
     rng = np.random.default_rng(1234)
-    x = rng.standard_normal(n)
+    x = rng.standard_normal(bt.n_cols)
     x /= np.linalg.norm(x)
     smax = 0.0
     for _ in range(60):
-        y = gram @ x
+        y = bt.gram @ x
         nrm = np.linalg.norm(y)
         if nrm == 0.0:
             break

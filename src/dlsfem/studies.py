@@ -44,6 +44,7 @@ from .assembly import (
     AssemblyError,
     Options,
     SparseSymmetric,
+    _scale_columns,
     assemble_ne,
     assemble_overdetermined,
     build_context,
@@ -181,69 +182,69 @@ def _cond_diagnostics(mesh, form, case, options, need_a, need_b, assembled=None)
 
     Evaluated in double precision: the condition number is a property of
     the discretization, not of the working precision.  ``assembled`` is
-    (ctx, ne, ls), the context ``run_study`` built at this level with the
-    (A, f) and (Btilde, ltilde) it assembled there, None where an assembly
-    failed or did not run.  In double precision these are used as they are
-    and a missing system leaves its cell empty; otherwise a double-precision
-    context is built and assembled here.
+    (ctx, A, Btilde), the context ``run_study`` built at this level with
+    the systems it assembled there, None where an assembly failed or did
+    not run.  In double precision these are used as they are and a missing
+    system leaves its cell empty; otherwise a double-precision context is
+    built and assembled here.
 
     One spectrum serves the level, one sparse LU and two Lanczos runs: that
-    of the Gram Btilde_s* Btilde_s when Btilde was assembled, else that of
-    A_s.  cond(Btilde) is the square root of the Gram's eigenvalue ratio.
-    cond(A) is the ratio of A_s's Rayleigh quotients at the Gram's extreme
-    eigenvectors, evaluated on A_s's element blocks (on S* S for a square
-    system).  Since A = Btilde* Btilde up to round-off, these quotients are
-    A_s's extreme eigenvalues to second order in the difference.  A
-    singular or indefinite matrix leaves its cell empty, and a singular or
-    indefinite Gram leaves both cells empty.
+    of the scaled Gram D G D, G = Btilde* Btilde, when Btilde was assembled,
+    else that of A_s = D A D, each with its own column scale D.
+    cond(Btilde) is the square root of the Gram's eigenvalue ratio.  cond(A)
+    is the ratio of A_s's Rayleigh quotients at the Gram's extreme
+    eigenvectors x, each (D x)* A (D x) on A's element blocks (on S* S for
+    a square system).  Since A = Btilde* Btilde up to round-off, these
+    quotients are A_s's extreme eigenvalues to second order in the
+    difference.  A singular or indefinite matrix leaves its cell empty, and
+    a singular or indefinite Gram leaves both cells empty.
     """
     if assembled is not None and not 0 < assembled[0].n_solve <= COND_LIMIT:
         return None, None           # the size does not depend on precision
     if assembled is not None and options.precision == "double":
-        _, ne, ls = assembled
+        _, a, bt = assembled
     else:
         ctx = _build(mesh, form, case, replace(options, precision="double"))
         if not 0 < ctx.n_solve <= COND_LIMIT:
             return None, None
-        ne = _try_assemble(assemble_ne, ctx) if need_a else None
-        ls = _try_assemble(assemble_overdetermined, ctx) if need_b else None
-    a_s = gram = None
-    if ne is not None:
+        a = _try_assemble(assemble_ne, ctx) if need_a else None
+        bt = _try_assemble(assemble_overdetermined, ctx) if need_b else None
+    s_a = gram = None
+    if a is not None:
         try:
-            a_s, _, _ = precondition_global(*ne)
+            s_a = precondition_global(a)
+        except NonpositiveDiagonal:
+            a = None
+    if bt is not None:
+        try:
+            gram = _scale_columns(bt.gram, precondition_global_rect(bt))
         except NonpositiveDiagonal:
             pass
-    if ls is not None:
-        try:
-            gram = precondition_global_rect(*ls)[0].normal_matrix()
-        except NonpositiveDiagonal:
-            pass
-    spectral = a_s if gram is None else gram
-    if spectral is None:
+    if gram is None and a is None:
         return None, None
     try:
-        lam, v = linalg.hpd_extreme_eigenpairs(spectral.matrix)
+        lam, v = linalg.hpd_extreme_eigenpairs(_scale_columns(a.matrix, s_a) if gram is None else gram)
     except NotPositiveDefinite:
         return None, None
     ratio = float(lam[1] / lam[0])
-    cond_a = ratio if a_s is spectral else None
-    cond_b = None if gram is None else math.sqrt(ratio)
-    if a_s is not None and gram is not None:
-        q = [a_s.quadratic_form(x) / np.vdot(x, x).real for x in v.T]
+    if gram is None:
+        return ratio, None
+    cond_a = None
+    if a is not None:
+        q = [a.quadratic_form(s_a * x) / np.vdot(x, x).real for x in v.T]
         try:
-            cond_a = linalg.hpd_ratio(q[0], q[1], a_s.n)
+            cond_a = linalg.hpd_ratio(q[0], q[1], a.n)
         except NotPositiveDefinite:
             pass
-    return cond_a, cond_b
+    return cond_a, math.sqrt(ratio)
 
 
 def _try_assemble(assemble, ctx):
-    """(matrix, load) of one assembly path, or None when the assembly fails."""
+    """The matrix of one assembly path, or None when the assembly fails."""
     try:
-        mat, load, _ = assemble(ctx)
+        return assemble(ctx)[0]
     except AssemblyError:
         return None
-    return mat, load
 
 
 def run_study(config: StudyConfig):
@@ -321,11 +322,7 @@ def run_study(config: StudyConfig):
                 mesh, form, case, options,
                 need_a="ne" in config.solvers,
                 need_b="qr" in config.solvers,
-                assembled=(
-                    ctx,
-                    None if a is None else (a, f),
-                    None if bt is None else (bt, lt),
-                ),
+                assembled=(ctx, a, bt),
             )
         if config.dump_matrices:
             if "ne" in config.solvers and "ne" not in row.failed:
@@ -395,7 +392,7 @@ def assemble_fosls_monolithic(ctx, case):
         block = (a_k if a_k.ndim == 2 else a_k[cl.elements])[..., fl[:, None], fl]
         blocks.append(BlockStack(block=block, cols=cols, cells=cells[cl.elements]))
         np.add.at(f, cols, f_k[cl.elements][:, fl])
-    return SparseSymmetric(ctx.n_solve, blocks=blocks, scale=np.ones(ctx.n_solve)), f
+    return SparseSymmetric(ctx.n_solve, blocks=blocks), f
 
 
 def compare_fosls(p: int, dp_list, refinements: int, alpha="sine", out_dir="."):

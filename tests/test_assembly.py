@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from dlsfem.assembly import (
     Options,
     RectangularRowBlocked,
+    SparseSymmetric,
+    _scale_columns,
     assemble_ne,
     assemble_overdetermined,
     build_context,
@@ -39,7 +41,7 @@ class TestCrossAssemblyIdentity:
         ctx = build_context(uniform_mesh(n), form, case)
         a, f, _ = assemble_ne(ctx)
         bt, lt, _ = assemble_overdetermined(ctx)
-        an = bt.normal_matrix().to_dense()
+        an = bt.gram.toarray()
         fn = bt.rmatvec(lt)
         scale = np.linalg.norm(an)
         assert np.linalg.norm(a.to_dense() - an) <= 1e-12 * scale
@@ -51,7 +53,7 @@ class TestCrossAssemblyIdentity:
         ctx = build_context(uniform_mesh(2), form, case, Options(condense=False))
         a, _, _ = assemble_ne(ctx)
         bt, _, _ = assemble_overdetermined(ctx)
-        an = bt.normal_matrix().to_dense()
+        an = bt.gram.toarray()
         assert np.linalg.norm(a.to_dense() - an) <= 1e-12 * np.linalg.norm(an)
 
 
@@ -144,27 +146,24 @@ class TestGlobalPreconditioning:
         form = make_formulation("primal-dpg", p=1, dp=1)
         ctx = build_context(uniform_mesh(2), form, _case_for("primal-dpg"))
         a, f, _ = assemble_ne(ctx)
-        a1, f1, s = precondition_global(a, f)
+        s = precondition_global(a)
+        a1 = SparseSymmetric(a.n, _scale_columns(a.matrix, s))
         np.testing.assert_allclose(a1.diagonal(), 1.0, atol=1e-13)
-        a2, f2, s2 = precondition_global(a1, f1)
+        s2 = precondition_global(a1)
         np.testing.assert_allclose(s2, 1.0, atol=1e-12)
 
     def test_offdiagonal_scaling(self):
-        import scipy.sparse
-
-        from dlsfem.assembly import SparseSymmetric
-
         a = SparseSymmetric(2, scipy.sparse.csr_matrix(np.array([[4.0, 1.0], [1.0, 9.0]])))
-        a1, f1, s = precondition_global(a, np.ones(2))
-        np.testing.assert_allclose(a1.to_dense(), [[1.0, 1.0 / 6.0], [1.0 / 6.0, 1.0]])
+        s = precondition_global(a)
+        np.testing.assert_allclose(_scale_columns(a.matrix, s).toarray(), [[1.0, 1.0 / 6.0], [1.0 / 6.0, 1.0]])
 
     def test_argmin_invariance(self):
         form = make_formulation("fosls-strong", p=2, dp=1)
         ctx = build_context(uniform_mesh(2), form, _case_for("fosls-strong"))
         a, f, _ = assemble_ne(ctx)
         u0 = solve_spd(a.to_dense(), f)
-        a1, f1, s = precondition_global(a, f)
-        u1 = s * solve_spd(a1.to_dense(), f1)
+        s = precondition_global(a)
+        u1 = s * solve_spd(_scale_columns(a.matrix, s).toarray(), s * f)
         np.testing.assert_allclose(u1, u0, atol=1e-12 * np.linalg.norm(u0))
 
     def test_rectangular_matches_ne_scaling(self):
@@ -172,25 +171,17 @@ class TestGlobalPreconditioning:
         ctx = build_context(uniform_mesh(2), form, _case_for("fosls-strong"))
         a, f, _ = assemble_ne(ctx)
         bt, lt, _ = assemble_overdetermined(ctx)
-        _, _, s_ne = precondition_global(a, f)
-        bt1, lt1, s_od = precondition_global_rect(bt, lt)
+        s_ne = precondition_global(a)
+        s_od = precondition_global_rect(bt)
         np.testing.assert_allclose(s_od, s_ne, rtol=1e-12)
         np.testing.assert_allclose(
-            bt1.normal_matrix().diagonal(), 1.0, atol=1e-12
+            _scale_columns(bt.gram, s_od).diagonal(), 1.0, atol=1e-12
         )
-        # the scaled system shares the panels and scales the columns
-        for st, st1 in zip(bt.stacks, bt1.stacks, strict=True):
-            assert np.shares_memory(st.panel, st1.panel)
-        np.testing.assert_array_equal(bt1.to_dense(), bt.to_dense() * s_od)
 
     def test_zero_column_raises(self):
-        import scipy.sparse
-
-        from dlsfem.assembly import SparseSymmetric
-
         a = SparseSymmetric(2, scipy.sparse.csr_matrix(np.diag([1.0, 0.0])))
         with pytest.raises(NonpositiveDiagonal):
-            precondition_global(a, np.ones(2))
+            precondition_global(a)
 
 
 class TestMatrixMarket:
@@ -262,7 +253,7 @@ class TestSquareContext:
 
 
 # ---------------------------------------------------------------------------
-# Products on the stacks against the dense B D of to_dense()
+# Products on the stacks, column-scaled by D, against the dense B D of to_dense()
 # ---------------------------------------------------------------------------
 
 STACK_SYSTEMS = {
@@ -290,17 +281,20 @@ def _random_vector(rng, n, dtype):
     return v + 1j * rng.standard_normal(n) if np.issubdtype(dtype, np.complexfloating) else v
 
 
-def check_stack_products(bt, rng):
-    """matvec, rmatvec and normal_matrix() against the dense products of
-    to_dense(), whose entries are rounded to the panels' dtype."""
-    dense = bt.to_dense()
+def check_stack_products(bt, rng, s=None):
+    """matvec, rmatvec and the Gram, with the columns scaled by ``s`` (none
+    by default) as the solvers and diagnostics apply it, against the dense
+    products of to_dense() * s, whose entries are rounded to the panels'
+    dtype."""
+    s = np.ones(bt.n_cols, dtype=bt.dtype) if s is None else s
+    dense = bt.to_dense() * s
     eps = np.finfo(dense.dtype).eps
     d = dense.astype(np.result_type(dense.dtype, np.float64))
     x, r = _random_vector(rng, bt.n_cols, d.dtype), _random_vector(rng, bt.n_rows, d.dtype)
-    assert np.linalg.norm(bt.matvec(x) - d @ x) <= 64 * eps * np.linalg.norm(abs(d) @ abs(x))
+    assert np.linalg.norm(bt.matvec(s * x) - d @ x) <= 64 * eps * np.linalg.norm(abs(d) @ abs(x))
     adj = d.conj().T
-    assert np.linalg.norm(bt.rmatvec(r) - adj @ r) <= 64 * eps * np.linalg.norm(abs(adj) @ abs(r))
-    gram = bt.normal_matrix().to_dense()
+    assert np.linalg.norm(s.conj() * bt.rmatvec(r) - adj @ r) <= 64 * eps * np.linalg.norm(abs(adj) @ abs(r))
+    gram = _scale_columns(bt.gram, s.astype(bt.gram.dtype)).toarray()
     assert gram.dtype == d.dtype
     assert np.linalg.norm(gram - adj @ d) <= 64 * eps * np.linalg.norm(abs(adj) @ abs(d))
 
@@ -311,15 +305,15 @@ class TestStackProducts:
     def test_assembled_products_match_dense(self, name, precision):
         bt, lt = _stack_system(name, precision)
         rng = np.random.default_rng(11)
-        scaled, _, s = precondition_global_rect(bt, lt)
-        check_stack_products(scaled, rng)     # builds the Gram on the scaled copy
+        s = precondition_global_rect(bt)
+        check_stack_products(bt, rng, s)      # builds the Gram
         check_stack_products(bt, rng)
-        # one Gram for both, and the scaled copy's normal matrix is D* G D
-        g = bt.panel_gram()
-        assert scaled.panel_gram() is g
+        # the Gram is built once, and its column scaling is D* G D
+        g = bt.gram
+        assert bt.gram is g
         sd = scipy.sparse.diags(s.astype(g.dtype))
         np.testing.assert_allclose(
-            scaled.normal_matrix().to_dense(), (sd.conj() @ g @ sd).toarray(),
+            _scale_columns(g, s.astype(g.dtype)).toarray(), (sd.conj() @ g @ sd).toarray(),
             rtol=4 * np.finfo(np.float64).eps, atol=0,
         )
 
@@ -328,25 +322,27 @@ class TestStackProducts:
         """The square system's Gram S* S, put in by the assembly as one sparse
         product, equals the sum of its one-row panels' P* P."""
         bt, _ = _stack_system("one-row", precision)
-        g = bt.panel_gram()
-        want = RectangularRowBlocked(bt.n_cols, bt.n_rows, bt.stacks, bt.scale).panel_gram()
+        g = bt.gram
+        assert g is bt.square_gram
+        want = RectangularRowBlocked(bt.n_cols, bt.n_rows, bt.stacks).gram
         assert g.dtype == want.dtype == np.float64
         assert scipy.sparse.linalg.norm(g - want) <= 1e-14 * scipy.sparse.linalg.norm(want)
 
     @pytest.mark.parametrize("name", list(STACK_SYSTEMS))
     def test_ne_quadratic_form_matches_dense(self, name):
-        """x* A_s x from the element blocks (from S* S for the square system)
-        equals the dense product with the CSR sum, and that sum is not built."""
+        """x* A_s x of A_s = D A D, taken as (D x)* A (D x) on the element
+        blocks (on S* S for the square system), equals the dense product with
+        A_s, and the CSR sum of the blocks is not built."""
         fname, p, n, cname = STACK_SYSTEMS[name]
         case = make_case(cname)
         form = make_formulation(fname, p=p, dp=1, alpha=case.alpha)
         a, f, _ = assemble_ne(build_context(uniform_mesh(n), form, case))
-        a_s = precondition_global(a, f)[0]
+        s = precondition_global(a)
         rng = np.random.default_rng(5)
-        xs = [_random_vector(rng, a_s.n, a_s.dtype) for _ in range(3)]
-        got = [a_s.quadratic_form(x) for x in xs]
-        assert (a_s._matrix is None) == (a_s.blocks is not None)
-        dense = a_s.to_dense()
+        xs = [_random_vector(rng, a.n, a.dtype) for _ in range(3)]
+        got = [a.quadratic_form(s * x) for x in xs]
+        assert (a._matrix is None) == (a.blocks is not None)
+        dense = _scale_columns(a.matrix, s).toarray()
         for x, q in zip(xs, got):
             ref = np.vdot(x, dense @ x)
             assert abs(q - ref.real) <= 64 * np.finfo(np.float64).eps * np.vdot(abs(x), abs(dense) @ abs(x)).real
@@ -356,8 +352,8 @@ class TestStackProducts:
     @given(data=st.data())
     def test_property_shared_and_per_element_stacks(self, dtype, data):
         stacks, load, ncols, how = data.draw(shared_problems(dtype))
-        bt = RectangularRowBlocked(ncols, load.size, stacks, how["scale"])
-        check_stack_products(bt, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        bt = RectangularRowBlocked(ncols, load.size, stacks)
+        check_stack_products(bt, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), how["scale"])
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @PROPERTY
@@ -365,5 +361,5 @@ class TestStackProducts:
     def test_property_one_row_stacks(self, dtype, data):
         stacks, load, ncols, _ = data.draw(row_problems(dtype))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        bt = RectangularRowBlocked(ncols, load.size, stacks, np.exp(rng.uniform(-2, 2, ncols)).astype(dtype))
-        check_stack_products(bt, rng)
+        s = np.exp(rng.uniform(-2, 2, ncols)).astype(dtype)
+        check_stack_products(RectangularRowBlocked(ncols, load.size, stacks), rng, s)

@@ -18,7 +18,7 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import given, strategies as st
 
-from dlsfem.assembly import Options, SparseSymmetric, assemble_ne, build_context, precondition_global
+from dlsfem.assembly import Options, _scale_columns, assemble_ne, build_context, precondition_global
 from dlsfem.blockqr import BlockStack, _group_round, _Part, solve_blocked_ne
 from dlsfem.formulation import make_case, make_formulation
 from dlsfem.linalg import NotPositiveDefinite
@@ -65,16 +65,12 @@ def hpd_problems(draw, dtype):
     return _dense(stacks, n, wide).astype(dtype), _random(rng, n, dtype), keys, stacks
 
 
-def _system(a):
-    return SparseSymmetric(n=a.shape[0], matrix=scipy.sparse.csr_matrix(a))
-
-
 def _tree(a, f, keys, stacks):
     return solve_blocked_ne(stacks, f, a.shape[0])[0]
 
 
 def _banded(a, f, keys, stacks):
-    return _banded_cholesky_solve(_system(a), f, keys)
+    return _banded_cholesky_solve(scipy.sparse.csr_matrix(a), f, keys)
 
 
 def check_matches_dense_solve(solve, dtype, problem):
@@ -290,9 +286,9 @@ def test_tree_matches_banded_on_assembled_systems(fname, p, dp, n, cname, conden
     form = make_formulation(fname, p, dp, **({"alpha": case.alpha} if fname == "fosls-strong" else {}))
     ctx = build_context(uniform_mesh(n), form, case, Options(condense=condense))
     a, f, _ = assemble_ne(ctx)
-    a_s, f_s, _ = precondition_global(a, f)
-    got = solve_blocked_ne(a_s.blocks, f_s, a_s.n, a_s.scale)[0]
-    want = _banded_cholesky_solve(a_s, f_s, ctx.sort_keys())
+    s = precondition_global(a)
+    got = solve_blocked_ne(a.blocks, f * s, a.n, s)[0]
+    want = _banded_cholesky_solve(_scale_columns(a.matrix, s), f * s, ctx.sort_keys())
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -306,7 +302,7 @@ def test_solve_ne_solves_the_monolithic_fosls_system_it_is_given():
     a, f = assemble_fosls_monolithic(ctx, case)
     assert a.blocks is not None
     got = solve_ne(a, f, ctx).system_vector
-    want = _banded_cholesky_solve(a, f, ctx.sort_keys())
+    want = _banded_cholesky_solve(a.matrix, f, ctx.sort_keys())
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     # the Riesz-map system of the context is about 1e-6 away at dp = 1
     a_ctx, f_ctx, _ = assemble_ne(ctx)

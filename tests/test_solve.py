@@ -9,6 +9,7 @@ import scipy.sparse
 from dlsfem import linalg
 from dlsfem.assembly import (
     Options,
+    _scale_columns,
     assemble_ne,
     assemble_overdetermined,
     build_context,
@@ -496,10 +497,10 @@ def test_qr_matches_dense_lstsq_on_assembled_system(fname, p, n, cname, setting)
     ctx = build_context(uniform_mesh(n), form, case, Options(precision=precision, condense=not uncondensed))
     bt, lt, _ = assemble_overdetermined(ctx)
     sol = solve_ls(bt, lt, ctx)
-    pbt, plt, scale = precondition_global_rect(bt, lt)
-    dense = pbt.to_dense()
+    scale = precondition_global_rect(bt)
+    dense = bt.to_dense() * scale
     wide = np.complex128 if np.iscomplexobj(dense) else np.float64
-    m, v = dense.astype(wide), plt.astype(wide)
+    m, v = dense.astype(wide), lt.astype(wide)
     ref = np.linalg.lstsq(m, v, rcond=None)[0]
     # least-squares forward error bound: u kappa (1 + kappa ||r|| / (||B|| ||x||))
     sv = np.linalg.svd(m, compute_uv=False)
@@ -514,6 +515,45 @@ def test_qr_matches_dense_lstsq_on_assembled_system(fname, p, n, cname, setting)
         sol_ne = solve_ne(a, f, ctx)
         diff = np.linalg.norm(sol_ne.coefficients - sol.coefficients)
         assert diff <= 1e-10 * np.linalg.norm(sol.coefficients)
+
+
+@pytest.mark.parametrize("condense", [True, False])
+def test_square_system_without_free_columns_solves_to_nothing(condense):
+    """Bubnov-Galerkin p=1 on one element fixes every DOF: S is 0 x 0, the
+    rectangular system has no stacks, and both solvers return an empty
+    system vector with the lift as the solution."""
+    form = make_formulation("bubnov-galerkin", p=1, dp=0)
+    ctx = build_square_context(uniform_mesh(1), form, make_case("poisson-sine10"), Options(condense=condense))
+    bt, lt, _ = assemble_overdetermined(ctx)
+    assert ctx.n_solve == 0 and bt.stacks == []
+    for sol in (solve_ls(bt, lt, ctx), solve_ne(*assemble_ne(ctx))):
+        assert sol.system_vector.size == 0
+        np.testing.assert_array_equal(sol.coefficients, ctx.lift_full)
+
+
+@pytest.mark.parametrize("fname,cname", [
+    ("ultraweak-dpg", "poisson-sine"),
+    ("fosls-strong", "poisson-alpha-sine"),
+    ("primal-dpg", "poisson-sine10"),
+    ("acoustics-ultraweak", "acoustics-resonance"),
+    ("bubnov-galerkin", "poisson-sine10"),
+])
+def test_ne_and_qr_report_one_r_diagonal_range(fname, cname):
+    """On one tree, the Cholesky factor of D A D and the R of Btilde D have
+    the same diagonal magnitudes up to round-off (A = Btilde* Btilde), so
+    the two solvers report one range, to 1e-9 relative in double.  The
+    banded Cholesky of a square system's S* S reports none."""
+    case = make_case(cname)
+    form = make_formulation(fname, p=2, dp=1, alpha=case.alpha)
+    ctx = build_context(uniform_mesh(4), form, case)
+    qr = solve_ls(*assemble_overdetermined(ctx))
+    ne = solve_ne(*assemble_ne(ctx))
+    assert 0.0 < qr.r_diag_min <= qr.r_diag_max
+    if form.test_conforming:
+        assert ne.r_diag_min is None and ne.r_diag_max is None
+        return
+    assert ne.r_diag_min == pytest.approx(qr.r_diag_min, rel=1e-9)
+    assert ne.r_diag_max == pytest.approx(qr.r_diag_max, rel=1e-9)
 
 
 @pytest.mark.parametrize("fname,cname", [
@@ -558,16 +598,16 @@ def test_tree_qr_matches_window_reference(fname, p, n, cname, precision):
     form = make_formulation(fname, p=p, dp=1, alpha=case.alpha)
     ctx = build_context(uniform_mesh(n), form, case, Options(precision=precision))
     bt, lt, _ = assemble_overdetermined(ctx)
-    pbt, plt, _ = precondition_global_rect(bt, lt)
-    got, _ = solve_blocked_ls(pbt.stacks, plt, pbt.n_cols, pbt.scale)
-    want, _ = solve_window_ls(pbt.stacks, plt, pbt.n_cols, pbt.scale, sort_keys=ctx.sort_keys())
-    assert got.dtype == want.dtype == pbt.scale.dtype
+    s = precondition_global_rect(bt)
+    got, _ = solve_blocked_ls(bt.stacks, lt, bt.n_cols, s)
+    want, _ = solve_window_ls(bt.stacks, lt, bt.n_cols, s, sort_keys=ctx.sort_keys())
+    assert got.dtype == want.dtype == s.dtype
     if precision == "double":
         bound = 1e-12
     else:
-        ev = np.linalg.eigvalsh(pbt.normal_matrix().to_dense())
+        ev = np.linalg.eigvalsh(_scale_columns(bt.gram, s.astype(bt.gram.dtype)).toarray())
         kappa = math.sqrt(ev[-1] / ev[0])
-        eta = np.linalg.norm(pbt.matvec(_wide(want)) - plt) / (math.sqrt(ev[-1]) * np.linalg.norm(_wide(want)))
+        eta = np.linalg.norm(bt.matvec(s * _wide(want)) - lt) / (math.sqrt(ev[-1]) * np.linalg.norm(_wide(want)))
         bound = 2 * 100.0 * np.finfo(got.dtype).eps * kappa * (1.0 + kappa * eta)
         assert bound < 0.1
     assert np.linalg.norm(_wide(got) - want) <= bound * np.linalg.norm(_wide(want))
@@ -591,11 +631,12 @@ def test_banded_ne_matches_dense_cholesky(fname, p, n, cname, precision, dtype):
     a, f, _ = assemble_ne(ctx)
     sol = solve_ne(a, f, ctx)
     assert sol.system_vector.dtype == dtype
-    a_s, f_s, scale = precondition_global(a, f)
-    dense = linalg.solve_spd(a_s.to_dense(), f_s)
+    scale = precondition_global(a)
+    a_s = _scale_columns(a.matrix, scale).toarray()
+    dense = linalg.solve_spd(a_s, f * scale)
     assert dense.dtype == dtype
     got = _wide(sol.system_vector) / scale
-    bound = 100.0 * np.finfo(dtype).eps * np.linalg.cond(_wide(a_s.to_dense()))
+    bound = 100.0 * np.finfo(dtype).eps * np.linalg.cond(_wide(a_s))
     assert bound < 0.1
     assert np.linalg.norm(got - dense) <= bound * np.linalg.norm(_wide(dense))
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import runpy
 from pathlib import Path
 
@@ -8,12 +9,13 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from dlsfem import cli, element, linalg, studies
+from dlsfem import assembly, cli, element, linalg, solve, studies
 from dlsfem.assembly import (
     AssemblyError,
     Options,
     RectangularRowBlocked,
     SparseSymmetric,
+    _scale_columns,
     assemble_ne,
     assemble_overdetermined,
     build_context,
@@ -116,22 +118,48 @@ class TestRunStudy:
                 run_study(cfg)
 
     def test_rho_and_cond_share_one_gram_per_level(self, tmp_path, monkeypatch):
-        """rho and cond(Btilde) read one panel Gram matrix per level, and no
-        study path copies Btilde into a COO/CSR matrix unless it is dumped."""
-        builds, coo_calls = [], []
-        panel_gram, to_coo = RectangularRowBlocked.panel_gram, RectangularRowBlocked.to_coo
+        """rho and cond(Btilde) read one Gram matrix per level, rho reads it
+        unscaled, a double-precision square level forms S* S once for both
+        solvers, and no study path copies Btilde into a COO/CSR matrix
+        unless it is dumped."""
+        builds, coo_calls, products, rho_scalings, in_rho = [], [], [], [], []
+        gram, to_coo, rho = RectangularRowBlocked.gram.func, RectangularRowBlocked.to_coo, studies.residual_rho
+        scale_columns = assembly._scale_columns
 
         def counting_gram(self):
-            if not self._gram:
-                builds.append(self.n_cols)
-            return panel_gram(self)
+            builds.append(self.n_cols)
+            return gram(self)
 
         def counting_coo(self):
             coo_calls.append(self.n_cols)
             return to_coo(self)
 
-        monkeypatch.setattr(RectangularRowBlocked, "panel_gram", counting_gram)
+        def counting_scale(csr, s):
+            if in_rho:
+                rho_scalings.append(csr.shape)
+            return scale_columns(csr, s)
+
+        def tracking_rho(*args):
+            in_rho.append(True)
+            try:
+                return rho(*args)
+            finally:
+                in_rho.pop()
+
+        for cls in (scipy.sparse.csr_matrix, scipy.sparse.csc_matrix):
+            def counting_matmul(self, other, matmul=cls.__matmul__):
+                if scipy.sparse.issparse(other):
+                    products.append(other.shape)
+                return matmul(self, other)
+
+            monkeypatch.setattr(cls, "__matmul__", counting_matmul)
+        counted = functools.cached_property(counting_gram)
+        counted.__set_name__(RectangularRowBlocked, "gram")
+        monkeypatch.setattr(RectangularRowBlocked, "gram", counted)
         monkeypatch.setattr(RectangularRowBlocked, "to_coo", counting_coo)
+        for mod in (assembly, solve, studies):
+            monkeypatch.setattr(mod, "_scale_columns", counting_scale, raising=False)
+        monkeypatch.setattr(studies, "residual_rho", tracking_rho)
         cfg = dict(
             study="converge", formulation="ultraweak-dpg", p=2, dp=1,
             start_n=8, refinements=2, solvers=("qr",),
@@ -140,9 +168,17 @@ class TestRunStudy:
         assert [r.n for r in rows] == [8, 16]
         assert all(r.rho is not None and r.cond_btilde is not None for r in rows)
         assert len(builds) == 2 and builds[0] < builds[1]
-        assert coo_calls == []
+        assert coo_calls == [] and products == [] and rho_scalings == []
         run_study(StudyConfig(out_dir=str(tmp_path / "b"), dump_matrices=True, **cfg))
         assert len(coo_calls) == 2          # the dumps, one per level
+        builds.clear()
+        square = dict(cfg, formulation="bubnov-galerkin", start_n=4, solvers=("ne", "qr"))
+        rows, _ = run_study(StudyConfig(out_dir=str(tmp_path / "c"), **square))
+        assert [r.n for r in rows] == [4, 8]
+        assert all(None not in (r.rho, r.cond_a, r.cond_btilde) for r in rows)
+        assert len(builds) == 2 and builds[0] < builds[1]
+        assert len(products) == 2 and products[0] < products[1]     # S* S, one per level
+        assert rho_scalings == []
 
     @pytest.mark.parametrize(
         "formulation,solvers,quotients",
@@ -420,15 +456,15 @@ class TestCondDiagnostics:
         ctx = build(mesh, form, case, Options())
         a, f, _ = assemble_ne(ctx)
         bt, lt, _ = assemble_overdetermined(ctx)
-        ref_a = linalg.condition_number(precondition_global(a, f)[0].to_dense())
-        ref_b = linalg.condition_number(precondition_global_rect(bt, lt)[0].to_dense())
+        ref_a = linalg.condition_number(_scale_columns(a.matrix, precondition_global(a)).toarray())
+        ref_b = linalg.condition_number(bt.to_dense() * precondition_global_rect(bt))
         cond_a, cond_b = _cond_diagnostics(mesh, form, case, Options(), True, True)
         # the lambda_min of either route is off by about eps ||A_s||
         tol = 100.0 * ref_a * linalg.eps(np.float64)
         assert abs(cond_a - ref_a) <= tol * ref_a
         assert abs(cond_b - ref_b) <= tol * ref_b
         reused = _cond_diagnostics(
-            mesh, form, case, Options(), True, True, assembled=(ctx, (a, f), (bt, lt))
+            mesh, form, case, Options(), True, True, assembled=(ctx, a, bt)
         )
         assert reused == (cond_a, cond_b)
 
@@ -446,8 +482,9 @@ class TestCondDiagnostics:
         case, _ = case_for(cfg)
         form = _formulation_for(cfg, case)
         ctx = studies._build(uniform_mesh(4), form, case, Options(condense=condense))
-        a_s = precondition_global(*assemble_ne(ctx)[:2])[0].to_dense()
-        gram = precondition_global_rect(*assemble_overdetermined(ctx)[:2])[0].normal_matrix().to_dense()
+        a, bt = assemble_ne(ctx)[0], assemble_overdetermined(ctx)[0]
+        a_s = _scale_columns(a.matrix, precondition_global(a)).toarray()
+        gram = _scale_columns(bt.gram, precondition_global_rect(bt)).toarray()
         assert np.iscomplexobj(a_s) == (formulation == "acoustics-ultraweak")
         assert np.abs(a_s - gram).max() <= 1e-12 * np.abs(a_s).max()
 
