@@ -3,22 +3,23 @@
 One element pipeline (compute, Gram preconditioning, precision cast,
 whitening, Dirichlet modification, condensation) feeds two assembly paths:
 
-* ``assemble_ne``  gives the element normal equations
-  A_K = Btilde_K* Btilde_K as one :class:`BlockStack` per element class,
-  whose sum is A (the accumulation of conforming FEM, summed as CSR only
-  when read); each block carries its element's mesh cell, which places it
-  in the elimination tree of the Cholesky.  The square product S* S is
-  one sparse matrix, formed once per context.
-* ``assemble_overdetermined`` gives the whitened rectangular system as one
-  :class:`RowStack` per element class: its shared panel with the columns
-  and row offsets of its elements (the broken test space means no two
-  elements share a row, so element e owns rows e*M .. e*M + M - 1).  A
-  square system is one stack of one-row panels per row width of S.  Each
-  panel carries the mesh cell of its element (a row of S, that of its
-  DOF), which places it in the block QR's elimination tree.
+* ``assemble_ne``  gives the element normal equations (A_K, f_K),
+  A_K = Btilde_K* Btilde_K, as one :class:`BlockStack` per element class,
+  whose sums are A and f (summed as CSR and vector only when read); each
+  block carries its element's mesh cell, which places it in the
+  elimination tree of the Cholesky.  The square product S* S is one
+  sparse matrix, formed once per context.
+* ``assemble_overdetermined`` gives the whitened rectangular system
+  (Btilde, ltilde) as one :class:`RowStack` per element class: its shared
+  panel with the columns, row loads and row offsets of its elements (the
+  broken test space means no two elements share a row, so element e owns
+  rows e*M .. e*M + M - 1).  A square system is one stack of one-row
+  panels per row width of S.  Each panel carries the mesh cell of its
+  element (a row of S, that of its DOF), which places it in the block
+  QR's elimination tree.
 
-Both are immutable data over the unscaled matrix; the global column
-scale is a vector that its users apply (:func:`precondition_global`).
+Both are immutable data over the unscaled matrix with its load; the
+global column scale is a vector that its users apply.
 
 The pipeline runs on element classes, not on single elements.  The master
 element system is computed once; the elements whose Dirichlet column
@@ -74,28 +75,40 @@ class Options:
 
 
 class SparseSymmetric:
-    """Hermitian matrix A, the sum of the Hermitian element blocks ``blocks``
-    (one :class:`BlockStack` per element class), which ``solve_ne`` factors
-    on the elimination tree of :mod:`dlsfem.blockqr`; their CSR sum
-    (``matrix``) is built only when it is read (diagnostics, export, matrix
+    """Hermitian matrix A with its load f: the sums of the element blocks
+    ``blocks`` (one :class:`BlockStack` per element class) and of their
+    loads, which ``solve_ne`` factors on the elimination tree of
+    :mod:`dlsfem.blockqr`.  Their CSR sum (``matrix``) and summed load
+    (``rhs``) are built only when read (diagnostics, export, matrix
     distances).  A system without blocks (the square product S* S) is given
-    as its ``matrix``.
+    as its ``matrix`` and ``rhs``.
     """
 
-    def __init__(self, n: int, matrix=None, blocks=None):
+    def __init__(self, n: int, matrix=None, blocks=None, rhs=None):
         self.n = n
         self.blocks = blocks
         self._matrix = matrix
+        self._rhs = rhs
 
     @property
     def dtype(self):
-        return self._matrix.dtype if self.blocks is None else self.blocks[0].block.dtype
+        return self._matrix.dtype if self.blocks is None else self.blocks[0].panel.dtype
 
     @property
     def matrix(self) -> scipy.sparse.csr_matrix:
         if self._matrix is None:
-            self._matrix = _sum_blocks(self.n, [(st.cols, st.block) for st in self.blocks])
+            self._matrix = _sum_blocks(self.n, [(st.cols, st.panel) for st in self.blocks])
         return self._matrix
+
+    @property
+    def rhs(self) -> np.ndarray:
+        if self._rhs is None:
+            # summed aside, then set: no thread reads a partial sum
+            rhs = np.zeros(self.n, dtype=self.dtype)
+            for st in self.blocks:
+                np.add.at(rhs, st.cols, st.loads)
+            self._rhs = rhs
+        return self._rhs
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -103,7 +116,7 @@ class SparseSymmetric:
     def diagonal(self) -> np.ndarray:
         if self.blocks is None:
             return self.matrix.diagonal()
-        return _sum_columns(self.n, [(st.cols, np.real(np.diagonal(st.block, axis1=-2, axis2=-1))) for st in self.blocks])
+        return _sum_columns(self.n, [(st.cols, np.real(np.diagonal(st.panel, axis1=-2, axis2=-1))) for st in self.blocks])
 
     def quadratic_form(self, x: np.ndarray) -> float:
         """Re x* A x, block by block: no CSR sum of the blocks is made."""
@@ -112,7 +125,7 @@ class SparseSymmetric:
         total = 0.0
         for st in self.blocks:
             v = x[st.cols]
-            av = v @ st.block.T if st.block.ndim == 2 else linalg.matvec(st.block, v)
+            av = v @ st.panel.T if st.panel.ndim == 2 else linalg.matvec(st.panel, v)
             total += np.real(np.vdot(v, av))
         return float(total)
 
@@ -124,8 +137,8 @@ class SparseSymmetric:
 
 @dataclass(frozen=True, eq=False)
 class RectangularRowBlocked:
-    """Row-blocked rectangular matrix B as :class:`RowStack` s, one per
-    element class (or per row width of a square S).
+    """Row-blocked rectangular matrix B with its load as :class:`RowStack` s,
+    one per element class (or per row width of a square S).
 
     Products run stack by stack on the panels; no global copy of B is
     formed.  The solvers' column scale is not part of it.
@@ -157,6 +170,14 @@ class RectangularRowBlocked:
 
     def to_dense(self) -> np.ndarray:
         return self.to_coo().toarray()
+
+    @cached_property
+    def rhs(self) -> np.ndarray:
+        """The load over the rows, gathered from the stacks."""
+        out = np.zeros(self.n_rows, dtype=self.dtype)
+        for st in self.stacks:
+            out[st.rows] = st.loads
+        return out
 
     @cached_property
     def gram(self) -> scipy.sparse.csr_matrix:
@@ -261,7 +282,9 @@ class AssemblyContext:
     positions: np.ndarray          # (n_total, 2)
     classes: list = dc_field(default_factory=list)   # ElementClass per BC signature
     records: tuple = ()            # kept empty for bench/tracing.py, which counts len(records)
-    square_data: Optional[dict] = None   # conforming-test (square) systems only
+    # conforming-test (square) systems only: S with its load, and S* S
+    square: Optional[SparseSymmetric] = None
+    square_normal: Optional[scipy.sparse.csr_matrix] = None
 
     @property
     def n_solve(self) -> int:
@@ -346,7 +369,8 @@ def build_context(
     its Gram matrix is the identity, so whitening leaves the square
     stiffness matrix as it is, and the test functions of fixed DOFs are
     dropped with their columns.  Its context also carries the square
-    system as a sparse matrix, summed from the (condensed) element matrices.
+    system S with its load, the sum of the (condensed) element matrices and
+    loads, and the product S* S.
     """
     options = options or Options()
     square = form.test_conforming
@@ -463,12 +487,7 @@ def build_context(
             )
         )
 
-    square_data = None
-    if square:
-        s, rhs = _accumulate(classes, solve_ids.size, options.condense, solve_index, wdtype)
-        square_data = {"matrix": s, "rhs": rhs, "normal": (s.conj().T @ s).tocsr()}
-
-    return AssemblyContext(
+    ctx = AssemblyContext(
         formulation=form,
         mesh=mesh,
         case=case,
@@ -485,8 +504,11 @@ def build_context(
         bubble_mask=bubble_mask,
         positions=positions,
         classes=classes,
-        square_data=square_data,
     )
+    if square:
+        ctx.square = _element_system(ctx)
+        ctx.square_normal = (ctx.square.matrix.conj().T @ ctx.square.matrix).tocsr()
+    return ctx
 
 
 class AssemblyError(Exception):
@@ -505,7 +527,7 @@ def build_square_context(
     identity, and the 'whitened' system is the square stiffness matrix
     itself.  Static condensation is the classical per-element Schur
     elimination of interior DOFs.  The condensed matrix S is kept sparse
-    (CSR in ``square_data``): the least-squares view hands its rows to the
+    (``AssemblyContext.square``): the least-squares view hands its rows to the
     block QR as one-row panels, and the normal equation is the sparse
     product S* S (squaring the condition number, as forming normal
     equations of a traditional method must).
@@ -543,70 +565,63 @@ def element_cells(mesh: Mesh) -> np.ndarray:
 
 
 def assemble_overdetermined(ctx: AssemblyContext):
-    """Row-blocked rectangular system (Btilde, ltilde) per Algorithm-3 order.
+    """Row-blocked rectangular system (Btilde, ltilde) per Algorithm-3 order:
+    each class adds the rows and loads of its elements as one stack.
 
-    Returns (RectangularRowBlocked, ltilde, ctx).
+    Returns (RectangularRowBlocked, its load ltilde).
     """
-    dtype = ctx.options.working_dtype(ctx.formulation)
-    if ctx.square_data is not None:
+    if ctx.square is not None:
         # one stack of one-row panels per row width of S, over the nonzeros;
         # row i sits in the mesh cell of its DOF i
-        s, mesh = ctx.square_data["matrix"], ctx.mesh
+        s, rhs, mesh = ctx.square.matrix, ctx.square.rhs, ctx.mesh
         cells = np.clip(np.floor(ctx.positions[ctx.solve_ids] / mesh.h), 0, mesh.n - 1).astype(np.int64)
         width = np.diff(s.indptr)
         stacks = []
         for w in np.unique(width):
             rows = np.flatnonzero(width == w)
             at = s.indptr[rows, None] + np.arange(w)
-            stacks.append(RowStack(panel=s.data[at][:, None, :], cols=s.indices[at], offsets=rows, cells=cells[rows]))
+            stacks.append(RowStack(s.data[at][:, None, :], s.indices[at], rhs[rows, None], cells[rows], rows))
         # the Gram S* S as one sparse product: the context's in double
         s64 = s.astype(np.result_type(s.dtype, np.float64), copy=False)
-        gram = ctx.square_data["normal"] if s64 is s else (s64.conj().T @ s64).tocsr()
-        return RectangularRowBlocked(ctx.n_solve, s.shape[0], stacks, gram), ctx.square_data["rhs"].copy(), ctx
-    ne, m = ctx.mesh.n_elements, ctx.formulation.n_test_local
+        gram = ctx.square_normal if s64 is s else (s64.conj().T @ s64).tocsr()
+        bt = RectangularRowBlocked(ctx.n_solve, s.shape[0], stacks, gram)
+        return bt, bt.rhs
+    m = ctx.formulation.n_test_local
     cells = element_cells(ctx.mesh)
-    ltilde = np.zeros((ne, m), dtype=dtype)
     stacks = []
     for c in ctx.classes:
         mat, vec, cols = _class_system(c, ctx.options.condense, ctx.solve_index, ls=True)
-        ltilde[c.elements] = vec
         # element e owns rows e*m .. e*m + m - 1
-        stacks.append(RowStack(panel=mat, cols=cols, offsets=c.elements * m, cells=cells[c.elements]))
-    return RectangularRowBlocked(ctx.n_solve, ne * m, stacks), ltilde.ravel(), ctx
+        stacks.append(RowStack(mat, cols, vec, cells[c.elements], c.elements * m))
+    bt = RectangularRowBlocked(ctx.n_solve, ctx.mesh.n_elements * m, stacks)
+    return bt, bt.rhs
+
+
+def _element_system(ctx: AssemblyContext) -> SparseSymmetric:
+    """The element normal equations (A_K, f_K) of the classes, or the square
+    matrices and loads of a conforming test space, one :class:`BlockStack`
+    per class with its elements' mesh cells."""
+    cells = element_cells(ctx.mesh)
+    blocks = []
+    for c in ctx.classes:
+        mat, vec, cols = _class_system(c, ctx.options.condense, ctx.solve_index, ls=False)
+        blocks.append(BlockStack(mat, cols, vec, cells[c.elements]))
+    return SparseSymmetric(ctx.n_solve, blocks=blocks)
 
 
 def assemble_ne(ctx: AssemblyContext):
-    """Hermitian normal equation (A, f) per Algorithm 2: A is the sum of the
-    element normal equations, one :class:`BlockStack` per element class
-    with its elements' mesh cells; f is accumulated.  The square product
-    S* S is the one sparse matrix of the context.
+    """Hermitian normal equation (A, f) per Algorithm 2: the sums of the
+    element normal equations (A_K, f_K).  The square product S* S is the
+    one sparse matrix of the context, with the load S* l.
 
-    Returns (SparseSymmetric, f, ctx).
+    Returns (SparseSymmetric, its load f).
     """
-    dtype = ctx.options.working_dtype(ctx.formulation)
-    if ctx.square_data is not None:
-        s, rhs = ctx.square_data["matrix"], ctx.square_data["rhs"]
-        return SparseSymmetric(ctx.n_solve, matrix=ctx.square_data["normal"]), s.conj().T @ rhs, ctx
-    cells = element_cells(ctx.mesh)
-    blocks = []
-    f = np.zeros(ctx.n_solve, dtype=dtype)
-    for c in ctx.classes:
-        mat, vec, cols = _class_system(c, ctx.options.condense, ctx.solve_index, ls=False)
-        blocks.append(BlockStack(block=mat, cols=cols, cells=cells[c.elements]))
-        np.add.at(f, cols, vec)
-    return SparseSymmetric(ctx.n_solve, blocks=blocks), f, ctx
-
-
-def _accumulate(classes, n, condense, solve_index, dtype):
-    """Sparse sum of the classes' square matrices of a conforming test
-    space and of their loads, (CSR, vector)."""
-    parts = []
-    fvec = np.zeros(n, dtype=dtype)
-    for c in classes:
-        mat, vec, cols = _class_system(c, condense, solve_index, ls=False)
-        parts.append((cols, mat))
-        np.add.at(fvec, cols, vec)
-    return _sum_blocks(n, parts), fvec
+    if ctx.square is None:
+        a = _element_system(ctx)
+    else:
+        s = ctx.square
+        a = SparseSymmetric(ctx.n_solve, matrix=ctx.square_normal, rhs=s.matrix.conj().T @ s.rhs)
+    return a, a.rhs
 
 
 def _sum_blocks(n, parts):

@@ -1,13 +1,14 @@
 """Block solvers on one elimination tree: least squares and normal equations.
 
 ``solve_blocked_ls`` solves min ||B D u - l||_2 for a column scale D > 0
-and B given as stacks of dense row panels (:class:`RowStack`): the
-elements of a class share one panel over their own columns, and every
-panel carries a mesh cell.  ``solve_blocked_ne`` solves D A D u = f for A
-the sum of Hermitian positive-definite element blocks
-(:class:`BlockStack`), such as the element normal equations of B* B.
-Both run one algorithm in two steps, each made of LAPACK calls on small
-dense arrays, and differ only in the kernel that factors a front.
+and B with its load l given as stacks of dense row panels
+(:class:`RowStack`): the elements of a class share one panel over their
+own columns, and every panel carries its rows' loads and a mesh cell.
+``solve_blocked_ne`` solves A x = f for A the sum of Hermitian
+positive-definite element blocks and f the sum of their loads
+(:class:`BlockStack`), such as the element normal equations (A_K, f_K) of
+B* B.  Both run one algorithm in two steps, each made of LAPACK calls on
+small dense arrays, and differ only in the kernel that factors a front.
 
 1. Tree fronts to the root.  The panels (blocks) are merged in rounds of
    2 x 2 groups of cells, the elimination tree of a multifrontal
@@ -15,20 +16,21 @@ dense arrays, and differ only in the kernel that factors a front.
    SuiteSparseQR, 2011), until one group holds all that is left.  A
    column that only the panels of one group touch is private to it.  The
    group's front holds its panels over its columns, private ones first,
-   and one kernel finishes the private columns:
+   with their loads, and one kernel finishes the private columns:
 
-   * a row front stacks the panels' rows; one ``?geqrt`` factors it in
-     place, in compact-WY form (Schreiber & Van Loan, 1989) with recursive
-     level-3 panels (Elmroth & Gustavson, 2000), and ``?gemqrt`` projects
-     its loads.  The triangle over the other columns goes on.  Since
-     B D = Q (R D), the rows [R11 | R12] solve for z = D u.
-   * a Hermitian front sums the blocks over their columns (the summed
-     element contributions of a multifrontal Cholesky).  ``?potrf``
-     factors A11 = R11* R11, one ``?trtrs`` gives R12 = R11^-* A12 and the
-     projected loads R11^-* f1, and the Schur complement A22 - R12* R12
-     (``?syrk``/``?herk``) goes on with the loads f2 - R12* R11^-* f1
-     (``?gemm``).  Since D A D u = f is A z = f / D, the rows
-     [R11 | R12] solve for z = D u here too.
+   * a row front stacks the panels' rows and their loads; one ``?geqrt``
+     factors it in place, in compact-WY form (Schreiber & Van Loan, 1989)
+     with recursive level-3 panels (Elmroth & Gustavson, 2000), and
+     ``?gemqrt`` projects the loads.  The triangle over the other columns
+     goes on with its projected loads.  Since B D = Q (R D), the rows
+     [R11 | R12] solve for z = D u.
+   * a Hermitian front sums the blocks and their loads over their columns
+     (the summed element contributions of a multifrontal Cholesky).
+     ``?potrf`` factors A11 = R11* R11, one ``?trtrs`` gives
+     R12 = R11^-* A12 and the projected loads R11^-* f1, and the Schur
+     complement A22 - R12* R12 (``?syrk``/``?herk``) goes on with the
+     loads f2 - R12* R11^-* f1 (``?gemm``).  The rows [R11 | R12] solve
+     for x.
 
    At the root every column left is private.  Groups whose panels are the
    same arrays (never those of a per-element stack) at the same relative
@@ -37,7 +39,7 @@ dense arrays, and differ only in the kernel that factors a front.
    Signatures come from the data (panel identities, column incidence),
    never from the cells: a poor grouping costs speed, not accuracy.
 2. Back-substitution.  One triangular solve per front, last front first,
-   for all its groups, in z = D u; then u = z / D.
+   for all its groups; in least squares u = z / D.
 
 The work stays proportional to (front rows) x (front width)^2 summed over
 the fronts instead of rows x columns^2, and no global matrix or band is
@@ -60,43 +62,31 @@ from .linalg import NotPositiveDefinite, RankDeficient, eps
 
 
 @dataclass(frozen=True, eq=False)
-class RowStack:
-    """E row panels: panel i is ``panel`` (m, k) (shared) or ``panel[i]`` of
-    an (E, m, k) stack, on the rows offsets[i]..offsets[i]+m-1 and columns
-    cols[i]; cells[i] is its mesh cell, which places it in the tree."""
+class BlockStack:
+    """E panels with their loads: panel i is ``panel`` (m, k) (shared) or
+    ``panel[i]`` of an (E, m, k) stack, over the columns cols[i]; cells[i]
+    is its mesh cell, which places it in the tree.  As the blocks of a sum
+    A (m = k, Hermitian), loads[i] (k,) is the block's load per column; as
+    row panels (:class:`RowStack`), loads[i] (m,) is the load of each row.
+    A round of the tree passes its unfinished parts up as such stacks."""
 
     panel: np.ndarray
     cols: np.ndarray           # (E, k)
-    offsets: np.ndarray        # (E,)
+    loads: np.ndarray          # (E, m)
     cells: np.ndarray          # (E, 2) integer
+
+
+@dataclass(frozen=True, eq=False)
+class RowStack(BlockStack):
+    """E row panels of B with their loads, panel i on the rows
+    offsets[i]..offsets[i]+m-1."""
+
+    offsets: np.ndarray        # (E,)
 
     @property
     def rows(self) -> np.ndarray:
         """(E, m) global row ids."""
         return self.offsets[:, None] + np.arange(self.panel.shape[-2])
-
-
-@dataclass(frozen=True, eq=False)
-class BlockStack:
-    """E Hermitian blocks: block i is ``block`` (k, k) (shared) or
-    ``block[i]`` of an (E, k, k) stack, over the columns cols[i]; cells[i]
-    is its mesh cell, which places it in the tree."""
-
-    block: np.ndarray
-    cols: np.ndarray           # (E, k)
-    cells: np.ndarray          # (E, 2) integer
-
-
-@dataclass(frozen=True, eq=False)
-class _Part:
-    """E unscaled panels with their loads: ``panel`` is (m, k) (shared) or
-    (E, m, k), rows with loads (E, m) per row, or a Hermitian block
-    (m = k) with loads (E, k) per column."""
-
-    panel: np.ndarray
-    cols: np.ndarray           # (E, k)
-    loads: np.ndarray          # (E, m)
-    cells: np.ndarray          # (E, 2) cell of each panel in this round
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +232,7 @@ def _group_round(parts, n_cols, dtype, hermitian=False):
             if p:
                 fronts.append(_Front(r11, r12, ucols[of, :p], ucols[of, p:], rhs))
             if up.shape[0]:
-                out.append(_Part(up, ucols[of, p:], up_loads, cells[members[of, 0]] // 2))
+                out.append(BlockStack(up, ucols[of, p:], up_loads, cells[members[of, 0]] // 2))
     return out, fronts
 
 
@@ -259,28 +249,27 @@ def _tree(parts, n_cols, dtype, hermitian):
     return fronts, r_diag
 
 
-def _back_substitute(fronts, scale):
-    """u = z / D from R z = rhs, one triangular solve per front, last first."""
-    z = np.zeros(scale.size, dtype=scale.dtype)
+def _back_substitute(fronts, n_cols, dtype):
+    """z from R z = rhs, one triangular solve per front, last first."""
+    z = np.zeros(n_cols, dtype=dtype)
     for f in reversed(fronts):
         z[f.cols] = scipy.linalg.solve_triangular(f.r11, (f.rhs - z[f.rest] @ f.r12.T).T, check_finite=False).T
-    return z / scale
+    return z
 
 
-def solve_blocked_ls(stacks, rhs, n_cols, scale=None):
-    """Minimize ||B D u - l||_2 for B given as a list of :class:`RowStack`.
+def solve_blocked_ls(stacks, n_cols, scale=None):
+    """Minimize ||B D u - l||_2 for B and its load l given as a list of
+    :class:`RowStack`.
 
-    ``rhs`` is the load l over the rows of B and ``scale`` the positive
-    column scale D (the identity when omitted).  Returns (x, r_diag): the
-    solution and the magnitudes of the R diagonal of B D (rank
-    diagnostics), both of length n_cols.
+    ``scale`` is the positive column scale D (the identity when omitted).
+    Returns (u, r_diag): the solution and the magnitudes of the R diagonal
+    of B D (rank diagnostics), both of length n_cols.
     """
     if n_cols == 0:
         return np.zeros(0), np.zeros(0)
     dtype = stacks[0].panel.dtype if stacks else np.float64
     scale = np.ones(n_cols, dtype=dtype) if scale is None else np.asarray(scale, dtype=dtype)
-    parts = [_Part(st.panel, st.cols, rhs[st.rows], st.cells) for st in stacks if st.panel.size]
-    fronts, r_diag = _tree(parts, n_cols, dtype, hermitian=False)
+    fronts, r_diag = _tree([st for st in stacks if st.panel.size], n_cols, dtype, hermitian=False)
     r_diag *= np.abs(scale)
     # structural rank guard: legitimate ill-conditioning may push diagonal
     # entries to eps-level of the scale, but a lost column falls far below
@@ -288,37 +277,24 @@ def solve_blocked_ls(stacks, rhs, n_cols, scale=None):
     low = np.flatnonzero((r_diag < floor) | (r_diag == 0.0))
     if low.size:
         raise RankDeficient(f"{low.size} R diagonal entries below {floor:g} (first: column {low[0]})")
-    return _back_substitute(fronts, scale), r_diag
+    return _back_substitute(fronts, n_cols, dtype) / scale, r_diag
 
 
-def solve_blocked_ne(stacks, rhs, n_cols, scale=None):
-    """Solve D A D u = f for A the sum of the Hermitian blocks of a list of
-    :class:`BlockStack`, by Cholesky on the elimination tree.
+def solve_blocked_ne(stacks, n_cols):
+    """Solve A x = f for A and f the sums of the Hermitian blocks of a list
+    of :class:`BlockStack` and of their loads, by Cholesky on the
+    elimination tree.
 
-    ``rhs`` is the load f and ``scale`` the positive column scale D (the
-    identity when omitted).  Returns (x, r_diag): the solution and the
-    magnitudes of the diagonal of the Cholesky factor R of D A D, both of
-    length n_cols.  Raises NotPositiveDefinite at a nonpositive pivot, or
-    when no block holds a column.
+    Returns (x, r_diag): the solution and the magnitudes of the diagonal of
+    the Cholesky factor R of A, both of length n_cols.  Raises
+    NotPositiveDefinite at a nonpositive pivot, or when no block holds a
+    column.
     """
     if n_cols == 0:
         return np.zeros(0), np.zeros(0)
-    dtype = stacks[0].block.dtype if stacks else np.float64
-    scale = np.ones(n_cols, dtype=dtype) if scale is None else np.asarray(scale, dtype=dtype)
-    stacks = [st for st in stacks if st.block.size]
-    # A z = f / D with z = D u; each column's load enters with the first block that holds it
-    f = np.asarray(rhs, dtype=dtype) / scale
-    flat = np.concatenate([st.cols.ravel() for st in stacks]) if stacks else np.zeros(0, dtype=np.int64)
-    first = np.unique(flat, return_index=True)[1]
-    loads = np.zeros(flat.size, dtype=dtype)
-    loads[first] = f[flat[first]]
-    ends = np.cumsum([st.cols.size for st in stacks])
-    parts = [
-        _Part(st.block, st.cols, part.reshape(st.cols.shape), st.cells)
-        for st, part in zip(stacks, np.split(loads, ends[:-1]))
-    ]
-    fronts, r_diag = _tree(parts, n_cols, dtype, hermitian=True)
+    dtype = stacks[0].panel.dtype if stacks else np.float64
+    fronts, r_diag = _tree([st for st in stacks if st.panel.size], n_cols, dtype, hermitian=True)
     missing = np.flatnonzero(r_diag == 0.0)
     if missing.size:
         raise NotPositiveDefinite(f"{missing.size} columns in no block (first: column {missing[0]})")
-    return _back_substitute(fronts, scale), r_diag * np.abs(scale)
+    return _back_substitute(fronts, n_cols, dtype), r_diag

@@ -7,10 +7,12 @@ row-blocked rectangular system by multifrontal Householder QR, and
 ``solve_ne`` the Hermitian normal equation by multifrontal Cholesky on the
 element blocks it was given.  Only the square product S* S of a
 conforming test space, which carries no blocks, is factored by banded
-Cholesky after a geometric bandwidth-reducing reordering.  Both scale
-the columns by a vector that they apply where they use it.  Both return a
-:class:`Solution` with the full coefficient vector (lift re-inserted,
-bubbles recovered) and the per-element residual indicators eta_K.
+Cholesky after a geometric bandwidth-reducing reordering.  Each solves
+for the load its system carries, which is the one the context stores.
+Both scale the columns by a vector that they apply where they use it.
+Both return a :class:`Solution` with the full coefficient vector (lift
+re-inserted, bubbles recovered) and the per-element residual indicators
+eta_K.
 Bubble recovery and the indicators run once per element class of the
 context: a class's bubble factor solves for all its elements in one
 triangular solve, and its residuals come from one stacked product.
@@ -47,14 +49,14 @@ class Solution:
     """Solved coefficients with residual bookkeeping.
 
     ``coefficients`` covers the full trial layout in double precision;
-    ``system_vector`` is the solution u of the assembled system in the
-    working precision, over its columns (the solvers' column scaling
-    undone); ``residual`` is the whitened global
-    residual ltilde - Btilde u in element-row order (the discrete Riesz
+    ``system_vector`` is the solution u of the assembled system for its
+    own load, in the working precision, over its columns (the solvers'
+    column scaling undone); ``residual`` is the whitened global residual
+    ltilde - Btilde u in element-row order (the discrete Riesz
     representative of the residual, whose element slices give eta_K).
     ``r_diag_min``/``r_diag_max`` bound the magnitudes of the R diagonal of
-    the column-scaled system the tree factored: R of Btilde D (QR) or the
-    Cholesky factor of D A D (NE); None on the banded path of S* S.
+    the column-scaled system: R of Btilde D (QR) or the Cholesky factor
+    R D of D A D, for R that of A (NE); None on the banded path of S* S.
     """
 
     coefficients: np.ndarray
@@ -110,10 +112,9 @@ def _indicators(ctx: AssemblyContext, full: np.ndarray, solver: str):
     ne = ctx.mesh.n_elements
     eta = np.zeros(ne)
     gal = np.zeros(ctx.n_solve, dtype=np.complex128 if ctx.formulation.field == "complex" else np.float64)
-    if ctx.square_data is not None:
+    if ctx.square is not None:
         # conforming test space: no localizable residual decomposition
-        s = ctx.square_data["matrix"]
-        rhs = ctx.square_data["rhs"]
+        s, rhs = ctx.square.matrix, ctx.square.rhs
         hom = (full - ctx.lift_full)[ctx.solve_ids].astype(s.dtype)
         r = rhs - s @ hom
         return eta, float(np.linalg.norm(r)), float(np.linalg.norm(s.conj().T @ r)), r
@@ -163,37 +164,36 @@ def _r_range(r_diag):
     return (float(r_diag.min()), float(r_diag.max())) if r_diag is not None and r_diag.size else (None, None)
 
 
-def solve_ne(a: SparseSymmetric, f: np.ndarray, ctx: AssemblyContext) -> Solution:
-    """Normal-equation path: A x = f by Cholesky, on the elimination tree
-    over the blocks of ``a``, or banded for a system without blocks (S* S).
+def solve_ne(a: SparseSymmetric, ctx: AssemblyContext) -> Solution:
+    """Normal-equation path: A x = f for the load f that ``a`` carries, by
+    Cholesky on the elimination tree over the blocks of ``a``, or banded
+    for a system without blocks (S* S).
 
-    The columns are always scaled to unit diagonal first: the scale s of
-    :func:`precondition_global` gives D A D u = s * f and x = s * u.  The
-    tree factors the unscaled blocks and applies D only to the load and to
-    the solution, so D rounds u and nothing else; the banded Cholesky of
-    S* S factors the scaled CSR.
+    The tree factors the unscaled blocks and loads; the factor of D A D,
+    for the unit-diagonal scale s of :func:`precondition_global`, is R D
+    for R that of A, whose diagonal is reported.  The banded Cholesky of
+    S* S factors the scaled CSR: D A D u = s * f and x = s * u.
     """
     r_diag = None
     if not a.n:
-        u = np.zeros(0, dtype=f.dtype)
+        x = np.zeros(0, dtype=a.rhs.dtype)
     else:
         s = precondition_global(a)
-        fs = f * s.astype(f.dtype)
         if a.blocks is None:
-            u = _banded_cholesky_solve(_scale_columns(a.matrix, s), fs, ctx.sort_keys())
+            u = _banded_cholesky_solve(_scale_columns(a.matrix, s), a.rhs * s.astype(a.rhs.dtype), ctx.sort_keys())
+            x = u * s.astype(u.dtype)
         else:
-            u, r_diag = solve_blocked_ne(a.blocks, fs, a.n, s)
-        u = u * s.astype(u.dtype)
-    full = _recover(ctx, u, "NE")
+            x, r_diag = solve_blocked_ne(a.blocks, a.n)
+            r_diag *= np.abs(s)
+    full = _recover(ctx, x, "NE")
     eta, rnorm, gal, rvec = _indicators(ctx, full, "NE")
-    return Solution(full, "NE", eta, rnorm, gal, u, ctx, rvec, *_r_range(r_diag))
+    return Solution(full, "NE", eta, rnorm, gal, x, ctx, rvec, *_r_range(r_diag))
 
 
-def solve_ls(bt: RectangularRowBlocked, ltilde: np.ndarray, ctx: AssemblyContext) -> Solution:
-    """Least-squares path: min ||Btilde x - ltilde|| by Householder QR.
+def solve_ls(bt: RectangularRowBlocked, ctx: AssemblyContext) -> Solution:
+    """Least-squares path: min ||Btilde x - ltilde|| by Householder QR, for
+    the load ltilde that ``bt`` carries.
 
-    ``ltilde`` is the load assembled from ``ctx``: the residual indicators
-    and the bubble recovery use the element loads stored in the context.
     The columns are always scaled to unit norm first: the scale s of
     :func:`precondition_global_rect` gives min ||Btilde D u - ltilde|| and
     x = s * u.  Householder QR is invariant under column scaling and the
@@ -202,15 +202,16 @@ def solve_ls(bt: RectangularRowBlocked, ltilde: np.ndarray, ctx: AssemblyContext
     units of the unknowns, and rounds u.
     """
     s = precondition_global_rect(bt)
-    u, r_diag = solve_blocked_ls(bt.stacks, ltilde, bt.n_cols, s)
+    u, r_diag = solve_blocked_ls(bt.stacks, bt.n_cols, s)
     u = u * s.astype(u.dtype)
     full = _recover(ctx, u, "QR")
     eta, rnorm, gal, rvec = _indicators(ctx, full, "QR")
     return Solution(full, "QR", eta, rnorm, gal, u, ctx, rvec, *_r_range(r_diag))
 
 
-def residual_rho(bt: RectangularRowBlocked, ltilde: np.ndarray, solution: Solution) -> float:
-    """rho = ||Btilde u - ltilde|| / (||Btilde||_2 ||u||_2) of Eq.-(3.14) type.
+def residual_rho(bt: RectangularRowBlocked, solution: Solution) -> float:
+    """rho = ||Btilde u - ltilde|| / (||Btilde||_2 ||u||_2) of Eq.-(3.14) type,
+    for the load ltilde that ``bt`` carries.
 
     ||Btilde||_2 comes from a power iteration on the unscaled Gram matrix
     Btilde* Btilde (:attr:`RectangularRowBlocked.gram`, built once per
@@ -222,6 +223,7 @@ def residual_rho(bt: RectangularRowBlocked, ltilde: np.ndarray, solution: Soluti
     estimate moves the benchmark's gated ``rho`` column, which is to be
     re-recorded only together with a change of the benchmark reference.
     """
+    ltilde = bt.rhs
     u = solution.system_vector.astype(np.complex128 if np.iscomplexobj(ltilde) else np.float64)
     unorm = float(np.linalg.norm(u))
     resid = float(np.linalg.norm(bt.matvec(u) - ltilde))
@@ -259,12 +261,15 @@ def residual_rho(bt: RectangularRowBlocked, ltilde: np.ndarray, solution: Soluti
 NORM_EXTRA_ORDER = 2    # quadrature orders of the error norms above the assembly rule
 
 
-def _accumulate_norms(form, mesh_obj, coeffs, ctx_layouts, offsets, rule, exact=None, case=None):
-    """Element-quadrature L2/H1/H(div) norms per component, in two dicts:
-    those of u_h - u_exact, and those of u_exact (u_h = 0, bit for bit)."""
-    h = mesh_obj.h
+def _accumulate_norms(ctx: AssemblyContext, coeffs, exact=False):
+    """Element-quadrature L2/H1/H(div) norms per component of the context's
+    trial space, by a rule NORM_EXTRA_ORDER orders above the assembly rule,
+    in two dicts: those of u_h - u_exact (of u_h alone unless ``exact``),
+    and those of u_exact (u_h = 0, bit for bit)."""
+    form, case, h = ctx.formulation, ctx.case, ctx.mesh.h
+    rule = basis.gauss_rule(form.quadrature_order + NORM_EXTRA_ORDER)
     w = rule.weights * h * h
-    origins = mesh_obj.element_origins()
+    origins = ctx.mesh.element_origins()
     px = origins[:, 0:1] + h * rule.points[None, :, 0]
     py = origins[:, 1:2] + h * rule.points[None, :, 1]
     sq, sq_exact = {}, {}
@@ -276,11 +281,13 @@ def _accumulate_norms(form, mesh_obj, coeffs, ctx_layouts, offsets, rule, exact=
             np.sum(w * sum(np.abs(np.broadcast_to(f, fh.shape)) ** 2 for fh, f in pairs))
         )
 
+    fields = case.fields if exact else {}
+
     def field(name):
-        return exact[name](px, py) if exact and name in exact else 0.0
+        return fields[name](px, py) if name in fields else 0.0
 
     comps = form.field_components()
-    for comp, lay, off in zip(form.trial, ctx_layouts, offsets):
+    for comp, lay, off in zip(form.trial, ctx.layouts, ctx.offsets):
         if comp not in comps:
             continue
         tabs = basis.eval_basis({"l2": "Y", "h1": "W", "hdiv": "V"}[comp.kind], comp.p, rule.points)
@@ -295,10 +302,7 @@ def _accumulate_norms(form, mesh_obj, coeffs, ctx_layouts, offsets, rule, exact=
             vx = np.einsum("ei,ip->ep", call, tabs["values"][:, 0, :]) / h
             vy = np.einsum("ei,ip->ep", call, tabs["values"][:, 1, :]) / h
             dv = np.einsum("ei,ip->ep", call, tabs["div"]) / (h * h)
-            if exact is not None and case is not None and case.kind == "poisson":
-                ex_d = case.div_sigma(px, py)
-            else:
-                ex_d = 0.0
+            ex_d = case.div_sigma(px, py) if exact and case.kind == "poisson" else 0.0
             integrate(comp.name, [(vx, field("sigx")), (vy, field("sigy"))])
             integrate(comp.name + "_div", [(dv, ex_d)])
 
@@ -318,26 +322,20 @@ def _accumulate_norms(form, mesh_obj, coeffs, ctx_layouts, offsets, rule, exact=
     return norms(sq), norms(sq_exact)
 
 
-def error_norms(solution: Solution, case, form, mesh_obj) -> dict:
-    """Absolute and relative error norms by element quadrature.
-
-    Uses a rule NORM_EXTRA_ORDER orders above the assembly rule.  Relative
-    norms divide by the matching norm of the exact solution.
+def error_norms(solution: Solution) -> dict:
+    """Absolute and relative error norms by element quadrature against the
+    exact fields of the context's case, and the norms of those fields
+    (``<key>_exact``).  Relative norms divide by the matching exact norm.
     """
-    ctx = solution.context
-    rule = basis.gauss_rule(form.quadrature_order + NORM_EXTRA_ORDER)
-    errs, refs = _accumulate_norms(
-        form, mesh_obj, solution.coefficients, ctx.layouts, ctx.offsets, rule,
-        exact=case.fields, case=case,
-    )
+    errs, refs = _accumulate_norms(solution.context, solution.coefficients, exact=True)
     out = dict(errs)
     for key, val in errs.items():
         ref = refs.get(key, 0.0)
         out[key + "_rel"] = val / ref if ref > 0 else math.inf if val > 0 else 0.0
+        out[key + "_exact"] = ref
     return out
 
 
-def discrete_norms(form, mesh_obj, ctx: AssemblyContext, coeffs: np.ndarray) -> dict:
+def discrete_norms(ctx: AssemblyContext, coeffs: np.ndarray) -> dict:
     """Norms of a discrete function given by trial coefficients."""
-    rule = basis.gauss_rule(form.quadrature_order + NORM_EXTRA_ORDER)
-    return _accumulate_norms(form, mesh_obj, coeffs, ctx.layouts, ctx.offsets, rule)[0]
+    return _accumulate_norms(ctx, coeffs)[0]

@@ -59,16 +59,7 @@ from .element import NonpositiveDiagonal
 from .formulation import FORMULATION_NAMES, make_case, make_formulation
 from .linalg import NotPositiveDefinite, RankDeficient
 from .mesh import uniform_mesh
-from .solve import (
-    NORM_EXTRA_ORDER,
-    ZeroSolution,
-    _accumulate_norms,
-    discrete_norms,
-    error_norms,
-    residual_rho,
-    solve_ls,
-    solve_ne,
-)
+from .solve import ZeroSolution, discrete_norms, error_norms, residual_rho, solve_ls, solve_ne
 
 STUDIES = ("converge", "condition", "failure", "acoustics", "compare-fosls")
 COND_LIMIT = 5000
@@ -285,25 +276,22 @@ def run_study(config: StudyConfig):
             break
         row = StudyRow(n=n, h=mesh.h, n_trial=int(ctx.n_free))
         sol_by = {}
-        bt = lt = a = f = None
+        bt = a = None
         if "qr" in config.solvers:
             try:
-                bt, lt, _ = assemble_overdetermined(ctx)
+                bt = assemble_overdetermined(ctx)[0]
                 row.m_rows = bt.n_rows
-                sol = solve_ls(bt, lt, ctx)
-                sol_by["qr"] = sol
+                sol_by["qr"] = solve_ls(bt, ctx)
             except (RankDeficient, NotPositiveDefinite, AssemblyError) as err:
                 row.failed["qr"] = str(err)
         if "ne" in config.solvers:
             try:
-                a, f, _ = assemble_ne(ctx)
-                sol = solve_ne(a, f, ctx)
-                sol_by["ne"] = sol
+                a = assemble_ne(ctx)[0]
+                sol_by["ne"] = solve_ne(a, ctx)
             except (NotPositiveDefinite, AssemblyError) as err:
                 row.failed["ne"] = str(err)
         for tag, sol in sol_by.items():
-            err = error_norms(sol, case, form, mesh)
-            val = err["fields_l2_rel"]
+            val = error_norms(sol)["fields_l2_rel"]
             if tag == "ne":
                 row.err_ne = val
             else:
@@ -313,7 +301,7 @@ def run_study(config: StudyConfig):
             row.eta_total = pick.eta_total
             if bt is not None:
                 try:
-                    row.rho = residual_rho(bt, lt, sol_by.get("qr") or pick)
+                    row.rho = residual_rho(bt, sol_by.get("qr") or pick)
                 except ZeroSolution:
                     row.rho = None
         need_cond = config.study in ("condition", "converge", "failure", "acoustics")
@@ -329,7 +317,7 @@ def run_study(config: StudyConfig):
                 write_matrix_market(out_dir / f"A_{n}.mtx", a)
             if bt is not None:
                 write_matrix_market(out_dir / f"Btilde_{n}.mtx", bt)
-                write_matrix_market(out_dir / f"l_{n}.mtx", lt)
+                write_matrix_market(out_dir / f"l_{n}.mtx", bt.rhs)
         row.wall_ms = 1000.0 * (time.perf_counter() - t0)
         rows.append(row)
         if len(row.failed) == len(config.solvers):
@@ -358,8 +346,8 @@ def assemble_fosls_monolithic(ctx, case):
     that of dp = 1 (order p + 3) for every dp.  The element matrices h^2 C* W C,
     C = L(u, sigma) at the quadrature points, are formed in one batch (one
     per element only where alpha varies), and kept as one block stack per
-    element class with the elements' mesh cells.  Returns
-    (SparseSymmetric, f).
+    element class with the elements' mesh cells and loads.  Returns the
+    SparseSymmetric.
     """
     p, h = ctx.formulation.p, ctx.mesh.h
     rule = basis.gauss_rule(p + 3)
@@ -385,14 +373,12 @@ def assemble_fosls_monolithic(ctx, case):
     a_k = sum(np.einsum("...ip,p,...jp->...ij", c[..., k, :], w, c[..., k, :]) for k in range(3))
     f_k = np.einsum("...ip,...p->...i", c[..., 0, :], w * case.f(px, py))
     cells = element_cells(ctx.mesh)
-    blocks, f = [], np.zeros(ctx.n_solve)
+    blocks = []
     for cl in ctx.classes:
         fl = cl.free_local
-        cols = ctx.solve_index[cl.free_ids]
         block = (a_k if a_k.ndim == 2 else a_k[cl.elements])[..., fl[:, None], fl]
-        blocks.append(BlockStack(block=block, cols=cols, cells=cells[cl.elements]))
-        np.add.at(f, cols, f_k[cl.elements][:, fl])
-    return SparseSymmetric(ctx.n_solve, blocks=blocks), f
+        blocks.append(BlockStack(block, ctx.solve_index[cl.free_ids], f_k[cl.elements][:, fl], cells[cl.elements]))
+    return SparseSymmetric(ctx.n_solve, blocks=blocks)
 
 
 def compare_fosls(p: int, dp_list, refinements: int, alpha="sine", out_dir="."):
@@ -418,24 +404,20 @@ def compare_fosls(p: int, dp_list, refinements: int, alpha="sine", out_dir="."):
             form = make_formulation("fosls-strong", p, dp, alpha=case.alpha)
             ctx = build_context(mesh, form, case, Options(condense=False))
             if a_ls is None:
-                a_ls, f_ls = assemble_fosls_monolithic(ctx, case)
+                a_ls = assemble_fosls_monolithic(ctx, case)
                 a_ls_norm = scipy.sparse.linalg.norm(a_ls.matrix)
-                u_ls = solve_ne(a_ls, f_ls, ctx).coefficients
-            a, f, _ = assemble_ne(ctx)
+                u_ls = solve_ne(a_ls, ctx).coefficients
+            a = assemble_ne(ctx)[0]
             mat_dist = float(scipy.sparse.linalg.norm(a.matrix - a_ls.matrix) / a_ls_norm)
             try:
-                u = solve_ne(a, f, ctx).coefficients
+                sol = solve_ne(a, ctx)
             except NotPositiveDefinite:
                 # a too-poor test space can lose rank; the matrix distance
                 # is still well defined
                 sol_dist = sol_dist_rel = math.nan
             else:
-                sol_dist = discrete_norms(form, mesh, ctx, u - u_ls)["U"]
-                rule = basis.gauss_rule(form.quadrature_order + NORM_EXTRA_ORDER)
-                _, exact = _accumulate_norms(
-                    form, mesh, u, ctx.layouts, ctx.offsets, rule, exact=case.fields, case=case
-                )
-                sol_dist_rel = sol_dist / exact["U"]
+                sol_dist = discrete_norms(ctx, sol.coefficients - u_ls)["U"]
+                sol_dist_rel = sol_dist / error_norms(sol)["U_exact"]
             rows.append(
                 {
                     "n": n,

@@ -92,18 +92,10 @@ class ConstraintSystem:
                 raise RankDeficient("constraint matrix is not full row rank")
 
 
-def solve_weighted_constraints(
-    bt: RectangularRowBlocked,
-    ltilde: np.ndarray,
-    cons: ConstraintSystem,
-    ctx: AssemblyContext,
-) -> Solution:
-    """Stacked least-squares [alpha C; Btilde] u ~ [alpha d; ltilde].
-
-    ``ltilde`` must be the load assembled from ``ctx``: the indicators are
-    taken against the context's stored element loads.
-    """
-    dense = bt.to_dense()
+def solve_weighted_constraints(bt: RectangularRowBlocked, cons: ConstraintSystem, ctx: AssemblyContext) -> Solution:
+    """Stacked least-squares [alpha C; Btilde] u ~ [alpha d; ltilde] for the
+    load ltilde that ``bt`` carries."""
+    dense, ltilde = bt.to_dense(), bt.rhs
     dtype = np.result_type(dense.dtype, cons.c.dtype)
     if cons.alpha == 0.0 or cons.c.shape[0] == 0:
         stack = dense.astype(dtype)
@@ -117,14 +109,10 @@ def solve_weighted_constraints(
     return Solution(full, "QR", eta, rnorm, gal, u, ctx, rvec)
 
 
-def solve_saddle_constraints(
-    a: SparseSymmetric,
-    f: np.ndarray,
-    cons: ConstraintSystem,
-    ctx: AssemblyContext,
-):
-    """KKT system [[A, C*], [C, 0]]; returns (Solution, multipliers)."""
-    u, w = saddle_solve(a.to_dense(), cons.c, f, cons.d)
+def solve_saddle_constraints(a: SparseSymmetric, cons: ConstraintSystem, ctx: AssemblyContext):
+    """KKT system [[A, C*], [C, 0]] [u; w] = [f; d] for the load f that ``a``
+    carries; returns (Solution, multipliers)."""
+    u, w = saddle_solve(a.to_dense(), cons.c, a.rhs, cons.d)
     full = _recover(ctx, u, "NE")
     eta, rnorm, gal, rvec = _indicators(ctx, full, "NE")
     return Solution(full, "NE", eta, rnorm, gal, u, ctx, rvec), w

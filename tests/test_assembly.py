@@ -39,8 +39,8 @@ class TestCrossAssemblyIdentity:
         form = make_formulation(fname, p=p, dp=dp)
         case = _case_for(fname)
         ctx = build_context(uniform_mesh(n), form, case)
-        a, f, _ = assemble_ne(ctx)
-        bt, lt, _ = assemble_overdetermined(ctx)
+        a, f = assemble_ne(ctx)
+        bt, lt = assemble_overdetermined(ctx)
         an = bt.gram.toarray()
         fn = bt.rmatvec(lt)
         scale = np.linalg.norm(an)
@@ -51,8 +51,8 @@ class TestCrossAssemblyIdentity:
         form = make_formulation("ultraweak-dpg", p=2, dp=1)
         case = _case_for("ultraweak-dpg")
         ctx = build_context(uniform_mesh(2), form, case, Options(condense=False))
-        a, _, _ = assemble_ne(ctx)
-        bt, _, _ = assemble_overdetermined(ctx)
+        a, _ = assemble_ne(ctx)
+        bt, _ = assemble_overdetermined(ctx)
         an = bt.gram.toarray()
         assert np.linalg.norm(a.to_dense() - an) <= 1e-12 * np.linalg.norm(an)
 
@@ -62,7 +62,7 @@ class TestStructure:
         form = make_formulation("fosls-strong", p=1, dp=1)
         case = _case_for("fosls-strong")
         ctx = build_context(uniform_mesh(1), form, case, Options(condense=False))
-        a, f, _ = assemble_ne(ctx)
+        a, f = assemble_ne(ctx)
         cls = ctx.classes[0]
         a_k = cls.bt.conj().T @ cls.bt
         perm = ctx.solve_index[cls.gdofs[0, cls.free_local]]
@@ -72,7 +72,7 @@ class TestStructure:
     def test_overdetermined_single_element_block(self):
         form = make_formulation("primal-dpg", p=1, dp=1)
         ctx = build_context(uniform_mesh(1), form, _case_for("primal-dpg"), Options(condense=False))
-        bt, lt, _ = assemble_overdetermined(ctx)
+        bt, lt = assemble_overdetermined(ctx)
         assert [st.cols.shape[0] for st in bt.stacks] == [1]
         assert bt.n_rows == form.n_test_local
 
@@ -85,13 +85,13 @@ class TestStructure:
     def test_rows_partition_and_counts(self):
         form = make_formulation("ultraweak-dpg", p=2, dp=1)
         ctx = build_context(uniform_mesh(2), form, _case_for("ultraweak-dpg"))
-        bt, lt, _ = assemble_overdetermined(ctx)
+        bt, lt = assemble_overdetermined(ctx)
         assert bt.n_rows == 4 * 40 == 160
         self._assert_rows_partition(bt)
         form = make_formulation("bubnov-galerkin", p=2, dp=0)
         ctx = build_square_context(uniform_mesh(4), form, _case_for("bubnov-galerkin"))
-        bt, lt, _ = assemble_overdetermined(ctx)
-        assert bt.n_rows == ctx.n_solve == ctx.square_data["matrix"].shape[0]
+        bt, lt = assemble_overdetermined(ctx)
+        assert bt.n_rows == ctx.n_solve == ctx.square.matrix.shape[0]
         self._assert_rows_partition(bt)
 
     def test_condensation_reduces_columns_not_rows(self):
@@ -100,8 +100,8 @@ class TestStructure:
         mesh = uniform_mesh(2)
         ctx_c = build_context(mesh, form, case, Options(condense=True))
         ctx_u = build_context(mesh, form, case, Options(condense=False))
-        bt_c, _, _ = assemble_overdetermined(ctx_c)
-        bt_u, _, _ = assemble_overdetermined(ctx_u)
+        bt_c, _ = assemble_overdetermined(ctx_c)
+        bt_u, _ = assemble_overdetermined(ctx_u)
         assert bt_c.n_rows == bt_u.n_rows
         n_bubbles = int(np.count_nonzero(ctx_u.bubble_mask & ~ctx_u.fixed_mask))
         assert bt_c.n_cols == bt_u.n_cols - n_bubbles
@@ -112,7 +112,7 @@ class TestStructure:
         case = _case_for("primal-dpg")
         mesh = uniform_mesh(2)
         ctx = build_context(mesh, form, case)
-        a, _, _ = assemble_ne(ctx)
+        a, _ = assemble_ne(ctx)
         dense = a.to_dense()
         # the single interior vertex couples to every other free DOF (all
         # elements touch it), but flux DOFs on opposite outer edges of
@@ -129,15 +129,15 @@ class TestStructure:
         form = make_formulation("ultraweak-dpg", p=2, dp=1)
         case = _case_for("ultraweak-dpg")
         mesh = uniform_mesh(3)
-        a1, f1, _ = assemble_ne(build_context(mesh, form, case))
-        a2, f2, _ = assemble_ne(build_context(mesh, form, case))
+        a1, f1 = assemble_ne(build_context(mesh, form, case))
+        a2, f2 = assemble_ne(build_context(mesh, form, case))
         assert np.array_equal(a1.matrix.data, a2.matrix.data)
         assert np.array_equal(f1, f2)
 
     def test_hermitian_invariant(self):
         form = make_formulation("acoustics-ultraweak", p=1, dp=1)
         ctx = build_context(uniform_mesh(2), form, _case_for("acoustics-ultraweak"))
-        a, _, _ = assemble_ne(ctx)
+        a, _ = assemble_ne(ctx)
         assert a.hermitian_defect() <= 1e-13
 
 
@@ -145,7 +145,7 @@ class TestGlobalPreconditioning:
     def test_unit_diagonal_noop(self):
         form = make_formulation("primal-dpg", p=1, dp=1)
         ctx = build_context(uniform_mesh(2), form, _case_for("primal-dpg"))
-        a, f, _ = assemble_ne(ctx)
+        a, f = assemble_ne(ctx)
         s = precondition_global(a)
         a1 = SparseSymmetric(a.n, _scale_columns(a.matrix, s))
         np.testing.assert_allclose(a1.diagonal(), 1.0, atol=1e-13)
@@ -160,7 +160,7 @@ class TestGlobalPreconditioning:
     def test_argmin_invariance(self):
         form = make_formulation("fosls-strong", p=2, dp=1)
         ctx = build_context(uniform_mesh(2), form, _case_for("fosls-strong"))
-        a, f, _ = assemble_ne(ctx)
+        a, f = assemble_ne(ctx)
         u0 = solve_spd(a.to_dense(), f)
         s = precondition_global(a)
         u1 = s * solve_spd(_scale_columns(a.matrix, s).toarray(), s * f)
@@ -169,8 +169,8 @@ class TestGlobalPreconditioning:
     def test_rectangular_matches_ne_scaling(self):
         form = make_formulation("fosls-strong", p=2, dp=1)
         ctx = build_context(uniform_mesh(2), form, _case_for("fosls-strong"))
-        a, f, _ = assemble_ne(ctx)
-        bt, lt, _ = assemble_overdetermined(ctx)
+        a, f = assemble_ne(ctx)
+        bt, lt = assemble_overdetermined(ctx)
         s_ne = precondition_global(a)
         s_od = precondition_global_rect(bt)
         np.testing.assert_allclose(s_od, s_ne, rtol=1e-12)
@@ -188,7 +188,7 @@ class TestMatrixMarket:
     def test_round_trip_symmetric(self, tmp_path):
         form = make_formulation("primal-dpg", p=1, dp=1)
         ctx = build_context(uniform_mesh(2), form, _case_for("primal-dpg"))
-        a, f, _ = assemble_ne(ctx)
+        a, f = assemble_ne(ctx)
         path = tmp_path / "A.mtx"
         write_matrix_market(path, a)
         back = scipy.io.mmread(path)
@@ -199,7 +199,7 @@ class TestMatrixMarket:
     def test_round_trip_rectangular_and_vector(self, tmp_path):
         form = make_formulation("ultraweak-dpg", p=1, dp=1)
         ctx = build_context(uniform_mesh(2), form, _case_for("ultraweak-dpg"))
-        bt, lt, _ = assemble_overdetermined(ctx)
+        bt, lt = assemble_overdetermined(ctx)
         write_matrix_market(tmp_path / "B.mtx", bt)
         write_matrix_market(tmp_path / "l.mtx", lt)
         back = scipy.io.mmread(tmp_path / "B.mtx")
@@ -212,7 +212,7 @@ class TestMatrixMarket:
     def test_complex_hermitian_header(self, tmp_path):
         form = make_formulation("acoustics-ultraweak", p=1, dp=1)
         ctx = build_context(uniform_mesh(1), form, _case_for("acoustics-ultraweak"))
-        a, _, _ = assemble_ne(ctx)
+        a, _ = assemble_ne(ctx)
         write_matrix_market(tmp_path / "A.mtx", a)
         header = (tmp_path / "A.mtx").read_text().splitlines()[0]
         assert "complex" in header and "hermitian" in header
@@ -222,7 +222,7 @@ class TestMatrixMarket:
     def test_17_digits(self, tmp_path):
         form = make_formulation("primal-dpg", p=1, dp=1)
         ctx = build_context(uniform_mesh(1), form, _case_for("primal-dpg"))
-        a, _, _ = assemble_ne(ctx)
+        a, _ = assemble_ne(ctx)
         write_matrix_market(tmp_path / "A.mtx", a)
         lines = [ln for ln in (tmp_path / "A.mtx").read_text().splitlines() if not ln.startswith("%")]
         mantissa = lines[1].split()[2].split("e")[0].replace("-", "").replace(".", "")
@@ -234,7 +234,7 @@ class TestSquareContext:
         form = make_formulation("bubnov-galerkin", p=1, dp=0)
         case = _case_for("bubnov-galerkin")
         ctx = build_square_context(uniform_mesh(2), form, case, Options(condense=False))
-        s = ctx.square_data["matrix"]
+        s = ctx.square.matrix
         # n=2, p=1: single interior vertex; classical 5-point value 8/3
         assert s.shape == (1, 1)
         assert s.toarray()[0, 0] == pytest.approx(8.0 / 3.0)
@@ -245,8 +245,8 @@ class TestSquareContext:
         form = make_formulation("bubnov-galerkin", p=2, dp=0)
         case = _case_for("bubnov-galerkin")
         ctx = build_square_context(uniform_mesh(4), form, case)
-        a, _, _ = assemble_ne(ctx)
-        bt, _, _ = assemble_overdetermined(ctx)
+        a, _ = assemble_ne(ctx)
+        bt, _ = assemble_overdetermined(ctx)
         cond_s = condition_number(bt.to_dense())
         cond_a = condition_number(a.to_dense())
         assert cond_a == pytest.approx(cond_s**2, rel=1e-3)
@@ -270,7 +270,7 @@ def _stack_system(name, precision):
     case = make_case(cname)
     form = make_formulation(fname, p=p, dp=1, alpha=case.alpha)
     ctx = build_context(uniform_mesh(n), form, case, Options(precision=precision))
-    bt, lt, _ = assemble_overdetermined(ctx)
+    bt, lt = assemble_overdetermined(ctx)
     panels = {st.panel.ndim if st.panel.shape[-2] > 1 else "row" for st in bt.stacks}
     assert panels == {"shared": {2}, "shared-complex": {2}, "per-element": {3}, "one-row": {"row"}}[name]
     return bt, lt
@@ -336,7 +336,7 @@ class TestStackProducts:
         fname, p, n, cname = STACK_SYSTEMS[name]
         case = make_case(cname)
         form = make_formulation(fname, p=p, dp=1, alpha=case.alpha)
-        a, f, _ = assemble_ne(build_context(uniform_mesh(n), form, case))
+        a = assemble_ne(build_context(uniform_mesh(n), form, case))[0]
         s = precondition_global(a)
         rng = np.random.default_rng(5)
         xs = [_random_vector(rng, a.n, a.dtype) for _ in range(3)]
@@ -351,15 +351,15 @@ class TestStackProducts:
     @PROPERTY
     @given(data=st.data())
     def test_property_shared_and_per_element_stacks(self, dtype, data):
-        stacks, load, ncols, how = data.draw(shared_problems(dtype))
-        bt = RectangularRowBlocked(ncols, load.size, stacks)
+        stacks, ncols, how = data.draw(shared_problems(dtype))
+        bt = RectangularRowBlocked(ncols, sum(st.loads.size for st in stacks), stacks)
         check_stack_products(bt, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), how["scale"])
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @PROPERTY
     @given(data=st.data())
     def test_property_one_row_stacks(self, dtype, data):
-        stacks, load, ncols, _ = data.draw(row_problems(dtype))
+        stacks, ncols, _ = data.draw(row_problems(dtype))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         s = np.exp(rng.uniform(-2, 2, ncols)).astype(dtype)
-        check_stack_products(RectangularRowBlocked(ncols, load.size, stacks), rng, s)
+        check_stack_products(RectangularRowBlocked(ncols, sum(st.loads.size for st in stacks), stacks), rng, s)

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from dlsfem.blockqr import RowStack, _cell_groups, _group_round, _Part, _qr, solve_blocked_ls
+from dlsfem.blockqr import RowStack, _cell_groups, _group_round, _qr, solve_blocked_ls
 from dlsfem.linalg import RankDeficient, eps
 
 
@@ -31,16 +33,16 @@ def random_blocked(rng, ncols, nblocks, dtype=np.float64, kmax=8, max_rows=lambd
 
 
 def as_stacks(blocks, rhs, cells=None):
-    """Every block as a stack of one panel, on consecutive rows, in the given
-    (nblocks, 2) cells (block i in cell (i, 0) when omitted): (stacks, load)."""
+    """Every block as a stack of one panel with its rows' loads, on
+    consecutive rows, in the given (nblocks, 2) cells (block i in cell
+    (i, 0) when omitted)."""
     offsets = np.cumsum([0] + [rows.shape[0] for rows, _ in blocks])
     if cells is None:
         cells = np.column_stack([np.arange(len(blocks)), np.zeros(len(blocks), dtype=np.int64)])
-    stacks = [
-        RowStack(panel=rows, cols=np.asarray(cols)[None], offsets=offsets[i : i + 1], cells=cells[i : i + 1])
-        for i, (rows, cols) in enumerate(blocks)
+    return [
+        RowStack(rows, np.asarray(cols)[None], r[None], cells[i : i + 1], offsets[i : i + 1])
+        for i, ((rows, cols), r) in enumerate(zip(blocks, rhs))
     ]
-    return stacks, np.concatenate(rhs) if rhs else np.zeros(0)
 
 
 def draw_cells(draw, rng, n):
@@ -54,15 +56,17 @@ def draw_cells(draw, rng, n):
     return np.column_stack(np.divmod(np.arange(n), 8))
 
 
-def dense_of(stacks, rhs, ncols, dtype, scale=None):
-    """Dense B D and l of a stacked system."""
+def dense_of(stacks, ncols, dtype, scale=None):
+    """Dense B D and l of a stacked system on consecutive rows."""
     scale = np.ones(ncols) if scale is None else scale
-    m = np.zeros((rhs.size, ncols), dtype=dtype)
+    n_rows = sum(st.loads.size for st in stacks)
+    m, v = np.zeros((n_rows, ncols), dtype=dtype), np.zeros(n_rows, dtype=dtype)
     for st in stacks:
         panels = np.broadcast_to(st.panel, st.cols.shape[:1] + st.panel.shape[-2:])
         for rows, cols, panel in zip(st.rows, st.cols, panels):
             m[np.ix_(rows, cols)] = panel * scale[cols]
-    return m, rhs.astype(dtype)
+        v[st.rows] = st.loads
+    return m, v
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -70,8 +74,8 @@ def test_matches_dense_lstsq(seed):
     rng = np.random.default_rng(seed)
     ncols = int(rng.integers(4, 80))
     blocks, rhs = random_blocked(rng, ncols, int(rng.integers(2, 30)))
-    x, rdiag = solve_blocked_ls(*as_stacks(blocks, rhs, rng.integers(0, 8, (len(blocks), 2))), ncols)
-    m, v = dense_of(*as_stacks(blocks, rhs), ncols, np.float64)
+    x, rdiag = solve_blocked_ls(as_stacks(blocks, rhs, rng.integers(0, 8, (len(blocks), 2))), ncols)
+    m, v = dense_of(as_stacks(blocks, rhs), ncols, np.float64)
     ref = np.linalg.lstsq(m, v, rcond=None)[0]
     np.testing.assert_allclose(x, ref, atol=1e-11 * max(np.linalg.norm(ref), 1.0))
     assert rdiag.shape == (ncols,)
@@ -81,8 +85,8 @@ def test_complex_matches_dense(seed=3):
     rng = np.random.default_rng(seed)
     ncols = 40
     blocks, rhs = random_blocked(rng, ncols, 25, dtype=np.complex128)
-    x, _ = solve_blocked_ls(*as_stacks(blocks, rhs), ncols)
-    m, v = dense_of(*as_stacks(blocks, rhs), ncols, np.complex128)
+    x, _ = solve_blocked_ls(as_stacks(blocks, rhs), ncols)
+    m, v = dense_of(as_stacks(blocks, rhs), ncols, np.complex128)
     ref = np.linalg.lstsq(m, v, rcond=None)[0]
     np.testing.assert_allclose(x, ref, atol=1e-11 * np.linalg.norm(ref))
 
@@ -92,9 +96,9 @@ def test_single_precision_dtype_preserved():
     blocks, rhs = random_blocked(rng, 20, 10, dtype=np.float64)
     blocks32 = [(b.astype(np.float32), c) for b, c in blocks]
     rhs32 = [r.astype(np.float32) for r in rhs]
-    x, _ = solve_blocked_ls(*as_stacks(blocks32, rhs32), 20)
+    x, _ = solve_blocked_ls(as_stacks(blocks32, rhs32), 20)
     assert x.dtype == np.float32
-    m, v = dense_of(*as_stacks(blocks, rhs), 20, np.float64)
+    m, v = dense_of(as_stacks(blocks, rhs), 20, np.float64)
     ref = np.linalg.lstsq(m, v, rcond=None)[0]
     np.testing.assert_allclose(x, ref, atol=1e-4 * np.linalg.norm(ref))
 
@@ -126,7 +130,7 @@ def test_compression_runs_in_working_dtype(dtype, monkeypatch):
     spread = np.column_stack([2 * np.arange(len(blocks)), np.zeros(len(blocks), dtype=np.int64)])
     for cells in (spread, np.zeros_like(spread)):
         requested.clear()
-        check_matches_dense_lstsq(dtype, (*as_stacks(blocks, rhs, cells), ncols, {}))
+        check_matches_dense_lstsq(dtype, (as_stacks(blocks, rhs, cells), ncols, {}))
         assert {name for name, _ in requested} == {"geqrt", "gemqrt"}
         assert {f.typecode for _, f in requested} == {"s" if dtype == np.float32 else "c"}
 
@@ -135,7 +139,7 @@ def test_untouched_column_raises():
     rng = np.random.default_rng(2)
     blocks = [(rng.standard_normal((4, 2)), np.array([0, 1]))]
     with pytest.raises(RankDeficient):
-        solve_blocked_ls(*as_stacks(blocks, [np.zeros(4)]), 3)
+        solve_blocked_ls(as_stacks(blocks, [np.zeros(4)]), 3)
 
 
 def test_dependent_columns_raise():
@@ -143,7 +147,7 @@ def test_dependent_columns_raise():
     rows = rng.standard_normal((6, 1))
     blocks = [(np.hstack([rows, rows]), np.array([0, 1]))]
     with pytest.raises(RankDeficient):
-        solve_blocked_ls(*as_stacks(blocks, [np.zeros(6)]), 2)
+        solve_blocked_ls(as_stacks(blocks, [np.zeros(6)]), 2)
 
 
 def test_wide_root_front_raises():
@@ -152,11 +156,11 @@ def test_wide_root_front_raises():
     rng = np.random.default_rng(8)
     blocks = [(rng.standard_normal((1, 3)), np.array([0, 1, 2])), (rng.standard_normal((1, 2)), np.array([2, 3]))]
     with pytest.raises(RankDeficient):
-        solve_blocked_ls(*as_stacks(blocks, [np.zeros(1), np.zeros(1)], np.zeros((2, 2), dtype=np.int64)), 4)
+        solve_blocked_ls(as_stacks(blocks, [np.zeros(1), np.zeros(1)], np.zeros((2, 2), dtype=np.int64)), 4)
 
 
 def test_empty_system():
-    x, rd = solve_blocked_ls([], np.zeros(0), 0)
+    x, rd = solve_blocked_ls([], 0)
     assert x.size == 0
 
 
@@ -164,7 +168,7 @@ def test_consistent_system_exact():
     rng = np.random.default_rng(11)
     ncols = 25
     blocks, rhs = random_blocked(rng, ncols, 12)
-    m, _ = dense_of(*as_stacks(blocks, rhs), ncols, np.float64)
+    m, _ = dense_of(as_stacks(blocks, rhs), ncols, np.float64)
     x_true = rng.standard_normal(ncols)
     full = m @ x_true
     off = 0
@@ -172,7 +176,7 @@ def test_consistent_system_exact():
     for rows, cols in blocks:
         rhs_cons.append(full[off : off + rows.shape[0]])
         off += rows.shape[0]
-    x, _ = solve_blocked_ls(*as_stacks(blocks, rhs_cons), ncols)
+    x, _ = solve_blocked_ls(as_stacks(blocks, rhs_cons), ncols)
     np.testing.assert_allclose(x, x_true, atol=1e-10)
 
 
@@ -192,7 +196,7 @@ def tall_problems(draw, dtype):
     kmax = draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     blocks, rhs = random_blocked(rng, ncols, nblocks, dtype, kmax, max_rows=lambda k: 4 * k)
-    return (*as_stacks(blocks, rhs, draw_cells(draw, rng, len(blocks))), ncols, {})
+    return as_stacks(blocks, rhs, draw_cells(draw, rng, len(blocks))), ncols, {}
 
 
 @st.composite
@@ -213,7 +217,7 @@ def row_problems(draw, dtype):
             row, r = row + 1j * rng.standard_normal((1, k)), r + 1j * rng.standard_normal(1)
         blocks.append((row.astype(dtype), cols))
         rhs.append(r.astype(dtype))
-    return (*as_stacks(blocks, rhs, draw_cells(draw, rng, nrows)), ncols, {})
+    return as_stacks(blocks, rhs, draw_cells(draw, rng, nrows)), ncols, {}
 
 
 def _random(rng, shape, dtype):
@@ -227,8 +231,9 @@ def _random(rng, shape, dtype):
 def shared_problems(draw, dtype):
     """Stacks of E > 1 panels that share one panel of k columns and k..4k
     rows (now and then an (E, m, k) stack, as under a variable coefficient),
-    each panel over its own columns, with a random positive column scale:
-    the shape of the element classes of the overdetermined assembly."""
+    each panel over its own columns, with random loads and a random
+    positive column scale: the shape of the element classes of the
+    overdetermined assembly."""
     ncols = draw(st.integers(2, 40))
     nstacks = draw(st.integers(1, 5))
     kmax = draw(st.integers(2, 8))
@@ -248,18 +253,18 @@ def shared_problems(draw, dtype):
     stacks, offset, first = [], 0, 0
     for panel, cols in panels:
         m, e = panel.shape[-2], cols.shape[0]
-        stacks.append(RowStack(panel, cols, offset + m * np.arange(e), cells[first : first + e]))
+        loads = _random(rng, (e, m), dtype)
+        stacks.append(RowStack(panel, cols, loads, cells[first : first + e], offset + m * np.arange(e)))
         offset, first = offset + m * e, first + e
-    load = _random(rng, offset, dtype)
-    return stacks, load, ncols, dict(scale=np.exp(rng.uniform(-2.0, 2.0, ncols)).astype(dtype))
+    return stacks, ncols, dict(scale=np.exp(rng.uniform(-2.0, 2.0, ncols)).astype(dtype))
 
 
 def check_matches_dense_lstsq(dtype, problem):
-    stacks, load, ncols, how = problem
-    x, rdiag = solve_blocked_ls(stacks, load, ncols, **how)
+    stacks, ncols, how = problem
+    x, rdiag = solve_blocked_ls(stacks, ncols, **how)
     assert x.dtype == dtype and rdiag.shape == (ncols,)
     wide = np.complex128 if np.issubdtype(dtype, np.complexfloating) else np.float64
-    m, v = dense_of(stacks, load, ncols, wide, how.get("scale"))
+    m, v = dense_of(stacks, ncols, wide, how.get("scale"))
     ref = np.linalg.lstsq(m, v, rcond=None)[0]
     # least-squares forward error bound: u kappa (1 + kappa ||r|| / (||B|| ||x||))
     sv = np.linalg.svd(m, compute_uv=False)
@@ -273,7 +278,7 @@ def check_matches_dense_lstsq(dtype, problem):
 
 
 def check_rank_deficient_raises(problem, kind, i, j):
-    stacks, load, ncols, how = problem
+    stacks, ncols, how = problem
     out = []
     for st in stacks:    # one panel per stack
         rows, cols = st.panel.copy(), list(st.cols[0])
@@ -288,9 +293,9 @@ def check_rank_deficient_raises(problem, kind, i, j):
                 rows[:, cols.index(j)] = 2.0 * rows[:, cols.index(i)]
             elif i in cols or j in cols:
                 rows[:, cols.index(i if i in cols else j)] = 0.0
-        out.append(RowStack(rows, np.array(cols, dtype=np.int64)[None], st.offsets, st.cells))
+        out.append(dataclasses.replace(st, panel=rows, cols=np.array(cols, dtype=np.int64)[None]))
     with pytest.raises(RankDeficient):
-        solve_blocked_ls(out, load, ncols, **how)
+        solve_blocked_ls(out, ncols, **how)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -305,7 +310,7 @@ def test_property_matches_dense_lstsq(dtype, data):
 @given(data=st.data(), kind=st.sampled_from(["zero", "untouched", "scaled copy"]))
 def test_property_rank_deficient_raises(dtype, data, kind):
     problem = data.draw(tall_problems(dtype))
-    i, j = data.draw(st.permutations(range(problem[2])))[:2]
+    i, j = data.draw(st.permutations(range(problem[1])))[:2]
     check_rank_deficient_raises(problem, kind, i, j)
 
 
@@ -321,7 +326,7 @@ def test_property_one_row_panels_match_dense_lstsq(dtype, data):
 @given(data=st.data(), kind=st.sampled_from(["zero", "untouched", "scaled copy"]))
 def test_property_one_row_panels_rank_deficient_raises(dtype, data, kind):
     problem = data.draw(row_problems(dtype))
-    i, j = data.draw(st.permutations(range(problem[2])))[:2]
+    i, j = data.draw(st.permutations(range(problem[1])))[:2]
     check_rank_deficient_raises(problem, kind, i, j)
 
 
@@ -349,7 +354,7 @@ def patch_problems(draw, dtype):
     columns but as many as its inner columns; one tall panel over the outer
     columns of the wide ones keeps B of full column rank.  Loose panels on
     random cells and random columns break the repetition.  Random positive
-    column scale."""
+    column scale and random loads."""
     pool = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     patches = rng.permutation(4)[: int(rng.integers(1, 5))]
@@ -394,10 +399,10 @@ def patch_problems(draw, dtype):
     stacks, offset = [], 0
     for panel, cols, cells in panels:
         m, e = panel.shape[-2], cols.shape[0]
-        stacks.append(RowStack(panel, cols, offset + m * np.arange(e), cells))
+        stacks.append(RowStack(panel, cols, _random(rng, (e, m), dtype), cells, offset + m * np.arange(e)))
         offset += m * e
     how = dict(scale=np.exp(rng.uniform(-2.0, 2.0, ncols)).astype(dtype))
-    return stacks, _random(rng, offset, dtype), ncols, how
+    return stacks, ncols, how
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -414,17 +419,18 @@ def test_property_rank_deficient_private_column_raises(dtype, data, kind):
     """One more panel, on the cell of the first panel, over an old column and
     two new ones that no other panel touches, so that they are private to
     its group: one of them zero, or one twice the other."""
-    stacks, load, ncols, how = data.draw(patch_problems(dtype))
+    stacks, ncols, how = data.draw(patch_problems(dtype))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     panel = _random(rng, (5, 3), dtype)
     if kind == "zero":
         panel[:, 1] = 0.0
     else:
         panel[:, 2] = 2.0 * panel[:, 1]
-    stacks = stacks + [RowStack(panel, np.array([[0, ncols, ncols + 1]]), np.array([load.size]), stacks[0].cells[:1])]
-    load = np.concatenate([load, _random(rng, 5, dtype)])
+    n_rows = sum(st.loads.size for st in stacks)
+    cols = np.array([[0, ncols, ncols + 1]])
+    stacks = stacks + [RowStack(panel, cols, _random(rng, (1, 5), dtype), stacks[0].cells[:1], np.array([n_rows]))]
     with pytest.raises(RankDeficient):
-        solve_blocked_ls(stacks, load, ncols + 2, scale=np.concatenate([how["scale"], np.ones(2, dtype=dtype)]))
+        solve_blocked_ls(stacks, ncols + 2, scale=np.concatenate([how["scale"], np.ones(2, dtype=dtype)]))
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +472,7 @@ def test_property_fronts_keep_no_factored_front_alive(dtype, data):
     """Every round of the tree keeps copies, never views: the R11/R12 and
     projected loads of each finished front and the panel each group passes
     up own their data, so a factored front is freed once its round is over."""
-    stacks, load, ncols, _ = data.draw(patch_problems(dtype))
-    parts = [_Part(st.panel, st.cols, load[st.rows], st.cells) for st in stacks]
+    parts, ncols, _ = data.draw(patch_problems(dtype))
     while parts:
         parts, fronts = _group_round(parts, ncols, dtype)
         assert all(f.r11.base is None and f.r12.base is None and f.rhs.base is None for f in fronts)

@@ -191,8 +191,8 @@ def test_classes_match_per_element_pipeline(name):
     square = ctx.formulation.test_conforming
     tol_data = C * eps * ref["kappa_l"] * ref["kappa_b"]
 
-    a, f, _ = assemble_ne(ctx)
-    bt, lt, _ = assemble_overdetermined(ctx)
+    a, f = assemble_ne(ctx)
+    bt, lt = assemble_overdetermined(ctx)
     # A = Btilde* Btilde and f = Btilde* ltilde are sums of products
     norm_b, norm_l = np.linalg.norm(ref["B"]), np.linalg.norm(ref["l"])
     _close(a.to_dense(), ref["A"], tol_data, "A", norm_b**2)
@@ -200,7 +200,7 @@ def test_classes_match_per_element_pipeline(name):
     _close(bt.to_dense(), ref["B"], tol_data, "Btilde")
     _close(lt, ref["l"], tol_data, "ltilde")
 
-    for solver, sol in (("NE", solve_ne(a, f, ctx)), ("QR", solve_ls(bt, lt, ctx))):
+    for solver, sol in (("NE", solve_ne(a, ctx)), ("QR", solve_ls(bt, ctx))):
         # the interface solution against a double-precision solve of the reference
         bd = ref["B"].astype(np.complex128 if np.iscomplexobj(ref["B"]) else np.float64)
         ld = ref["l"].astype(bd.dtype)
@@ -241,10 +241,8 @@ def _assert_identical(xs, ys):
 
 def _solve(ctx, solver):
     if solver == "NE":
-        a, f, _ = assemble_ne(ctx)
-        return solve_ne(a, f, ctx)
-    bt, lt, _ = assemble_overdetermined(ctx)
-    return solve_ls(bt, lt, ctx)
+        return solve_ne(assemble_ne(ctx)[0], ctx)
+    return solve_ls(assemble_overdetermined(ctx)[0], ctx)
 
 
 @pytest.mark.parametrize("name", ["ultraweak-p2-double", "acoustics-complex128", "ultraweak-p1-single"])
@@ -257,8 +255,8 @@ def test_solution_does_not_depend_on_the_other_assembler(name, solver, other):
 
 
 def _assembled(ctx):
-    a, f, _ = assemble_ne(ctx)
-    bt, lt, _ = assemble_overdetermined(ctx)
+    a, f = assemble_ne(ctx)
+    bt, lt = assemble_overdetermined(ctx)
     csr = a.matrix
     return [csr.data, csr.indices, csr.indptr, f, bt.to_dense(), lt]
 
@@ -271,10 +269,11 @@ def test_reassembly_is_bit_identical(name):
     _assert_identical(_assembled(_context(name)), first)
 
 
-@pytest.mark.parametrize("name", ["ultraweak-p2-double", "fosls-alpha-condensed"])
+@pytest.mark.parametrize("name", ["ultraweak-p2-double", "fosls-alpha-condensed", "bubnov"])
 def test_threads_assembling_one_context_agree(name):
     # a fresh context, so that the threads race to compute the class
-    # factors; more threads than cores and a short switch interval
+    # factors (and the square system's load); more threads than cores and
+    # a short switch interval
     ctx = _context(name)
     n_threads = 4
     barrier = threading.Barrier(n_threads, timeout=60)
@@ -319,11 +318,11 @@ def test_triangular_solves_do_not_grow_with_the_mesh(monkeypatch, name):
         calls["back-substitution" if inside[0] else "element steps"] += 1
         return original(*args, **kwargs)
 
-    def counting_fronts(tree_fronts, scale):
+    def counting_fronts(tree_fronts, *args):
         fronts.append(len(tree_fronts))
         inside[0] = True
         try:
-            return back_substitute(tree_fronts, scale)
+            return back_substitute(tree_fronts, *args)
         finally:
             inside[0] = False
 
@@ -336,8 +335,7 @@ def test_triangular_solves_do_not_grow_with_the_mesh(monkeypatch, name):
         fronts.clear()
         potrf.clear()
         ctx = _context(name, n)
-        a, f, _ = assemble_ne(ctx)
-        solve_ne(a, f, ctx)
+        solve_ne(assemble_ne(ctx)[0], ctx)
         assert fronts == [len(potrf)] and len(potrf) > 0
         assert calls["back-substitution"] == len(potrf)
         steps.append(calls["element steps"])
@@ -382,8 +380,7 @@ def test_qr_factorizations_grow_by_one_round_per_doubling(monkeypatch):
     for n in (8, 16, 32, 64):
         calls.clear()
         ctx = _context("ultraweak-p2-double", n)
-        bt, lt, _ = assemble_overdetermined(ctx)
-        solve_ls(bt, lt, ctx)
+        solve_ls(assemble_overdetermined(ctx)[0], ctx)
         counts.append(len(calls))
     steps = np.diff(counts)
     assert counts[0] > 0 and steps[0] > 0 and np.all(steps == steps[0])
@@ -398,8 +395,7 @@ def test_ne_factorizations_grow_by_one_round_per_doubling(monkeypatch):
     for n in (8, 16, 32, 64):
         calls.clear()
         ctx = _context("ultraweak-p1-single", n)
-        a, f, _ = assemble_ne(ctx)
-        solve_ne(a, f, ctx)
+        solve_ne(assemble_ne(ctx)[0], ctx)
         counts.append(len(calls))
     steps = np.diff(counts)
     assert counts[0] > 0 and steps[0] > 0 and np.all(steps == steps[0])
@@ -415,8 +411,7 @@ def test_per_element_ne_fronts_grow_with_the_elements(monkeypatch):
         calls.clear()
         ctx = _context("fosls-alpha-condensed", n)
         assert ctx.classes[0].bt.ndim == 3
-        a, f, _ = assemble_ne(ctx)
-        solve_ne(a, f, ctx)
+        solve_ne(assemble_ne(ctx)[0], ctx)
         assert len(calls) == (ctx.mesh.n_elements - 1) // 3
 
 
@@ -435,8 +430,7 @@ def test_no_solve_requests_tpqrt(monkeypatch, name):
 
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", recording)
     ctx = _context(name)
-    bt, lt, _ = assemble_overdetermined(ctx)
-    solve_ls(bt, lt, ctx)
+    solve_ls(assemble_overdetermined(ctx)[0], ctx)
     assert not {"tpqrt", "geqrf", "ormqr", "unmqr"} & set(requested)
     assert "geqrt" in requested
 
@@ -447,6 +441,5 @@ def test_fronts_are_factored_in_place(monkeypatch, name):
     them, so the factor takes the place of the front instead of a copy."""
     calls = _lapack_calls(monkeypatch, "geqrt")
     ctx = _context(name)
-    bt, lt, _ = assemble_overdetermined(ctx)
-    solve_ls(bt, lt, ctx)
+    solve_ls(assemble_overdetermined(ctx)[0], ctx)
     assert calls and all(a.flags.f_contiguous and kwargs.get("overwrite_a") for (_, a), kwargs in calls)

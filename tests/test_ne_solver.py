@@ -9,8 +9,11 @@ systems.  The random matrices are block-sparse sums of element Gram
 matrices, the shape of an assembled normal equation, with random
 (x, y, component) sort keys on a coarse grid, so that the banded ordering
 sees ties, and random mesh cells, so that the tree sees every grouping.
+Every block carries its own load, which the tree sums in its fronts.
 All four working dtypes.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ import scipy.sparse
 from hypothesis import given, strategies as st
 
 from dlsfem.assembly import Options, _scale_columns, assemble_ne, build_context, precondition_global
-from dlsfem.blockqr import BlockStack, _group_round, _Part, solve_blocked_ne
+from dlsfem.blockqr import BlockStack, _group_round, solve_blocked_ne
 from dlsfem.formulation import make_case, make_formulation
 from dlsfem.linalg import NotPositiveDefinite
 from dlsfem.mesh import uniform_mesh
@@ -36,37 +39,47 @@ def _dense(stacks, ncols, wide):
     """The sum of the stacks' blocks, summed in ``wide``."""
     a = np.zeros((ncols, ncols), dtype=wide)
     for st in stacks:
-        blocks = np.broadcast_to(st.block, st.cols.shape[:1] + st.block.shape[-2:])
+        blocks = np.broadcast_to(st.panel, st.cols.shape[:1] + st.panel.shape[-2:])
         for cols, block in zip(st.cols, blocks):
             a[np.ix_(cols, cols)] += block
     return a
+
+
+def _load(stacks, ncols, wide):
+    """The sum of the stacks' loads, summed in ``wide``."""
+    f = np.zeros(ncols, dtype=wide)
+    for st in stacks:
+        np.add.at(f, st.cols, st.loads)
+    return f
 
 
 @st.composite
 def hpd_problems(draw, dtype):
     """(A, f, keys, stacks): A = positive diagonal + sum of P* P over random
     column sets, each term a block in ``dtype`` (the diagonal a stack of
-    1 x 1 blocks, one per column) on random cells, and A their sum in
-    double."""
+    1 x 1 blocks, one per column) with a random load on random cells, and
+    A and f their sums in double, rounded to ``dtype``."""
     n = draw(st.integers(1, 40))
     nblocks = draw(st.integers(0, 15))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     wide = np.result_type(dtype, np.float64)
     cells = draw_cells(draw, rng, n + nblocks)
-    stacks = [BlockStack(rng.uniform(0.1, 1.0, (n, 1, 1)).astype(dtype), np.arange(n)[:, None], cells[:n])]
+    diag = rng.uniform(0.1, 1.0, (n, 1, 1)).astype(dtype)
+    stacks = [BlockStack(diag, np.arange(n)[:, None], _random(rng, (n, 1), dtype), cells[:n])]
     for i in range(nblocks):
         k = int(rng.integers(1, min(n, 8) + 1))
         cols = rng.choice(n, size=k, replace=False)
         p = _random(rng, (k + 2, k), wide)
-        stacks.append(BlockStack(_hermitian(p.conj().T @ p).astype(dtype), cols[None], cells[n + i : n + i + 1]))
+        block = _hermitian(p.conj().T @ p).astype(dtype)
+        stacks.append(BlockStack(block, cols[None], _random(rng, (1, k), dtype), cells[n + i : n + i + 1]))
     keys = np.column_stack(
         [rng.integers(0, 5, n), rng.integers(0, 5, n), rng.integers(0, 2, n)]
     ).astype(float)
-    return _dense(stacks, n, wide).astype(dtype), _random(rng, n, dtype), keys, stacks
+    return _dense(stacks, n, wide).astype(dtype), _load(stacks, n, wide).astype(dtype), keys, stacks
 
 
 def _tree(a, f, keys, stacks):
-    return solve_blocked_ne(stacks, f, a.shape[0])[0]
+    return solve_blocked_ne(stacks, a.shape[0])[0]
 
 
 def _banded(a, f, keys, stacks):
@@ -111,8 +124,8 @@ def test_property_nonpositive_pivot_raises(dtype, data, kind):
         lam = np.linalg.eigvalsh(a.astype(wide))
         shift = lam[0] + 0.5 * lam[-1]
         a = (a.astype(wide) - shift * np.eye(a.shape[0])).astype(dtype)
-        diag = (stacks[0].block.astype(wide) - shift).astype(dtype)
-        stacks = [BlockStack(diag, stacks[0].cols, stacks[0].cells)] + stacks[1:]
+        diag = (stacks[0].panel.astype(wide) - shift).astype(dtype)
+        stacks = [dataclasses.replace(stacks[0], panel=diag)] + stacks[1:]
     else:
         # a zero row and column: the pivot there is exactly zero
         j = data.draw(st.integers(0, a.shape[0] - 1))
@@ -120,11 +133,11 @@ def test_property_nonpositive_pivot_raises(dtype, data, kind):
         a[:, j] = 0.0
         out = []
         for s in stacks:
-            block = np.broadcast_to(s.block, s.cols.shape[:1] + s.block.shape[-2:]).copy()
+            block = np.broadcast_to(s.panel, s.cols.shape[:1] + s.panel.shape[-2:]).copy()
             e, i = np.nonzero(s.cols == j)
             block[e, i, :] = 0.0
             block[e, :, i] = 0.0
-            out.append(BlockStack(block, s.cols, s.cells))
+            out.append(dataclasses.replace(s, panel=block))
         stacks = out
     for solve in (_banded, _tree):
         with pytest.raises(NotPositiveDefinite):
@@ -141,9 +154,10 @@ def block_problems(draw, dtype):
     """Stacks of E > 1 Hermitian positive-definite blocks P* P of k columns
     (P of k..4k rows) that share one block, now and then an (E, k, k) stack
     (as under a variable coefficient), each over its own columns, plus a
-    positive diagonal of 1 x 1 blocks; random cells (random ones on an
-    8 x 8 grid, all in one cell, or one cell per block), a random positive
-    column scale D and a random load: (stacks, f, ncols, D)."""
+    positive diagonal of 1 x 1 blocks, so that every column another block
+    holds is shared; a random load per block and random cells (random ones
+    on an 8 x 8 grid, all in one cell, or one cell per block):
+    (stacks, ncols)."""
     ncols = draw(st.integers(1, 40))
     nstacks = draw(st.integers(1, 5))
     kmax = draw(st.integers(1, 8))
@@ -160,30 +174,52 @@ def block_problems(draw, dtype):
     cells = draw_cells(draw, rng, sum(cols.shape[0] for _, cols in blocks))
     stacks, first = [], 0
     for block, cols in blocks:
-        stacks.append(BlockStack(block.astype(dtype), cols, cells[first : first + cols.shape[0]]))
-        first += cols.shape[0]
-    scale = np.exp(rng.uniform(-2.0, 2.0, ncols)).astype(dtype)
-    return stacks, _random(rng, ncols, dtype), ncols, scale
+        e, k = cols.shape
+        stacks.append(BlockStack(block.astype(dtype), cols, _random(rng, (e, k), dtype), cells[first : first + e]))
+        first += e
+    return stacks, ncols
+
+
+def check_tree_matches_dense_solve(dtype, stacks, ncols):
+    """x of the tree against a dense solve of (sum of blocks) x = sum of loads."""
+    x, r_diag = solve_blocked_ne(stacks, ncols)
+    assert x.dtype == dtype and r_diag.shape == (ncols,)
+    wide = np.result_type(dtype, np.float64)
+    a = _dense(stacks, ncols, wide)
+    ref = np.linalg.solve(a, _load(stacks, ncols, wide))
+    lam = np.linalg.eigvalsh(a)
+    kappa = lam[-1] / lam[0]
+    bound = 100.0 * np.finfo(dtype).eps * kappa
+    assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
+    # the Cholesky diagonal of A in any column order: the product of its
+    # squares is det(A), and each factor is off by at most u kappa relative
+    assert abs(2.0 * np.log(r_diag).sum() - np.log(lam).sum()) <= 100.0 * np.finfo(dtype).eps * kappa * ncols
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @PROPERTY
 @given(data=st.data())
 def test_property_tree_blocks_match_dense_solve(dtype, data):
-    stacks, f, ncols, scale = data.draw(block_problems(dtype))
-    x, r_diag = solve_blocked_ne(stacks, f, ncols, scale)
-    assert x.dtype == dtype and r_diag.shape == (ncols,)
-    wide = np.result_type(dtype, np.float64)
-    d = scale.astype(wide)
-    a = d[:, None] * _dense(stacks, ncols, wide) * d
-    ref = np.linalg.solve(a, f.astype(wide))
-    lam = np.linalg.eigvalsh(a)
-    kappa = lam[-1] / lam[0]
-    bound = 100.0 * np.finfo(dtype).eps * kappa
-    assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
-    # the Cholesky diagonal of D A D in any column order: the product of its
-    # squares is det(D A D), and each factor is off by at most u kappa relative
-    assert abs(2.0 * np.log(r_diag).sum() - np.log(lam).sum()) <= 100.0 * np.finfo(dtype).eps * kappa * ncols
+    """The whole load on the diagonal blocks: one block per column holds it."""
+    stacks, ncols = data.draw(block_problems(dtype))
+    f = _load(stacks, ncols, np.result_type(dtype, np.float64)).astype(dtype)
+    stacks = [dataclasses.replace(stacks[0], loads=f[:, None])] + [
+        dataclasses.replace(st, loads=np.zeros_like(st.loads)) for st in stacks[1:]
+    ]
+    check_tree_matches_dense_solve(dtype, stacks, ncols)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@PROPERTY
+@given(data=st.data())
+def test_property_tree_sums_the_block_loads_in_its_fronts(dtype, data):
+    """Every block carries a load, and several blocks share a column (the
+    diagonal block and each block over it, shared or per-element): the
+    fronts sum the loads of their blocks as they sum the blocks."""
+    stacks, ncols = data.draw(block_problems(dtype))
+    holders = np.bincount(np.concatenate([st.cols.ravel() for st in stacks]), minlength=ncols)
+    assert holders.max() >= 2
+    check_tree_matches_dense_solve(dtype, stacks, ncols)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -192,12 +228,12 @@ def test_property_tree_blocks_match_dense_solve(dtype, data):
 def test_property_tree_indefinite_sum_raises(dtype, data):
     """The diagonal stack shifted so that the lowest eigenvalue of the sum is
     -lambda_max / 2."""
-    stacks, f, ncols, scale = data.draw(block_problems(dtype))
+    stacks, ncols = data.draw(block_problems(dtype))
     lam = np.linalg.eigvalsh(_dense(stacks, ncols, np.result_type(dtype, np.float64)))
-    diag = stacks[0].block - (lam[0] + 0.5 * lam[-1])
-    stacks = [BlockStack(diag.astype(dtype), stacks[0].cols, stacks[0].cells)] + stacks[1:]
+    diag = stacks[0].panel - (lam[0] + 0.5 * lam[-1])
+    stacks = [dataclasses.replace(stacks[0], panel=diag.astype(dtype))] + stacks[1:]
     with pytest.raises(NotPositiveDefinite):
-        solve_blocked_ne(stacks, f, ncols, scale)
+        solve_blocked_ne(stacks, ncols)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -205,8 +241,7 @@ def test_property_tree_indefinite_sum_raises(dtype, data):
 @given(data=st.data())
 def test_property_ne_fronts_keep_no_factored_front_alive(dtype, data):
     """As in the QR: every round keeps copies, never views of a front."""
-    stacks, f, ncols, _ = data.draw(block_problems(dtype))
-    parts = [_Part(st.block, st.cols, np.zeros(st.cols.shape, dtype=dtype), st.cells) for st in stacks]
+    parts, ncols = data.draw(block_problems(dtype))
     while parts:
         parts, fronts = _group_round(parts, ncols, dtype, hermitian=True)
         assert all(f.r11.base is None and f.r12.base is None and f.rhs.base is None for f in fronts)
@@ -215,13 +250,13 @@ def test_property_ne_fronts_keep_no_factored_front_alive(dtype, data):
 
 def test_column_in_no_block_raises():
     block = np.array([[2.0, 1.0], [1.0, 2.0]])
-    stacks = [BlockStack(block, np.array([[0, 1]]), np.zeros((1, 2), dtype=np.int64))]
+    stacks = [BlockStack(block, np.array([[0, 1]]), np.ones((1, 2)), np.zeros((1, 2), dtype=np.int64))]
     with pytest.raises(NotPositiveDefinite):
-        solve_blocked_ne(stacks, np.ones(3), 3)
+        solve_blocked_ne(stacks, 3)
 
 
 def test_empty_system():
-    x, r_diag = solve_blocked_ne([], np.zeros(0), 0)
+    x, r_diag = solve_blocked_ne([], 0)
     assert x.size == 0 and r_diag.size == 0
 
 
@@ -252,15 +287,16 @@ def test_ne_fronts_run_in_working_dtype(dtype, monkeypatch):
     cols = np.stack([np.arange(first, first + k) for first in range(0, ncols - 1, k - 1)])
     p = _random(rng, (cols.shape[0], k + 2, k), dtype)
     block = _hermitian(p.conj().swapaxes(-1, -2) @ p)
-    f = _random(rng, ncols, dtype)
+    loads = _random(rng, cols.shape, dtype)
     spread = np.column_stack([2 * np.arange(cols.shape[0]), np.zeros(cols.shape[0], dtype=np.int64)])
     rk = "herk" if np.issubdtype(dtype, np.complexfloating) else "syrk"
     # spread fronts pass Schur complements up; the root front finishes all
     for cells, kernels in ((spread, {"potrf", "trtrs", rk, "gemm"}), (np.zeros_like(spread), {"potrf", "trtrs"})):
         requested.clear()
-        x = solve_blocked_ne([BlockStack(block, cols, cells)], f, ncols)[0]
+        stacks = [BlockStack(block, cols, loads, cells)]
+        x = solve_blocked_ne(stacks, ncols)[0]
         wide = np.result_type(dtype, np.float64)
-        ref = np.linalg.solve(_dense([BlockStack(block, cols, cells)], ncols, wide), f.astype(wide))
+        ref = np.linalg.solve(_dense(stacks, ncols, wide), _load(stacks, ncols, wide))
         assert np.linalg.norm(x - ref) <= 1e3 * np.finfo(dtype).eps * np.linalg.norm(ref)
         assert {name for name, _ in requested} == kernels
         assert {fn.typecode for _, fn in requested} == {TYPECODES[dtype]}
@@ -285,10 +321,11 @@ def test_tree_matches_banded_on_assembled_systems(fname, p, dp, n, cname, conden
     case = make_case(cname)
     form = make_formulation(fname, p, dp, **({"alpha": case.alpha} if fname == "fosls-strong" else {}))
     ctx = build_context(uniform_mesh(n), form, case, Options(condense=condense))
-    a, f, _ = assemble_ne(ctx)
+    a = assemble_ne(ctx)[0]
     s = precondition_global(a)
-    got = solve_blocked_ne(a.blocks, f * s, a.n, s)[0]
-    want = _banded_cholesky_solve(_scale_columns(a.matrix, s), f * s, ctx.sort_keys())
+    # both in u = x / D, the solution of D A D u = s * f
+    got = solve_blocked_ne(a.blocks, a.n)[0] / s
+    want = _banded_cholesky_solve(_scale_columns(a.matrix, s), a.rhs * s, ctx.sort_keys())
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -299,12 +336,11 @@ def test_solve_ne_solves_the_monolithic_fosls_system_it_is_given():
     case = make_case("poisson-alpha-sine")
     form = make_formulation("fosls-strong", 2, 1, alpha=case.alpha)
     ctx = build_context(uniform_mesh(8), form, case, Options(condense=False))
-    a, f = assemble_fosls_monolithic(ctx, case)
+    a = assemble_fosls_monolithic(ctx, case)
     assert a.blocks is not None
-    got = solve_ne(a, f, ctx).system_vector
-    want = _banded_cholesky_solve(a.matrix, f, ctx.sort_keys())
+    got = solve_ne(a, ctx).system_vector
+    want = _banded_cholesky_solve(a.matrix, a.rhs, ctx.sort_keys())
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     # the Riesz-map system of the context is about 1e-6 away at dp = 1
-    a_ctx, f_ctx, _ = assemble_ne(ctx)
-    other = solve_ne(a_ctx, f_ctx, ctx).system_vector
+    other = solve_ne(assemble_ne(ctx)[0], ctx).system_vector
     assert np.linalg.norm(other - want) > 1e-9 * np.linalg.norm(want)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from dlsfem import linalg
+from dlsfem import element, linalg
 from dlsfem.assembly import (
     Options,
     _scale_columns,
@@ -41,11 +41,10 @@ def _solve_both(fname, n, p, dp, cname="poisson-sine", options=None):
     case = make_case(cname)
     mesh = uniform_mesh(n)
     ctx = build_context(mesh, form, case, options)
-    a, f, _ = assemble_ne(ctx)
-    bt, lt, _ = assemble_overdetermined(ctx)
+    bt, lt = assemble_overdetermined(ctx)
     return (
-        solve_ne(a, f, ctx),
-        solve_ls(bt, lt, ctx),
+        solve_ne(assemble_ne(ctx)[0], ctx),
+        solve_ls(bt, ctx),
         (form, case, mesh, ctx, bt, lt),
     )
 
@@ -95,13 +94,14 @@ class TestSolutionInvariants:
         case = make_case("poisson-sine")
         mesh = uniform_mesh(1)
         ctx = build_context(mesh, form, case, Options(condense=False))
-        bt, lt, _ = assemble_overdetermined(ctx)
+        bt = assemble_overdetermined(ctx)[0]
         ui = interpolate_case(ctx, case)
         lt_consistent = bt.matvec(ui[ctx.solve_ids])
-        # the residual is taken against the context's element loads
+        # the context stores the consistent element loads, and the system
+        # assembled from it carries them
         rows = lt_consistent.reshape(mesh.n_elements, -1)
         ctx.classes = [dataclasses.replace(c, lt=rows[c.elements]) for c in ctx.classes]
-        sol = solve_ls(bt, lt_consistent, ctx)
+        sol = solve_ls(assemble_overdetermined(ctx)[0], ctx)
         assert sol.residual_norm <= 1e-12
 
     def test_zero_load_zero_solution(self):
@@ -116,8 +116,7 @@ class TestSolutionInvariants:
             boundary_value=lambda x, y: np.zeros_like(x),
         )
         ctx = build_context(uniform_mesh(2), form, zero_case)
-        a, f, _ = assemble_ne(ctx)
-        sol = solve_ne(a, f, ctx)
+        sol = solve_ne(assemble_ne(ctx)[0], ctx)
         np.testing.assert_allclose(sol.coefficients, 0.0, atol=1e-14)
 
 
@@ -143,8 +142,7 @@ class TestLiftIndependence:
         )
         mesh = uniform_mesh(2)
         ctx = build_context(mesh, form, case)
-        bt, lt, _ = assemble_overdetermined(ctx)
-        sol_a = solve_ls(bt, lt, ctx)
+        sol_a = solve_ls(assemble_overdetermined(ctx)[0], ctx)
         # second lift: same boundary values plus an interior perturbation
         rng = np.random.default_rng(0)
         ctx2 = build_context(mesh, form, case)
@@ -158,11 +156,10 @@ class TestLiftIndependence:
             dataclasses.replace(cls, lt=cls.lt - perturb[cls.free_ids] @ cls.bt.T)
             for cls in ctx2.classes
         ]
-        bt2, lt2, _ = assemble_overdetermined(ctx2)
-        sol_b = solve_ls(bt2, lt2, ctx2)
+        sol_b = solve_ls(assemble_overdetermined(ctx2)[0], ctx2)
         diff = np.linalg.norm(sol_a.coefficients - sol_b.coefficients)
         assert diff <= 1e-10 * np.linalg.norm(sol_a.coefficients)
-        err = error_norms(sol_a, case, form, mesh)
+        err = error_norms(sol_a)
         assert err["u_l2_rel"] <= 1e-12   # affine data is in the space
 
 
@@ -174,9 +171,7 @@ class TestConstraints:
         # no Dirichlet component: every boundary DOF stays a solve column
         free = dataclasses.replace(form, dirichlet_component=None)
         ctx = build_context(mesh, free, case, Options(condense=False))
-        bt, lt, _ = assemble_overdetermined(ctx)
-        a, f, _ = assemble_ne(ctx)
-        return form, case, mesh, ctx, bt, lt, a, f
+        return form, case, mesh, ctx, assemble_overdetermined(ctx)[0], assemble_ne(ctx)[0]
 
     def _boundary_constraints(self, ctx, alpha):
         lay = ctx.layouts[0]
@@ -186,11 +181,11 @@ class TestConstraints:
         return ConstraintSystem(c=c, d=np.zeros(fixed.size), alpha=alpha)
 
     def test_full_pinning(self):
-        form, case, mesh, ctx, bt, lt, a, f = self._unconstrained_setup()
+        form, case, mesh, ctx, bt, a = self._unconstrained_setup()
         rng = np.random.default_rng(1)
         u0 = rng.standard_normal(ctx.n_solve)
         cons = ConstraintSystem(c=np.eye(ctx.n_solve), d=u0, alpha=1e8)
-        sol = solve_weighted_constraints(bt, lt, cons, ctx)
+        sol = solve_weighted_constraints(bt, cons, ctx)
         assert np.linalg.norm(sol.system_vector - u0) <= 1e-6 * np.linalg.norm(u0)
 
     def test_alpha_zero_is_unconstrained(self):
@@ -199,33 +194,32 @@ class TestConstraints:
         form = make_formulation("primal-dpg", p=1, dp=1)
         case = make_case("poisson-sine")
         ctx = build_context(uniform_mesh(2), form, case, Options(condense=False))
-        bt, lt, _ = assemble_overdetermined(ctx)
+        bt = assemble_overdetermined(ctx)[0]
         c = np.zeros((1, ctx.n_solve))
         c[0, 0] = 1.0
         cons = ConstraintSystem(c=c, d=np.array([3.0]), alpha=0.0)
-        sol = solve_weighted_constraints(bt, lt, cons, ctx)
-        ref = solve_ls(bt, lt, ctx)
+        sol = solve_weighted_constraints(bt, cons, ctx)
+        ref = solve_ls(bt, ctx)
         np.testing.assert_allclose(
             sol.system_vector, ref.system_vector, atol=1e-10 * np.linalg.norm(ref.system_vector)
         )
 
     def test_constraint_residual_monotone_in_alpha(self):
-        form, case, mesh, ctx, bt, lt, a, f = self._unconstrained_setup()
+        form, case, mesh, ctx, bt, a = self._unconstrained_setup()
         resids = []
         for alpha in (1e2, 1e4, 1e6):
             cons = self._boundary_constraints(ctx, alpha)
-            sol = solve_weighted_constraints(bt, lt, cons, ctx)
+            sol = solve_weighted_constraints(bt, cons, ctx)
             resids.append(np.linalg.norm(cons.c @ sol.system_vector - cons.d))
         assert resids[1] < resids[0] and resids[2] < resids[1]
 
     def test_weighting_matches_elimination(self):
         # Dirichlet by weighting at alpha = 1e8 vs. column elimination
-        form, case, mesh, ctx, bt, lt, a, f = self._unconstrained_setup()
+        form, case, mesh, ctx, bt, a = self._unconstrained_setup()
         cons = self._boundary_constraints(ctx, alpha=1e8)
-        sol_w = solve_weighted_constraints(bt, lt, cons, ctx)
+        sol_w = solve_weighted_constraints(bt, cons, ctx)
         ctx_e = build_context(mesh, form, case, Options(condense=False))
-        bt_e, lt_e, _ = assemble_overdetermined(ctx_e)
-        sol_e = solve_ls(bt_e, lt_e, ctx_e)
+        sol_e = solve_ls(assemble_overdetermined(ctx_e)[0], ctx_e)
         diff = np.linalg.norm(sol_w.coefficients - sol_e.coefficients)
         assert diff <= 1e-6 * np.linalg.norm(sol_e.coefficients)
 
@@ -233,40 +227,39 @@ class TestConstraints:
         form = make_formulation("primal-dpg", p=1, dp=1)
         case = make_case("poisson-sine")
         ctx = build_context(uniform_mesh(2), form, case, Options(condense=False))
-        a, f, _ = assemble_ne(ctx)
+        a = assemble_ne(ctx)[0]
         cons = ConstraintSystem(c=np.zeros((0, ctx.n_solve)), d=np.zeros(0))
-        sol, w = solve_saddle_constraints(a, f, cons, ctx)
-        ref = solve_ne(a, f, ctx)
+        sol, w = solve_saddle_constraints(a, cons, ctx)
+        ref = solve_ne(a, ctx)
         np.testing.assert_allclose(sol.system_vector, ref.system_vector, atol=1e-11)
         assert w.size == 0
 
     def test_saddle_matches_elimination(self):
-        form, case, mesh, ctx, bt, lt, a, f = self._unconstrained_setup()
+        form, case, mesh, ctx, bt, a = self._unconstrained_setup()
         cons = self._boundary_constraints(ctx, alpha=1.0)
-        sol_s, w = solve_saddle_constraints(a, f, cons, ctx)
+        sol_s, w = solve_saddle_constraints(a, cons, ctx)
         ctx_e = build_context(mesh, form, case, Options(condense=False))
-        bt_e, lt_e, _ = assemble_overdetermined(ctx_e)
-        sol_e = solve_ls(bt_e, lt_e, ctx_e)
+        sol_e = solve_ls(assemble_overdetermined(ctx_e)[0], ctx_e)
         diff = np.linalg.norm(sol_s.coefficients - sol_e.coefficients)
         assert diff <= 1e-9 * np.linalg.norm(sol_e.coefficients)
 
     def test_saddle_weighting_limit(self):
-        form, case, mesh, ctx, bt, lt, a, f = self._unconstrained_setup()
+        form, case, mesh, ctx, bt, a = self._unconstrained_setup()
         cons_s = self._boundary_constraints(ctx, alpha=1.0)
-        sol_s, _ = solve_saddle_constraints(a, f, cons_s, ctx)
+        sol_s, _ = solve_saddle_constraints(a, cons_s, ctx)
         cons_w = self._boundary_constraints(ctx, alpha=1e8)
-        sol_w = solve_weighted_constraints(bt, lt, cons_w, ctx)
+        sol_w = solve_weighted_constraints(bt, cons_w, ctx)
         diff = np.linalg.norm(sol_s.system_vector - sol_w.system_vector)
         assert diff <= 1e-5 * max(np.linalg.norm(sol_s.system_vector), 1.0)
 
     def test_random_saddle_block_residual(self):
         rng = np.random.default_rng(23)
-        form, case, mesh, ctx, bt, lt, a, f = self._unconstrained_setup()
+        form, case, mesh, ctx, bt, a = self._unconstrained_setup()
         c = rng.standard_normal((3, ctx.n_solve))
         cons = ConstraintSystem(c=c, d=rng.standard_normal(3))
-        sol, w = solve_saddle_constraints(a, f, cons, ctx)
+        sol, w = solve_saddle_constraints(a, cons, ctx)
         ad = a.to_dense()
-        r1 = ad @ sol.system_vector + c.T @ w - f
+        r1 = ad @ sol.system_vector + c.T @ w - a.rhs
         r2 = c @ sol.system_vector - cons.d
         scale = np.linalg.norm(ad) * np.linalg.norm(sol.system_vector)
         assert np.linalg.norm(r1) <= 1e-11 * max(scale, 1.0)
@@ -287,34 +280,55 @@ LOAD_SYSTEMS = [
 @pytest.mark.parametrize("condense", [True, False])
 @pytest.mark.parametrize("fname,dp,cname", LOAD_SYSTEMS)
 def test_assembled_load_is_the_stored_load(fname, dp, cname, condense, precision):
-    """The load ltilde of the assembled system is, bit for bit, the one the
-    context stores: the element loads (their condensed rows when condensed)
-    or the square system's right-hand side.  So the indicators of solve_ls,
-    which read the stored loads, are those of the load it solved for."""
+    """The loads that the assembled systems carry are, bit for bit, the ones
+    the context stores.  Btilde's rows and its stacks carry the element
+    loads (their condensed rows when condensed), A's blocks the loads of the
+    element normal equations (their Schur loads when condensed), and ltilde
+    and f are their sums; a square system carries its right-hand side l and
+    S* l.  So the indicators of solve_ls, which read the stored loads, are
+    those of the load it solved for."""
     form = make_formulation(fname, p=2, dp=dp)
     ctx = build_context(uniform_mesh(3), form, make_case(cname), Options(condense=condense, precision=precision))
-    bt, lt, _ = assemble_overdetermined(ctx)
+    bt, lt = assemble_overdetermined(ctx)
+    a, f = assemble_ne(ctx)
+    assert lt is bt.rhs and f is a.rhs
     ne = ctx.mesh.n_elements
     eta = np.zeros(ne)
-    sol = solve_ls(bt, lt, ctx)
-    if ctx.square_data is not None:
-        np.testing.assert_array_equal(lt, ctx.square_data["rhs"])
+    sol = solve_ls(bt, ctx)
+    if ctx.square is not None:
+        stored = ctx.square.rhs
+        np.testing.assert_array_equal(lt, stored)
+        for st in bt.stacks:
+            np.testing.assert_array_equal(st.loads, stored[st.rows])
+        np.testing.assert_array_equal(f, ctx.square.matrix.conj().T @ stored)
+        blocks = ctx.square.blocks
     else:
         rows = lt.reshape(ne, -1)
         hom = sol.coefficients - ctx.lift_full
-        for c in ctx.classes:
-            np.testing.assert_array_equal(rows[c.elements], c.cond_ls.rhs if condense else c.lt)
+        for c, st in zip(ctx.classes, bt.stacks):
+            stored = c.cond_ls.rhs if condense else c.lt
+            np.testing.assert_array_equal(rows[c.elements], stored)
+            np.testing.assert_array_equal(st.loads, stored)
             u = hom[c.free_ids].astype(c.bt.dtype)
             eta[c.elements] = np.linalg.norm(c.lt - linalg.matvec(c.bt, u), axis=-1)
+        blocks = a.blocks
+    # the element normal equations' loads, and f (S* S's S of a square system) their sum
+    f_sum = np.zeros(ctx.n_solve, dtype=f.dtype)
+    for c, st in zip(ctx.classes, blocks):
+        stored = c.cond_ne.rhs if condense else c.lt if c.square else element.element_ne(c.bt, c.lt)[1]
+        np.testing.assert_array_equal(st.loads, stored)
+        np.add.at(f_sum, st.cols, stored)
+    np.testing.assert_array_equal(ctx.square.rhs if ctx.square is not None else f, f_sum)
     tol = 100.0 * np.finfo(lt.dtype).eps * np.linalg.norm(lt)
     np.testing.assert_allclose(sol.eta, eta, rtol=0, atol=tol)
     assert abs(sol.residual_norm - np.linalg.norm(lt - bt.matvec(sol.system_vector))) <= tol
 
 
-def power_rho(bt, ltilde, solution):
+def power_rho(bt, solution):
     """rho with ||Btilde||_2 from the power iteration on Btilde, then
     Btilde*, through CSR copies of Btilde: the reference for residual_rho,
     which runs the same iteration on the Gram matrix Btilde* Btilde."""
+    ltilde = bt.rhs
     op = bt.to_coo().tocsr()
     op_adj = op.conj().T.tocsr()
     u = solution.system_vector.astype(np.complex128 if np.iscomplexobj(ltilde) else np.float64)
@@ -350,58 +364,64 @@ RHO_SYSTEMS = {
 }
 
 
+def with_load(bt, load):
+    """Btilde carrying another load over its rows."""
+    return dataclasses.replace(bt, stacks=[dataclasses.replace(st, loads=load[st.rows]) for st in bt.stacks])
+
+
 class TestRho:
     @pytest.mark.parametrize("name", list(RHO_SYSTEMS))
     def test_gram_power_iteration_matches_operator_pair(self, name):
         fname, p, n, cname, precision = RHO_SYSTEMS[name]
         form = make_formulation(fname, p=p, dp=1)
         ctx = build_context(uniform_mesh(n), form, make_case(cname), Options(precision=precision))
-        bt, lt, _ = assemble_overdetermined(ctx)
-        sol = solve_ls(bt, lt, ctx)
-        if ctx.square_data is not None:
+        bt = assemble_overdetermined(ctx)[0]
+        sol = solve_ls(bt, ctx)
+        if ctx.square is not None:
             # a square system leaves a round-off residual, which the two
             # product orders round differently; off the solution it is defined
-            assert abs(residual_rho(bt, lt, sol) - power_rho(bt, lt, sol)) <= 1000 * np.finfo(float).eps
+            assert abs(residual_rho(bt, sol) - power_rho(bt, sol)) <= 1000 * np.finfo(float).eps
             rng = np.random.default_rng(5)
             u = sol.system_vector * (1.0 + 1e-3 * rng.standard_normal(bt.n_cols))
             sol = dataclasses.replace(sol, system_vector=u)
-        want = power_rho(bt, lt, sol)
+        want = power_rho(bt, sol)
         assert 0.0 < want < math.inf
-        assert residual_rho(bt, lt, sol) == pytest.approx(want, rel=1e-12, abs=0)
+        assert residual_rho(bt, sol) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_consistent_load_gives_tiny_rho(self):
         form = make_formulation("fosls-strong", p=2, dp=1)
         case = make_case("poisson-sine")
         mesh = uniform_mesh(2)
         ctx = build_context(mesh, form, case, Options(condense=False))
-        bt, lt, _ = assemble_overdetermined(ctx)
+        bt = assemble_overdetermined(ctx)[0]
         ui = interpolate_case(ctx, case)
-        lt_c = bt.matvec(ui[ctx.solve_ids])
-        sol = solve_ls(bt, lt_c, ctx)
-        assert residual_rho(bt, lt_c, sol) <= 1e-12
+        bt_c = with_load(bt, bt.matvec(ui[ctx.solve_ids]))
+        sol = solve_ls(bt_c, ctx)
+        assert residual_rho(bt_c, sol) <= 1e-12
 
     def test_orthogonal_load_reports_inf(self):
         form = make_formulation("primal-dpg", p=1, dp=1)
         case = make_case("poisson-sine")
         mesh = uniform_mesh(2)
         ctx = build_context(mesh, form, case, Options(condense=False))
-        bt, lt, _ = assemble_overdetermined(ctx)
+        bt = assemble_overdetermined(ctx)[0]
         dense = bt.to_dense()
         q, _ = np.linalg.qr(dense)
         rng = np.random.default_rng(3)
         r = rng.standard_normal(bt.n_rows)
-        l_perp = r - q @ (q.T @ r)
-        sol = solve_ls(bt, l_perp, ctx)
-        assert residual_rho(bt, l_perp, sol) == math.inf
+        bt_perp = with_load(bt, r - q @ (q.T @ r))
+        sol = solve_ls(bt_perp, ctx)
+        assert residual_rho(bt_perp, sol) == math.inf
 
     def test_zero_solution_of_zero_load_raises(self):
         form = make_formulation("primal-dpg", p=1, dp=1)
         case = make_case("poisson-sine")
         ctx = build_context(uniform_mesh(2), form, case, Options(condense=False))
-        bt, lt, _ = assemble_overdetermined(ctx)
-        sol = solve_ls(bt, np.zeros(bt.n_rows), ctx)
+        bt = assemble_overdetermined(ctx)[0]
+        bt = with_load(bt, np.zeros(bt.n_rows))
+        sol = solve_ls(bt, ctx)
         with pytest.raises(ZeroSolution):
-            residual_rho(bt, np.zeros(bt.n_rows), sol)
+            residual_rho(bt, sol)
 
     def test_rho_decreases_under_refinement(self):
         form = make_formulation("ultraweak-dpg", p=2, dp=1)
@@ -409,9 +429,8 @@ class TestRho:
         rhos = []
         for n in (1, 2, 4, 8):
             ctx = build_context(uniform_mesh(n), form, case)
-            bt, lt, _ = assemble_overdetermined(ctx)
-            sol = solve_ls(bt, lt, ctx)
-            rhos.append(residual_rho(bt, lt, sol))
+            bt = assemble_overdetermined(ctx)[0]
+            rhos.append(residual_rho(bt, solve_ls(bt, ctx)))
         assert all(b < a for a, b in zip(rhos, rhos[1:]))
 
 
@@ -426,7 +445,7 @@ class TestErrorNorms:
             np.zeros(ctx.n_total), "QR", np.zeros(mesh.n_elements), 0.0, 0.0,
             np.zeros(ctx.n_solve), ctx,
         )
-        err = error_norms(zero, case, form, mesh)
+        err = error_norms(zero)
         assert err["u_l2"] == pytest.approx(0.5, abs=1e-12)
 
     def test_exact_polynomial_injection(self):
@@ -437,7 +456,7 @@ class TestErrorNorms:
         ctx = build_context(mesh, form, case)
         ui = interpolate_case(ctx, case)
         sol = Solution(ui, "QR", np.zeros(mesh.n_elements), 0.0, 0.0, ui[ctx.solve_ids], ctx)
-        err = error_norms(sol, case, form, mesh)
+        err = error_norms(sol)
         assert err["u_l2"] <= 1e-12
         assert err["U"] <= 1e-12
 
@@ -450,9 +469,7 @@ class TestErrorNorms:
         for n in (4, 8, 16):
             mesh = uniform_mesh(n)
             ctx = build_context(mesh, form, case)
-            bt, lt, _ = assemble_overdetermined(ctx)
-            sol = solve_ls(bt, lt, ctx)
-            errs.append(error_norms(sol, case, form, mesh)["fields_l2_rel"])
+            errs.append(error_norms(solve_ls(assemble_overdetermined(ctx)[0], ctx))["fields_l2_rel"])
         rate = np.polyfit(np.log([4, 8, 16]), np.log(errs), 1)[0]
         assert -rate == pytest.approx(p, abs=0.3)
 
@@ -462,8 +479,8 @@ def test_residual_vector_matches_indicators():
     case = make_case("poisson-sine")
     mesh = uniform_mesh(4)
     ctx = build_context(mesh, form, case)
-    bt, lt, _ = assemble_overdetermined(ctx)
-    sol = solve_ls(bt, lt, ctx)
+    bt = assemble_overdetermined(ctx)[0]
+    sol = solve_ls(bt, ctx)
     assert sol.residual is not None and sol.residual.size == bt.n_rows
     assert np.linalg.norm(sol.residual) == pytest.approx(sol.residual_norm, rel=1e-14)
     # element slices of the residual reproduce eta_K
@@ -495,8 +512,8 @@ def test_qr_matches_dense_lstsq_on_assembled_system(fname, p, n, cname, setting)
     case = make_case(cname)
     form = make_formulation(fname, p=p, dp=1, alpha=case.alpha)
     ctx = build_context(uniform_mesh(n), form, case, Options(precision=precision, condense=not uncondensed))
-    bt, lt, _ = assemble_overdetermined(ctx)
-    sol = solve_ls(bt, lt, ctx)
+    bt, lt = assemble_overdetermined(ctx)
+    sol = solve_ls(bt, ctx)
     scale = precondition_global_rect(bt)
     dense = bt.to_dense() * scale
     wide = np.complex128 if np.iscomplexobj(dense) else np.float64
@@ -511,8 +528,7 @@ def test_qr_matches_dense_lstsq_on_assembled_system(fname, p, n, cname, setting)
     assert np.linalg.norm(got - ref) <= bound * np.linalg.norm(ref)
     assert 0.0 < sol.r_diag_min <= sol.r_diag_max
     if precision == "double":
-        a, f, _ = assemble_ne(ctx)
-        sol_ne = solve_ne(a, f, ctx)
+        sol_ne = solve_ne(assemble_ne(ctx)[0], ctx)
         diff = np.linalg.norm(sol_ne.coefficients - sol.coefficients)
         assert diff <= 1e-10 * np.linalg.norm(sol.coefficients)
 
@@ -524,9 +540,9 @@ def test_square_system_without_free_columns_solves_to_nothing(condense):
     system vector with the lift as the solution."""
     form = make_formulation("bubnov-galerkin", p=1, dp=0)
     ctx = build_square_context(uniform_mesh(1), form, make_case("poisson-sine10"), Options(condense=condense))
-    bt, lt, _ = assemble_overdetermined(ctx)
+    bt = assemble_overdetermined(ctx)[0]
     assert ctx.n_solve == 0 and bt.stacks == []
-    for sol in (solve_ls(bt, lt, ctx), solve_ne(*assemble_ne(ctx))):
+    for sol in (solve_ls(bt, ctx), solve_ne(assemble_ne(ctx)[0], ctx)):
         assert sol.system_vector.size == 0
         np.testing.assert_array_equal(sol.coefficients, ctx.lift_full)
 
@@ -546,8 +562,8 @@ def test_ne_and_qr_report_one_r_diagonal_range(fname, cname):
     case = make_case(cname)
     form = make_formulation(fname, p=2, dp=1, alpha=case.alpha)
     ctx = build_context(uniform_mesh(4), form, case)
-    qr = solve_ls(*assemble_overdetermined(ctx))
-    ne = solve_ne(*assemble_ne(ctx))
+    qr = solve_ls(assemble_overdetermined(ctx)[0], ctx)
+    ne = solve_ne(assemble_ne(ctx)[0], ctx)
     assert 0.0 < qr.r_diag_min <= qr.r_diag_max
     if form.test_conforming:
         assert ne.r_diag_min is None and ne.r_diag_max is None
@@ -568,9 +584,9 @@ def test_dp0_wide_fronts_raise_rank_deficient(fname, cname):
     RankDeficient."""
     form = make_formulation(fname, p=2, dp=0)
     ctx = build_context(uniform_mesh(8), form, make_case(cname), Options(condense=False))
-    bt, lt, _ = assemble_overdetermined(ctx)
+    bt = assemble_overdetermined(ctx)[0]
     with pytest.raises(linalg.RankDeficient):
-        solve_ls(bt, lt, ctx)
+        solve_ls(bt, ctx)
 
 
 def _wide(x):
@@ -597,10 +613,10 @@ def test_tree_qr_matches_window_reference(fname, p, n, cname, precision):
     case = make_case(cname)
     form = make_formulation(fname, p=p, dp=1, alpha=case.alpha)
     ctx = build_context(uniform_mesh(n), form, case, Options(precision=precision))
-    bt, lt, _ = assemble_overdetermined(ctx)
+    bt, lt = assemble_overdetermined(ctx)
     s = precondition_global_rect(bt)
-    got, _ = solve_blocked_ls(bt.stacks, lt, bt.n_cols, s)
-    want, _ = solve_window_ls(bt.stacks, lt, bt.n_cols, s, sort_keys=ctx.sort_keys())
+    got, _ = solve_blocked_ls(bt.stacks, bt.n_cols, s)
+    want, _ = solve_window_ls(bt.stacks, bt.n_cols, s, sort_keys=ctx.sort_keys())
     assert got.dtype == want.dtype == s.dtype
     if precision == "double":
         bound = 1e-12
@@ -628,8 +644,8 @@ NE_SYSTEMS = [
 def test_banded_ne_matches_dense_cholesky(fname, p, n, cname, precision, dtype):
     form = make_formulation(fname, p=p, dp=1)
     ctx = build_context(uniform_mesh(n), form, make_case(cname), Options(precision=precision))
-    a, f, _ = assemble_ne(ctx)
-    sol = solve_ne(a, f, ctx)
+    a, f = assemble_ne(ctx)
+    sol = solve_ne(a, ctx)
     assert sol.system_vector.dtype == dtype
     scale = precondition_global(a)
     a_s = _scale_columns(a.matrix, scale).toarray()
@@ -649,16 +665,15 @@ def test_banded_ne_matches_dense_cholesky(fname, p, n, cname, precision, dtype):
 def test_sparse_square_system_matches_dense_solve(p, precision):
     form = make_formulation("bubnov-galerkin", p=p, dp=0)
     ctx = build_square_context(uniform_mesh(8), form, make_case("poisson-sine10"), Options(precision=precision))
-    s = ctx.square_data["matrix"]
+    s = ctx.square.matrix
     assert scipy.sparse.issparse(s)
     dense = s.toarray().astype(np.float64)
-    ref = np.linalg.solve(dense, ctx.square_data["rhs"].astype(np.float64))
+    ref = np.linalg.solve(dense, ctx.square.rhs.astype(np.float64))
     scale = 1.0 / np.linalg.norm(dense, axis=0)
     kappa = np.linalg.cond(dense * scale)
     eps = np.finfo(s.dtype).eps
-    a, f, _ = assemble_ne(ctx)
-    bt, lt, _ = assemble_overdetermined(ctx)
-    for sol, k in ((solve_ls(bt, lt, ctx), kappa), (solve_ne(a, f, ctx), kappa**2)):
+    bt, a = assemble_overdetermined(ctx)[0], assemble_ne(ctx)[0]
+    for sol, k in ((solve_ls(bt, ctx), kappa), (solve_ne(a, ctx), kappa**2)):
         assert sol.system_vector.dtype == s.dtype
         err = np.linalg.norm((sol.system_vector.astype(np.float64) - ref) / scale)
         assert 100.0 * eps * k < 0.1
@@ -676,11 +691,9 @@ def test_square_path_memory_grows_with_the_unknowns():
         tracemalloc.start()
         try:
             ctx = build_square_context(uniform_mesh(n), form, case)
-            assert scipy.sparse.issparse(ctx.square_data["matrix"])
-            a, f, _ = assemble_ne(ctx)
-            bt, lt, _ = assemble_overdetermined(ctx)
-            solve_ne(a, f, ctx)
-            solve_ls(bt, lt, ctx)
+            assert scipy.sparse.issparse(ctx.square.matrix)
+            solve_ne(assemble_ne(ctx)[0], ctx)
+            solve_ls(assemble_overdetermined(ctx)[0], ctx)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -26,13 +26,6 @@ TPQRT_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
-class _Part:
-    panel: np.ndarray
-    cols: np.ndarray           # (E, k)
-    loads: np.ndarray          # (E, m)
-
-
-@dataclass(frozen=True, eq=False)
 class _Front:
     """Final unscaled rows [R11 | R12 | rhs] of the columns ``cols``."""
 
@@ -44,7 +37,7 @@ class _Front:
 
 
 def _gather(batch, lo, width, dtype):
-    """The rows [panel | load] of the batch's (part, index, window columns)
+    """The rows [panel | load] of the batch's (stack, index, window columns)
     panels over the window columns lo..lo+width-1, load last."""
     new = np.zeros((sum(pt.panel.shape[-2] for pt, _, _ in batch), width + 1), dtype=dtype, order="F")
     pos = 0
@@ -119,8 +112,8 @@ def _window(parts, order, dtype, row_cap):
     return fronts
 
 
-def solve_window_ls(stacks, rhs, n_cols, scale=None, sort_keys=None, row_cap=256):
-    """Minimize ||B D u - l||_2 for B given as a list of
+def solve_window_ls(stacks, n_cols, scale=None, sort_keys=None, row_cap=256):
+    """Minimize ||B D u - l||_2 for B and its load l given as a list of
     :class:`dlsfem.blockqr.RowStack` by the sliding window alone.
 
     ``sort_keys`` (n_cols, k) are lexicographic keys (primary first) that
@@ -136,8 +129,7 @@ def solve_window_ls(stacks, rhs, n_cols, scale=None, sort_keys=None, row_cap=256
     else:
         keys = np.asarray(sort_keys)
         order = np.lexsort(tuple(keys[:, k] for k in range(keys.shape[1] - 1, -1, -1)))
-    parts = [_Part(st.panel, st.cols, rhs[st.rows]) for st in stacks if st.panel.size]
-    fronts = _window(parts, order, dtype, row_cap)
+    fronts = _window([st for st in stacks if st.panel.size], order, dtype, row_cap)
 
     r_diag = np.zeros(n_cols)
     for f in fronts:
