@@ -49,7 +49,7 @@ from .basis import gauss_rule
 from .blockqr import BlockStack, RowStack
 from .element import NonpositiveDiagonal, RankDeficientBubbles, SingularBubbleBlock
 from .formulation import Formulation, ManufacturedCase
-from .mesh import Mesh, build_layout
+from .mesh import Mesh, build_layout, entity_dofs
 
 
 @dataclass
@@ -128,11 +128,6 @@ class SparseSymmetric:
             av = v @ st.panel.T if st.panel.ndim == 2 else linalg.matvec(st.panel, v)
             total += np.real(np.vdot(v, av))
         return float(total)
-
-    def hermitian_defect(self) -> float:
-        diff = self.matrix - self.matrix.conj().T
-        scale = scipy.sparse.linalg.norm(self.matrix)
-        return float(scipy.sparse.linalg.norm(diff) / scale) if scale else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,23 +326,24 @@ def edge_coefficients(mesh: Mesh, layout, edges, vertices, value, flux, dtype):
     end = mesh.edge_midpoints[edges] + 0.5 * mesh.h * along
     x = start[:, :1] + mesh.h * t * along[:, :1]
     y = start[:, 1:] + mesh.h * t * along[:, 1:]
+    # global ids of the edges' DOFs, numbered after the vertex DOFs
+    per_vertex, per_edge, _ = entity_dofs(layout.kind, p)
+    edge_ids = mesh.vertices.shape[0] * per_vertex + edges[:, None] * per_edge + np.arange(per_edge)
     if layout.kind in ("h1", "trace_h1"):
         out[vertices] = value(mesh.vertices[vertices, 0], mesh.vertices[vertices, 1])
-        ker = p - 1
-        if ker > 0:
+        if per_edge:
             hats, _ = basis.h1_hierarchical(p, t)
             gram = np.einsum("ip,p,jp->ij", hats[2:], w, hats[2:])
             u0 = value(start[:, 0], start[:, 1])[:, None]
             u1 = value(end[:, 0], end[:, 1])[:, None]
             resid = value(x, y) - (u0 * hats[0] + u1 * hats[1])
             rhs = np.einsum("ip,ep->ie", hats[2:], w * resid)
-            nv = mesh.vertices.shape[0]
-            out[nv + edges[:, None] * ker + np.arange(ker)] = np.linalg.solve(gram, rhs).T
+            out[edge_ids] = np.linalg.solve(gram, rhs).T
     elif layout.kind in ("trace_flux", "hdiv"):
         leg, _ = basis.legendre_shifted(p - 1, t)
         vals = flux(x, y, along[:, 1:], along[:, :1])
         piola = mesh.h if layout.kind == "hdiv" else 1.0
-        out[edges[:, None] * p + np.arange(p)] = piola * np.einsum("ip,ep->ei", leg, w * vals)
+        out[edge_ids] = piola * np.einsum("ip,ep->ei", leg, w * vals)
     else:
         raise ValueError(f"no edge rule for {layout.kind}")
     return out
@@ -405,21 +401,15 @@ def build_context(
                     lay.boundary_dofs
                 ]
 
+    # bubbles: the interior DOFs, which every layout numbers last
     bubble_mask = np.zeros(n_total, dtype=bool)
-    for comp, lay, off in zip(form.trial, layouts, offsets):
-        if comp.kind == "l2":
-            bubble_mask[off : off + lay.n_total] = True
-        elif comp.kind in ("h1", "hdiv"):
-            n_int = lay.counts.get("interior", 0)
-            if n_int:
-                bubble_mask[off + lay.n_total - n_int : off + lay.n_total] = True
+    if options.condense:
+        for lay, off in zip(layouts, offsets):
+            bubble_mask[off + lay.n_total - mesh.n_elements * lay.n_interior : off + lay.n_total] = True
 
     free_mask = ~fixed_mask
     free_ids = np.flatnonzero(free_mask)
-    if options.condense:
-        solve_ids = np.flatnonzero(free_mask & ~bubble_mask)
-    else:
-        solve_ids = free_ids
+    solve_ids = np.flatnonzero(free_mask & ~bubble_mask)
     solve_index = np.full(n_total, -1, dtype=np.int64)
     solve_index[solve_ids] = np.arange(solve_ids.size)
 
@@ -537,26 +527,22 @@ def build_square_context(
     return build_context(mesh, form, case, options)
 
 
-def _class_system(c: ElementClass, condense: bool, solve_index, ls: bool):
+def _class_system(c: ElementClass, solve_index, ls: bool):
     """(matrix, loads, solve columns) that one class adds to an assembled system.
 
     ``ls`` selects the rows of the overdetermined system, otherwise the
     element normal equation (the square matrix itself for a conforming
-    test space).  Condensed systems keep the interface columns only.
+    test space).  Both are condensed to the interface columns; a class
+    without bubbles (every class of an uncondensed context) gives its own
+    matrix and loads.
     """
     try:
-        if condense:
-            cond = c.cond_ls if ls else c.cond_ne
-            mat = cond.rows if ls else cond.schur
-            vec, ids = cond.rhs, c.interface_ids
-        else:
-            mat, vec = (c.bt, c.lt) if ls or c.square else element.element_ne(c.bt, c.lt)
-            ids = c.free_ids
+        cond = c.cond_ls if ls else c.cond_ne
     except (RankDeficientBubbles, SingularBubbleBlock, linalg.NotPositiveDefinite) as err:
         raise AssemblyError(
             f"element {c.elements[0]} (class of {c.elements.size}): {err}"
         ) from err
-    return mat, vec, solve_index[ids]
+    return cond.rows if ls else cond.schur, cond.rhs, solve_index[c.interface_ids]
 
 
 def element_cells(mesh: Mesh) -> np.ndarray:
@@ -590,7 +576,7 @@ def assemble_overdetermined(ctx: AssemblyContext):
     cells = element_cells(ctx.mesh)
     stacks = []
     for c in ctx.classes:
-        mat, vec, cols = _class_system(c, ctx.options.condense, ctx.solve_index, ls=True)
+        mat, vec, cols = _class_system(c, ctx.solve_index, ls=True)
         # element e owns rows e*m .. e*m + m - 1
         stacks.append(RowStack(mat, cols, vec, cells[c.elements], c.elements * m))
     bt = RectangularRowBlocked(ctx.n_solve, ctx.mesh.n_elements * m, stacks)
@@ -604,7 +590,7 @@ def _element_system(ctx: AssemblyContext) -> SparseSymmetric:
     cells = element_cells(ctx.mesh)
     blocks = []
     for c in ctx.classes:
-        mat, vec, cols = _class_system(c, ctx.options.condense, ctx.solve_index, ls=False)
+        mat, vec, cols = _class_system(c, ctx.solve_index, ls=False)
         blocks.append(BlockStack(mat, cols, vec, cells[c.elements]))
     return SparseSymmetric(ctx.n_solve, blocks=blocks)
 

@@ -135,18 +135,6 @@ def gauss_rule(q: int) -> QuadratureRule:
 # Master-element value tables
 # ---------------------------------------------------------------------------
 
-def w_dim(p: int) -> int:
-    return (p + 1) * (p + 1)
-
-
-def v_dim(p: int) -> int:
-    return 2 * p * (p + 1)
-
-
-def y_dim(p: int) -> int:
-    return p * p
-
-
 def _w_index_pairs(p: int):
     """(i, j) tensor exponents of W^p in canonical local order."""
     pairs = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -300,35 +288,3 @@ def trace_flux_edge_tables(p: int, t: np.ndarray):
         tab[le * p : (le + 1) * p] = leg
         tables.append(tab)
     return tables
-
-
-# ---------------------------------------------------------------------------
-# Public evaluation
-# ---------------------------------------------------------------------------
-
-def eval_basis(space: str, p: int, points: np.ndarray):
-    """Evaluate a master-element basis at the given points.
-
-    ``space`` is one of "W", "V", "Y" (2D points), "trace_W" or
-    "trace_V_n" (1D edge parameters).  Returns a dict with a "values"
-    table plus "grad" (W only) or "div" (V only).
-    """
-    if p < 1:
-        raise UnsupportedOrder("p must be >= 1")
-    if space == "W":
-        vals, grads = w_table(p, points)
-        return {"values": vals, "grad": grads}
-    if space == "V":
-        vals, divs = v_table(p, points)
-        return {"values": vals, "div": divs}
-    if space == "Y":
-        return {"values": y_table(p, points)}
-    if space == "trace_W":
-        t = np.asarray(points, dtype=np.float64)
-        hats, _ = h1_hierarchical(p, t)
-        return {"values": hats}
-    if space == "trace_V_n":
-        t = np.asarray(points, dtype=np.float64)
-        leg, _ = legendre_shifted(p - 1, t)
-        return {"values": leg}
-    raise ValueError(f"unknown space {space!r}")

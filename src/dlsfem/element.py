@@ -113,17 +113,18 @@ def condense_ls(bt, lt, bubble_idx, interface_idx):
 
     The interface rows become (I - Q_b Q_b*) [B_interf | ltilde]; the
     retained factors reproduce the bubble minimizer
-    u_b = R_b^-1 Q_b* (ltilde - B_interf u_i).
+    u_b = R_b^-1 Q_b* (ltilde - B_interf u_i).  The two index sets
+    partition the columns, so without bubbles the rows are ``bt`` and
+    ``lt`` themselves, not copies.
     """
     bt = np.asarray(bt)
     lt = np.asarray(lt)
     bubble_idx = np.asarray(bubble_idx, dtype=np.int64)
     interface_idx = np.asarray(interface_idx, dtype=np.int64)
-    b_bubb = bt[..., bubble_idx]
-    b_int = bt[..., interface_idx]
-    qr = linalg.householder_qr(b_bubb)
+    qr = linalg.householder_qr(bt[..., bubble_idx])
     if bubble_idx.size == 0:
-        return CondensedElement(b_int.copy(), lt.copy(), qr.q, qr.r, b_int, lt)
+        return CondensedElement(bt, lt, qr.q, qr.r, bt, lt)
+    b_int = bt[..., interface_idx]
     diag = np.abs(np.diagonal(qr.r, axis1=-2, axis2=-1))
     dmax = diag.max(axis=-1)
     if np.any(dmax == 0.0) or np.any(
@@ -160,18 +161,22 @@ class SchurElement:
 
 
 def condense_ne(a, f, bubble_idx, interface_idx):
-    """Schur complement of the bubble block of (A_K, f_K)."""
+    """Schur complement of the bubble block of (A_K, f_K).
+
+    The two index sets partition the columns, so without bubbles the
+    Schur complement and its load are ``a`` and ``f`` themselves.
+    """
     a = np.asarray(a)
     f = np.asarray(f)
     bubble_idx = np.asarray(bubble_idx, dtype=np.int64)
     interface_idx = np.asarray(interface_idx, dtype=np.int64)
     a_bb = a[..., bubble_idx[:, None], bubble_idx]
     a_bi = a[..., bubble_idx[:, None], interface_idx]
-    a_ii = a[..., interface_idx[:, None], interface_idx]
     f_b = f[..., bubble_idx]
-    f_i = f[..., interface_idx]
     if bubble_idx.size == 0:
-        return SchurElement(a_ii.copy(), f_i.copy(), a_bb, a_bi, f_b)
+        return SchurElement(a, f, a_bb, a_bi, f_b)
+    a_ii = a[..., interface_idx[:, None], interface_idx]
+    f_i = f[..., interface_idx]
     try:
         chol = linalg.cholesky(a_bb)
     except NotPositiveDefinite as err:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import basis
 from .basis import QuadratureRule
-from .mesh import EDGE_NORMAL_SIGNS
+from .mesh import EDGE_NORMAL_SIGNS, local_dim
 
 
 class UnsupportedCombination(Exception):
@@ -135,20 +135,6 @@ def _slices(sizes, names):
         out[name] = slice(off, off + size)
         off += size
     return out
-
-
-def local_dim(kind: str, p: int) -> int:
-    if kind in ("h1", "h1_broken"):
-        return basis.w_dim(p)
-    if kind in ("hdiv", "hdiv_broken"):
-        return basis.v_dim(p)
-    if kind in ("l2", "l2_broken"):
-        return basis.y_dim(p)
-    if kind == "trace_h1":
-        return 4 + 4 * (p - 1)
-    if kind == "trace_flux":
-        return 4 * p
-    raise ValueError(kind)
 
 
 def make_formulation(name: str, p: int, dp: int, alpha=0.0, omega=None) -> Formulation:

@@ -7,15 +7,29 @@ four edges (listed bottom, right, top, left) with outward-normal signs
 (-1, +1, +1, -1) relative to the global normal, which is the single sign
 convention used for flux unknowns throughout the library.
 
-A DofLayout numbers the global degrees of freedom of one function-space
-component and owns the element-to-global connectivity map.  Local DOF
-orderings agree with the master-element basis orderings in
-:mod:`dlsfem.basis`.
+Every space kind is fixed by the DOFs it puts on each vertex, each edge
+and each element interior (:func:`entity_dofs`):
+
+    kind          vertex  edge   interior
+    h1            1       p-1    (p-1)^2      W^p, H1-conforming
+    trace_h1      1       p-1    0            skeleton trace of W^p
+    hdiv          0       p      2p(p-1)      V^p, H(div)-conforming
+    trace_flux    0       p      0            normal trace of V^p, signed
+    l2            0       0      p^2          Y^p
+    h1_broken     0       0      (p+1)^2      discontinuous W^p
+    hdiv_broken   0       0      2p(p+1)      discontinuous V^p
+    l2_broken     0       0      p^2          discontinuous Y^p
+
+A DofLayout numbers the global degrees of freedom of one component from
+that table, vertex DOFs first, then edge DOFs edge by edge, then interior
+DOFs element by element, and owns the element-to-global connectivity map.
+Local DOF orderings (four vertices, four edges, interior) agree with the
+master-element basis orderings in :mod:`dlsfem.basis`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,24 +38,8 @@ class UnsupportedSpace(Exception):
     """Requested function-space kind is not implemented."""
 
 
-#: local edge order within an element and the outward-vs-global normal sign
-LOCAL_EDGES = ("bottom", "right", "top", "left")
+#: outward-vs-global normal sign of the local edges (bottom, right, top, left)
 EDGE_NORMAL_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
-
-#: local vertex ids (ll, lr, ur, ul) at the two ends of each local edge,
-#: listed in the direction of increasing global edge parameter
-EDGE_VERTICES = {"bottom": (0, 1), "right": (1, 2), "top": (3, 2), "left": (0, 3)}
-
-SPACE_KINDS = (
-    "h1",          # H1-conforming, order p
-    "hdiv",        # H(div)-conforming, order p
-    "l2",          # L2-broken (one Y^p component)
-    "trace_h1",    # skeleton trace of W^p: vertices + degree-p edge functions
-    "trace_flux",  # skeleton normal trace of V^p: degree p-1 per edge, signed
-    "h1_broken",   # discontinuous W^p test space
-    "hdiv_broken", # discontinuous V^p test space
-    "l2_broken",   # discontinuous Y^p test space
-)
 
 
 @dataclass
@@ -131,7 +129,8 @@ class DofLayout:
     """Global numbering of one function-space component.
 
     element_dofs[e] lists the global ids of element e's local DOFs in the
-    canonical local ordering of :mod:`dlsfem.basis`.
+    canonical local ordering of :mod:`dlsfem.basis`; its last ``n_interior``
+    entries are the element's own interior DOFs.
     """
 
     kind: str
@@ -140,138 +139,72 @@ class DofLayout:
     element_dofs: np.ndarray        # (ne, nloc) int
     boundary_dofs: np.ndarray       # sorted global ids on the domain boundary
     positions: np.ndarray           # (n_total, 2) representative coordinates
-    counts: dict = field(default_factory=dict)  # per-entity DOF counts
+    n_interior: int                 # interior DOFs per element
 
 
-def _edge_dofs(mesh: Mesh, per_edge: int, base: int = 0) -> np.ndarray:
-    """(ne, 4 * per_edge) ids of the element edges' DOFs, edge by edge."""
-    ids = base + mesh.element_edges[:, :, None] * per_edge + np.arange(per_edge)
-    return ids.reshape(mesh.n_elements, 4 * per_edge)
+def entity_dofs(kind: str, p: int) -> tuple:
+    """(per vertex, per edge, per element interior) DOF counts of a space kind,
+    as tabulated in the module docstring."""
+    if p < 1:
+        raise UnsupportedSpace("order p must be >= 1")
+    table = {
+        "h1": (1, p - 1, (p - 1) ** 2),
+        "trace_h1": (1, p - 1, 0),
+        "hdiv": (0, p, 2 * p * (p - 1)),
+        "trace_flux": (0, p, 0),
+        "l2": (0, 0, p * p),
+        "h1_broken": (0, 0, (p + 1) ** 2),
+        "hdiv_broken": (0, 0, 2 * p * (p + 1)),
+        "l2_broken": (0, 0, p * p),
+    }
+    if kind not in table:
+        raise UnsupportedSpace(f"unknown space kind {kind!r}")
+    return table[kind]
 
 
-def _boundary_edge_dofs(mesh: Mesh, per_edge: int, base: int = 0) -> np.ndarray:
-    bedges = np.flatnonzero(mesh.edge_on_boundary)
-    return (base + bedges[:, None] * per_edge + np.arange(per_edge)).ravel()
-
-
-def _interior_dofs(mesh: Mesh, per_element: int, base: int) -> np.ndarray:
-    """(ne, per_element) ids of element-interior DOFs numbered element by element."""
-    return base + per_element * np.arange(mesh.n_elements)[:, None] + np.arange(per_element)
-
-
-def _h1_like_layout(mesh: Mesh, p: int, with_interior: bool) -> DofLayout:
-    """Shared constructor for the h1 and trace_h1 layouts."""
-    n = mesh.n
-    nv = (n + 1) * (n + 1)
-    nedge = mesh.n_edges
-    ker = p - 1
-    n_int = ker * ker if with_interior else 0
-    interior_base = nv + nedge * ker
-    n_total = interior_base + mesh.n_elements * n_int
-
-    dofs = np.concatenate(
-        [mesh.elements, _edge_dofs(mesh, ker, nv), _interior_dofs(mesh, n_int, interior_base)],
-        axis=1,
-    )
-    positions = np.concatenate(
-        [
-            mesh.vertices,
-            np.repeat(mesh.edge_midpoints, ker, axis=0),
-            np.repeat(mesh.element_origins() + 0.5 * mesh.h, n_int, axis=0),
-        ]
-    )
-    boundary = np.concatenate(
-        [np.flatnonzero(mesh.vertex_on_boundary), _boundary_edge_dofs(mesh, ker, nv)]
-    )
-    counts = {"vertex": nv, "edge": nedge * ker, "interior": mesh.n_elements * n_int}
-    return DofLayout(
-        kind="h1" if with_interior else "trace_h1",
-        p=p,
-        n_total=n_total,
-        element_dofs=dofs,
-        boundary_dofs=np.unique(boundary),
-        positions=positions,
-        counts=counts,
-    )
-
-
-def _hdiv_layout(mesh: Mesh, p: int) -> DofLayout:
-    nedge = mesh.n_edges
-    n_int = 2 * p * (p - 1)
-    interior_base = nedge * p
-    n_total = interior_base + mesh.n_elements * n_int
-
-    dofs = np.concatenate(
-        [_edge_dofs(mesh, p), _interior_dofs(mesh, n_int, interior_base)], axis=1
-    )
-    positions = np.concatenate(
-        [
-            np.repeat(mesh.edge_midpoints, p, axis=0),
-            np.repeat(mesh.element_origins() + 0.5 * mesh.h, n_int, axis=0),
-        ]
-    )
-    return DofLayout(
-        kind="hdiv",
-        p=p,
-        n_total=n_total,
-        element_dofs=dofs,
-        boundary_dofs=np.unique(_boundary_edge_dofs(mesh, p)),
-        positions=positions,
-        counts={"edge": nedge * p, "interior": mesh.n_elements * n_int},
-    )
-
-
-def _flux_layout(mesh: Mesh, p: int) -> DofLayout:
-    """Skeleton flux traces: p single-valued DOFs per edge."""
-    n_total = mesh.n_edges * p
-    dofs = _edge_dofs(mesh, p)
-    return DofLayout(
-        kind="trace_flux",
-        p=p,
-        n_total=n_total,
-        element_dofs=dofs,
-        boundary_dofs=np.unique(_boundary_edge_dofs(mesh, p)),
-        positions=np.repeat(mesh.edge_midpoints, p, axis=0),
-        counts={"edge": n_total},
-    )
-
-
-def _broken_layout(mesh: Mesh, kind: str, p: int) -> DofLayout:
-    per_element = {
-        "l2": p * p,
-        "l2_broken": p * p,
-        "h1_broken": (p + 1) * (p + 1),
-        "hdiv_broken": 2 * p * (p + 1),
-    }[kind]
-    n_total = mesh.n_elements * per_element
-    dofs = (
-        np.arange(per_element, dtype=np.int64)[None, :]
-        + per_element * np.arange(mesh.n_elements, dtype=np.int64)[:, None]
-    )
-    positions = np.repeat(mesh.element_origins() + 0.5 * mesh.h, per_element, axis=0)
-    return DofLayout(
-        kind=kind,
-        p=p,
-        n_total=n_total,
-        element_dofs=dofs,
-        boundary_dofs=np.zeros(0, dtype=np.int64),
-        positions=positions,
-        counts={"interior": n_total},
-    )
+def local_dim(kind: str, p: int) -> int:
+    """Local DOFs of one element: four vertices, four edges, its interior."""
+    per_vertex, per_edge, per_interior = entity_dofs(kind, p)
+    return 4 * (per_vertex + per_edge) + per_interior
 
 
 def build_layout(mesh: Mesh, kind: str, p: int) -> DofLayout:
     """Construct the DOF layout and connectivity of one component."""
-    if p < 1:
-        raise UnsupportedSpace("order p must be >= 1")
-    if kind == "h1":
-        return _h1_like_layout(mesh, p, with_interior=True)
-    if kind == "trace_h1":
-        return _h1_like_layout(mesh, p, with_interior=False)
-    if kind == "hdiv":
-        return _hdiv_layout(mesh, p)
-    if kind == "trace_flux":
-        return _flux_layout(mesh, p)
-    if kind in ("l2", "l2_broken", "h1_broken", "hdiv_broken"):
-        return _broken_layout(mesh, kind, p)
-    raise UnsupportedSpace(f"unknown space kind {kind!r}")
+    per_vertex, per_edge, per_interior = entity_dofs(kind, p)
+    ne = mesh.n_elements
+    edge_base = mesh.vertices.shape[0] * per_vertex
+    interior_base = edge_base + mesh.n_edges * per_edge
+
+    def entity_ids(entities, per_entity, base):
+        return base + entities[..., None] * per_entity + np.arange(per_entity)
+
+    element_dofs = np.concatenate(
+        [
+            entity_ids(mesh.elements, per_vertex, 0).reshape(ne, -1),
+            entity_ids(mesh.element_edges, per_edge, edge_base).reshape(ne, -1),
+            entity_ids(np.arange(ne), per_interior, interior_base),
+        ],
+        axis=1,
+    )
+    boundary = np.concatenate(
+        [
+            entity_ids(np.flatnonzero(mesh.vertex_on_boundary), per_vertex, 0).ravel(),
+            entity_ids(np.flatnonzero(mesh.edge_on_boundary), per_edge, edge_base).ravel(),
+        ]
+    )
+    positions = np.concatenate(
+        [
+            np.repeat(mesh.vertices, per_vertex, axis=0),
+            np.repeat(mesh.edge_midpoints, per_edge, axis=0),
+            np.repeat(mesh.element_origins() + 0.5 * mesh.h, per_interior, axis=0),
+        ]
+    )
+    return DofLayout(
+        kind=kind,
+        p=p,
+        n_total=interior_base + ne * per_interior,
+        element_dofs=element_dofs,
+        boundary_dofs=np.unique(boundary),
+        positions=positions,
+        n_interior=per_interior,
+    )

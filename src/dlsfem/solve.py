@@ -48,7 +48,8 @@ class ZeroSolution(Exception):
 class Solution:
     """Solved coefficients with residual bookkeeping.
 
-    ``coefficients`` covers the full trial layout in double precision;
+    ``coefficients`` covers the full trial layout in double precision,
+    with the bubbles of every element class that has them recovered;
     ``system_vector`` is the solution u of the assembled system for its
     own load, in the working precision, over its columns (the solvers'
     column scaling undone); ``residual`` is the whitened global residual
@@ -86,26 +87,27 @@ def _recover(ctx: AssemblyContext, u_solve: np.ndarray, solver: str) -> np.ndarr
     lift = ctx.lift_full.astype(out_dtype)
     full = lift.copy()
     full[ctx.solve_ids] += u_solve.astype(out_dtype)
-    if ctx.options.condense:
-        for c in ctx.classes:
-            ids_i = c.interface_ids
-            u_i_hom = (full[ids_i] - lift[ids_i]).astype(c.bt.dtype)
-            if solver == "QR" and not c.square:
-                u_b = element.recover_bubbles(c.cond_ls, u_i_hom)
-            else:
-                u_b = element.recover_bubbles_ne(c.cond_ne, u_i_hom)
-            ids_b = c.bubble_ids
-            full[ids_b] = lift[ids_b] + u_b.astype(out_dtype)
+    for c in ctx.classes:
+        if not c.bubble_pos.size:
+            continue
+        ids_i = c.interface_ids
+        u_i_hom = (full[ids_i] - lift[ids_i]).astype(c.bt.dtype)
+        if solver == "QR" and not c.square:
+            u_b = element.recover_bubbles(c.cond_ls, u_i_hom)
+        else:
+            u_b = element.recover_bubbles_ne(c.cond_ne, u_i_hom)
+        ids_b = c.bubble_ids
+        full[ids_b] = lift[ids_b] + u_b.astype(out_dtype)
     return full
 
 
 def _indicators(ctx: AssemblyContext, full: np.ndarray, solver: str):
     """Per-element whitened residual norms plus global residual data.
 
-    eta_K is always measured on the uncondensed element system with the
+    eta_K is always measured on the full element system with the
     recovered local coefficients; the global residual norm is taken from
-    the system that was actually solved (condensed rows when the QR path
-    solved a condensed system), so the sum identity is a genuine
+    the system that was actually solved (the projected interface rows of a
+    class with bubbles on the QR path), so the sum identity is a genuine
     cross-check.  The residuals are taken against the loads stored in the
     context, which are the ones the assembled systems carry.
     """
@@ -118,7 +120,6 @@ def _indicators(ctx: AssemblyContext, full: np.ndarray, solver: str):
         hom = (full - ctx.lift_full)[ctx.solve_ids].astype(s.dtype)
         r = rhs - s @ hom
         return eta, float(np.linalg.norm(r)), float(np.linalg.norm(s.conj().T @ r)), r
-    condensed_qr = solver == "QR" and ctx.options.condense
     hom_full = full - ctx.lift_full.astype(full.dtype)
     # element e owns rows e*M .. e*M + M - 1 of the residual, as in Btilde
     rvec = np.empty((ne, ctx.formulation.n_test_local), dtype=ctx.options.working_dtype(ctx.formulation))
@@ -126,7 +127,7 @@ def _indicators(ctx: AssemblyContext, full: np.ndarray, solver: str):
         u_free = hom_full[c.free_ids].astype(c.bt.dtype)
         r = c.lt - linalg.matvec(c.bt, u_free)
         eta[c.elements] = np.linalg.norm(r, axis=-1)
-        if condensed_qr:
+        if solver == "QR" and c.bubble_pos.size:
             mat, ids = c.cond_ls.rows, c.interface_ids
             r = c.cond_ls.rhs - linalg.matvec(mat, u_free[:, c.interf_pos])
         else:
@@ -290,18 +291,21 @@ def _accumulate_norms(ctx: AssemblyContext, coeffs, exact=False):
     for comp, lay, off in zip(form.trial, ctx.layouts, ctx.offsets):
         if comp not in comps:
             continue
-        tabs = basis.eval_basis({"l2": "Y", "h1": "W", "hdiv": "V"}[comp.kind], comp.p, rule.points)
         call = coeffs[off + lay.element_dofs]  # (ne, nloc)
-        if comp.kind in ("l2", "h1"):
-            integrate(comp.name, [(np.einsum("ei,ip->ep", call, tabs["values"]), field(comp.name))])
-            if comp.kind == "h1":
-                gx = np.einsum("ei,ip->ep", call, tabs["grad"][:, 0, :]) / h
-                gy = np.einsum("ei,ip->ep", call, tabs["grad"][:, 1, :]) / h
-                integrate(comp.name + "_grad", [(gx, field("sigx")), (gy, field("sigy"))])
+        if comp.kind == "l2":
+            vals = basis.y_table(comp.p, rule.points)
+            integrate(comp.name, [(np.einsum("ei,ip->ep", call, vals), field(comp.name))])
+        elif comp.kind == "h1":
+            vals, grads = basis.w_table(comp.p, rule.points)
+            integrate(comp.name, [(np.einsum("ei,ip->ep", call, vals), field(comp.name))])
+            gx = np.einsum("ei,ip->ep", call, grads[:, 0, :]) / h
+            gy = np.einsum("ei,ip->ep", call, grads[:, 1, :]) / h
+            integrate(comp.name + "_grad", [(gx, field("sigx")), (gy, field("sigy"))])
         else:  # hdiv vector component
-            vx = np.einsum("ei,ip->ep", call, tabs["values"][:, 0, :]) / h
-            vy = np.einsum("ei,ip->ep", call, tabs["values"][:, 1, :]) / h
-            dv = np.einsum("ei,ip->ep", call, tabs["div"]) / (h * h)
+            vals, divs = basis.v_table(comp.p, rule.points)
+            vx = np.einsum("ei,ip->ep", call, vals[:, 0, :]) / h
+            vy = np.einsum("ei,ip->ep", call, vals[:, 1, :]) / h
+            dv = np.einsum("ei,ip->ep", call, divs) / (h * h)
             ex_d = case.div_sigma(px, py) if exact and case.kind == "poisson" else 0.0
             integrate(comp.name, [(vx, field("sigx")), (vy, field("sigy"))])
             integrate(comp.name + "_div", [(dv, ex_d)])

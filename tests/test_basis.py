@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from dlsfem import basis
-from dlsfem.basis import (
-    UnsupportedOrder,
-    eval_basis,
-    gauss_rule,
-    v_dim,
-    w_dim,
-    y_dim,
-)
+from dlsfem.basis import UnsupportedOrder, gauss_rule
+from dlsfem.mesh import local_dim
 
 
 class TestQuadrature:
@@ -47,12 +41,16 @@ class TestDimensions:
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_dims(self, p):
         r = gauss_rule(p + 2)
-        assert w_dim(p) == (p + 1) ** 2
-        assert v_dim(p) == 2 * p * (p + 1)
-        assert y_dim(p) == p * p
-        assert basis.w_table(p, r.points)[0].shape[0] == w_dim(p)
-        assert basis.v_table(p, r.points)[0].shape[0] == v_dim(p)
-        assert basis.y_table(p, r.points).shape[0] == y_dim(p)
+        assert local_dim("h1_broken", p) == (p + 1) ** 2
+        assert local_dim("hdiv_broken", p) == 2 * p * (p + 1)
+        assert local_dim("l2_broken", p) == p * p
+        assert basis.w_table(p, r.points)[0].shape[0] == local_dim("h1_broken", p)
+        assert basis.v_table(p, r.points)[0].shape[0] == local_dim("hdiv_broken", p)
+        assert basis.y_table(p, r.points).shape[0] == local_dim("l2_broken", p)
+
+    def test_unsupported_order(self):
+        with pytest.raises(UnsupportedOrder):
+            basis.w_table(0, np.zeros((1, 2)))
 
 
 class TestYOrthonormality:
@@ -140,7 +138,7 @@ class TestPullback:
         # random V^2 combination on an h=1/3 element
         rng = np.random.default_rng(9)
         h = 1.0 / 3.0
-        coef = rng.standard_normal(v_dim(2))
+        coef = rng.standard_normal(local_dim("hdiv_broken", 2))
         r = gauss_rule(5)
         vv, dv = basis.v_table(2, r.points)
         vol = np.sum(r.weights * (coef @ dv)) / (h * h) * h * h
@@ -152,21 +150,3 @@ class TestPullback:
             flux += np.sum(w * tr) * h
         assert vol == pytest.approx(flux, abs=1e-13)
 
-
-class TestEvalBasis:
-    def test_dispatch_and_tables(self):
-        r = gauss_rule(3)
-        out = eval_basis("W", 2, r.points)
-        assert "grad" in out and out["values"].shape == (9, r.n_points)
-        out = eval_basis("V", 2, r.points)
-        assert "div" in out
-        out = eval_basis("Y", 2, r.points)
-        assert out["values"].shape == (4, r.n_points)
-        out = eval_basis("trace_W", 2, r.points_1d)
-        assert out["values"].shape == (3, 3)
-        out = eval_basis("trace_V_n", 2, r.points_1d)
-        assert out["values"].shape == (2, 3)
-
-    def test_unsupported_order(self):
-        with pytest.raises(UnsupportedOrder):
-            eval_basis("W", 0, np.zeros((1, 2)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dlsfem import basis
-from dlsfem.mesh import UnsupportedSpace, build_layout, uniform_mesh
+from dlsfem.mesh import UnsupportedSpace, build_layout, entity_dofs, local_dim, uniform_mesh
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 7])
@@ -89,8 +89,10 @@ class TestLayouts:
         m = uniform_mesh(2)
         lay = build_layout(m, "hdiv", 2)
         assert lay.n_total == 40
-        assert lay.counts["edge"] == m.n_edges * 2
-        assert lay.counts["interior"] == m.n_elements * 4
+        assert lay.n_interior == 4
+        edge_dofs, interior_dofs = np.split(lay.element_dofs, [-lay.n_interior], axis=1)
+        assert np.unique(edge_dofs).size == m.n_edges * 2
+        assert np.unique(interior_dofs).size == m.n_elements * 4
 
     @pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (3, 3)])
     def test_l2_dimension(self, n, p):
@@ -123,6 +125,53 @@ class TestLayouts:
             build_layout(uniform_mesh(1), "h2", 1)
         with pytest.raises(UnsupportedSpace):
             build_layout(uniform_mesh(1), "h1", 0)
+
+
+#: rows of the master basis table of each space kind's family
+BASIS_ROWS = {
+    "h1": lambda p, r: basis.w_table(p, r.points)[0].shape[0],
+    "h1_broken": lambda p, r: basis.w_table(p, r.points)[0].shape[0],
+    "hdiv": lambda p, r: basis.v_table(p, r.points)[0].shape[0],
+    "hdiv_broken": lambda p, r: basis.v_table(p, r.points)[0].shape[0],
+    "l2": lambda p, r: basis.y_table(p, r.points).shape[0],
+    "l2_broken": lambda p, r: basis.y_table(p, r.points).shape[0],
+    "trace_h1": lambda p, r: basis.trace_h1_edge_tables(p, r.points_1d)[0].shape[0],
+    "trace_flux": lambda p, r: basis.trace_flux_edge_tables(p, r.points_1d)[0].shape[0],
+}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", sorted(BASIS_ROWS))
+def test_layout_invariants(kind, p):
+    """Width, interior numbering and boundary set of every layout: the
+    bubble mask of the assembly takes the last n_elements * n_interior DOFs
+    of each component to be the element interiors."""
+    per_vertex, per_edge, per_interior = entity_dofs(kind, p)
+    assert local_dim(kind, p) == BASIS_ROWS[kind](p, basis.gauss_rule(2))
+    for n in (1, 2, 3):
+        m = uniform_mesh(n)
+        lay = build_layout(m, kind, p)
+        ne = m.n_elements
+        assert lay.n_interior == per_interior
+        assert lay.element_dofs.shape == (ne, local_dim(kind, p))
+        # interiors last, element by element, after every vertex and edge DOF
+        first_interior = lay.n_total - ne * per_interior
+        np.testing.assert_array_equal(
+            lay.element_dofs[:, lay.element_dofs.shape[1] - per_interior :],
+            first_interior + np.arange(ne * per_interior).reshape(ne, per_interior),
+        )
+        assert np.all(lay.element_dofs[:, : 4 * (per_vertex + per_edge)] < first_interior)
+        np.testing.assert_array_equal(np.unique(lay.element_dofs), np.arange(lay.n_total))
+        # boundary: the DOFs of the boundary vertices and edges, read locally
+        on_boundary = set()
+        for e in range(ne):
+            for j in range(4):
+                if m.vertex_on_boundary[m.elements[e, j]]:
+                    on_boundary.update(lay.element_dofs[e, j * per_vertex : (j + 1) * per_vertex])
+                if m.edge_on_boundary[m.element_edges[e, j]]:
+                    start = 4 * per_vertex + j * per_edge
+                    on_boundary.update(lay.element_dofs[e, start : start + per_edge])
+        np.testing.assert_array_equal(lay.boundary_dofs, sorted(on_boundary))
 
 
 def test_h1_mass_matrix_partition_of_unity():
