@@ -21,16 +21,57 @@ Eigenvalue Problem, 1998), which is how one spectrum per study level gives
 both cond(Btilde) and cond(A), A = Btilde* Btilde up to round-off.  The
 dense ``singular_values``/``condition_number`` pair computes the whole
 spectrum and serves as their reference.
+
+Importing this module sets every OpenBLAS loaded in the process to one
+thread (:func:`_pin_openblas_threads`).
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+
+# Thread setters exported by numpy's 64-bit bundle, scipy's bundle and a
+# system OpenBLAS.
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads",
+)
+
+
+def _pin_openblas_threads() -> None:
+    """Set every OpenBLAS loaded in this process to one thread.
+
+    numpy and scipy each bundle an OpenBLAS with its own thread pool.  After
+    a threaded call a pool's workers keep spinning, and the small LAPACK
+    calls of the tree fronts share the cores with them; a threaded sum also
+    rounds differently from a serial one, so results would depend on the
+    core count.  Where no loaded library exports a setter (no /proc, MKL),
+    nothing is done.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
+                break
+
+
+_pin_openblas_threads()
 
 
 class NotPositiveDefinite(Exception):
