@@ -359,7 +359,8 @@ def build_context(
 
     The separate NE/overdetermined assemblers consume the resulting
     context; for a given context both views of the problem are guaranteed
-    to come from identical whitened element data.
+    to come from identical whitened element data.  The load f and a variable
+    alpha are evaluated on the mesh's quadrature grid (:meth:`Mesh.at_quadrature_points`).
 
     A conforming-test (Bubnov-Galerkin) formulation runs the same pipeline:
     its Gram matrix is the identity, so whitening leaves the square
@@ -421,21 +422,16 @@ def build_context(
     row_scale = 1.0 / np.sqrt(dvec)
 
     ne, m_test = mesh.n_elements, form.n_test_local
-    origins = mesh.element_origins()
-
-    # batched loads: physical quadrature points of every element at once
-    px = origins[:, 0:1] + mesh.h * rule.points[None, :, 0]
-    py = origins[:, 1:2] + mesh.h * rule.points[None, :, 1]
-    fvals = case.f(px, py)
+    # batched loads: f on the quadrature grid of every element at once
     l_all = np.zeros((ne, m_test), dtype=form.dtype)
     l_all[:, kern["load_rows"]] = kern["load_scale"] * np.einsum(
-        "ip,ep->ei", kern["load_table"] * rule.weights, fvals
+        "ip,ep->ei", kern["load_table"] * rule.weights, mesh.at_quadrature_points(case.f, rule)
     )
     l_all *= row_scale[None, :]
 
     if kern["alpha_var"] is not None:
         av = kern["alpha_var"]
-        avals = form.alpha(px, py)
+        avals = mesh.at_quadrature_points(form.alpha, rule)
         b_scaled = np.repeat(b_scaled[None], ne, axis=0)
         b_scaled[:, av["rows"], av["cols"]] += (
             av["scale"]

@@ -71,6 +71,21 @@ class Mesh:
     def element_origins(self) -> np.ndarray:
         return self.vertices[self.elements[:, 0]]
 
+    def at_quadrature_points(self, fn, rule) -> np.ndarray:
+        """fn(x, y) at every element's quadrature points, as an (ne, g^2) array.
+
+        Point q = a g + b of element e = ey n + ex lies at (xs[ex] + h t[a],
+        xs[ey] + h t[b]), xs the vertex coordinates and t the rule's 1D
+        points, as in ``element_origins() + h * rule.points``.  On the
+        uniform mesh these form a tensor grid, and fn is called once on its
+        lines, x of shape (1, n, g, 1) and y of shape (n, 1, 1, g): the same
+        sums as per point, so the same values bit for bit.  A result that
+        ignores x or y, or a scalar, is broadcast; the values are read only."""
+        n, g = self.n, rule.q
+        lines = self.vertices[:n, 0, None] + self.h * rule.points_1d  # vertex k < n is (xs[k], 0)
+        vals = fn(lines.reshape(1, n, g, 1), lines.reshape(n, 1, 1, g))
+        return np.broadcast_to(vals, (n, n, g, g)).reshape(n * n, g * g)
+
 
 def uniform_mesh(n: int) -> Mesh:
     """Uniform quadrilateral mesh with n subdivisions per side."""

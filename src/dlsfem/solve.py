@@ -113,7 +113,6 @@ def _indicators(ctx: AssemblyContext, full: np.ndarray, solver: str):
     """
     ne = ctx.mesh.n_elements
     eta = np.zeros(ne)
-    gal = np.zeros(ctx.n_solve, dtype=np.complex128 if ctx.formulation.field == "complex" else np.float64)
     if ctx.square is not None:
         # conforming test space: no localizable residual decomposition
         s, rhs = ctx.square.matrix, ctx.square.rhs
@@ -123,6 +122,7 @@ def _indicators(ctx: AssemblyContext, full: np.ndarray, solver: str):
     hom_full = full - ctx.lift_full.astype(full.dtype)
     # element e owns rows e*M .. e*M + M - 1 of the residual, as in Btilde
     rvec = np.empty((ne, ctx.formulation.n_test_local), dtype=ctx.options.working_dtype(ctx.formulation))
+    pairs = []
     for c in ctx.classes:
         u_free = hom_full[c.free_ids].astype(c.bt.dtype)
         r = c.lt - linalg.matvec(c.bt, u_free)
@@ -134,8 +134,13 @@ def _indicators(ctx: AssemblyContext, full: np.ndarray, solver: str):
             mat, ids = c.bt, c.free_ids
         cols = ctx.solve_index[ids]
         ok = cols >= 0
-        np.add.at(gal, cols[ok], linalg.matvec(linalg.adjoint(mat), r)[ok])
+        pairs.append((cols[ok], linalg.matvec(linalg.adjoint(mat), r)[ok]))
         rvec[c.elements] = r
+    # one sequential sum in class order, in double, real and imaginary parts apart
+    cols, vals = (np.concatenate(part) for part in zip(*pairs))
+    gal = np.bincount(cols, vals.real, ctx.n_solve).astype(np.result_type(vals, np.float64), copy=False)
+    if np.iscomplexobj(gal):
+        gal.imag = np.bincount(cols, vals.imag, ctx.n_solve)
     resid = math.sqrt(float(np.sum(np.abs(rvec) ** 2, dtype=np.float64)))
     return eta, resid, float(np.linalg.norm(gal)), rvec.ravel()
 
@@ -264,28 +269,33 @@ NORM_EXTRA_ORDER = 2    # quadrature orders of the error norms above the assembl
 
 def _accumulate_norms(ctx: AssemblyContext, coeffs, exact=False):
     """Element-quadrature L2/H1/H(div) norms per component of the context's
-    trial space, by a rule NORM_EXTRA_ORDER orders above the assembly rule,
-    in two dicts: those of u_h - u_exact (of u_h alone unless ``exact``),
-    and those of u_exact (u_h = 0, bit for bit)."""
+    trial space, by a rule NORM_EXTRA_ORDER orders above the assembly rule:
+    of u_h - u_exact (of u_h alone unless ``exact``), and with ``exact`` of
+    u_exact (u_h = 0, bit for bit; else None).  The exact fields are taken on
+    the quadrature grid (:meth:`Mesh.at_quadrature_points`), and each term
+    of an integral is one new (ne, nq) array, squared, summed and weighted in place."""
     form, case, h = ctx.formulation, ctx.case, ctx.mesh.h
     rule = basis.gauss_rule(form.quadrature_order + NORM_EXTRA_ORDER)
     w = rule.weights * h * h
-    origins = ctx.mesh.element_origins()
-    px = origins[:, 0:1] + h * rule.points[None, :, 0]
-    py = origins[:, 1:2] + h * rule.points[None, :, 1]
     sq, sq_exact = {}, {}
+
+    def quadrature(mags):
+        """Quadrature of sum m^2 over fresh arrays m, in the first of them."""
+        acc, *rest = (np.square(m, out=m) for m in mags)
+        for m in rest:
+            acc += m
+        acc *= w
+        return float(np.sum(acc))
 
     def integrate(key, pairs):
         """Quadrature of sum |f_h - f|^2 and of sum |f|^2 over (f_h, f) pairs."""
-        sq[key] = float(np.sum(w * sum(np.abs(fh - f) ** 2 for fh, f in pairs)))
-        sq_exact[key] = float(
-            np.sum(w * sum(np.abs(np.broadcast_to(f, fh.shape)) ** 2 for fh, f in pairs))
-        )
-
-    fields = case.fields if exact else {}
+        diffs = (np.subtract(fh, f) for fh, f in pairs)
+        sq[key] = quadrature(np.abs(d, out=d if d.dtype.kind == "f" else None) for d in diffs)
+        if exact:
+            sq_exact[key] = quadrature(np.abs(np.broadcast_to(f, fh.shape)) for fh, f in pairs)
 
     def field(name):
-        return fields[name](px, py) if name in fields else 0.0
+        return ctx.mesh.at_quadrature_points(case.fields[name], rule) if exact and name in case.fields else 0.0
 
     comps = form.field_components()
     for comp, lay, off in zip(form.trial, ctx.layouts, ctx.offsets):
@@ -306,7 +316,7 @@ def _accumulate_norms(ctx: AssemblyContext, coeffs, exact=False):
             vx = np.einsum("ei,ip->ep", call, vals[:, 0, :]) / h
             vy = np.einsum("ei,ip->ep", call, vals[:, 1, :]) / h
             dv = np.einsum("ei,ip->ep", call, divs) / (h * h)
-            ex_d = case.div_sigma(px, py) if exact and case.kind == "poisson" else 0.0
+            ex_d = ctx.mesh.at_quadrature_points(case.div_sigma, rule) if exact and case.kind == "poisson" else 0.0
             integrate(comp.name, [(vx, field("sigx")), (vy, field("sigy"))])
             integrate(comp.name + "_div", [(dv, ex_d)])
 
@@ -323,7 +333,7 @@ def _accumulate_norms(ctx: AssemblyContext, coeffs, exact=False):
             out["U"] = math.sqrt(out["u_h1"] ** 2 + out["sigma_hdiv"] ** 2)
         return out
 
-    return norms(sq), norms(sq_exact)
+    return norms(sq), norms(sq_exact) if exact else None
 
 
 def error_norms(solution: Solution) -> dict:

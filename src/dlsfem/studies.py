@@ -359,19 +359,16 @@ def assemble_fosls_monolithic(ctx, case):
     c[nu:, 0] = -vd / (h * h)
     c[:nu, 1:] = -wg / h
     c[nu:, 1:] = vv / h
-    origins = ctx.mesh.element_origins()
-    px = origins[:, 0:1] + h * rule.points[None, :, 0]
-    py = origins[:, 1:2] + h * rule.points[None, :, 1]
     if callable(case.alpha):
         c = np.repeat(c[None], ctx.mesh.n_elements, axis=0)
-        c[:, :nu, 0] += case.alpha(px, py)[:, None, :] * wv
+        c[:, :nu, 0] += ctx.mesh.at_quadrature_points(case.alpha, rule)[:, None, :] * wv
     else:
         c[:nu, 0] += case.alpha * wv
     w = rule.weights * h * h
     # component by component: the study's smallest distances (about 1e-9)
     # move by 1e-6 relative under a one-ulp change of these entries
     a_k = sum(np.einsum("...ip,p,...jp->...ij", c[..., k, :], w, c[..., k, :]) for k in range(3))
-    f_k = np.einsum("...ip,...p->...i", c[..., 0, :], w * case.f(px, py))
+    f_k = np.einsum("...ip,...p->...i", c[..., 0, :], w * ctx.mesh.at_quadrature_points(case.f, rule))
     cells = element_cells(ctx.mesh)
     blocks = []
     for cl in ctx.classes:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dlsfem import basis
+from dlsfem.formulation import make_case
 from dlsfem.mesh import UnsupportedSpace, build_layout, entity_dofs, local_dim, uniform_mesh
 
 
@@ -194,3 +195,33 @@ def test_h1_mass_matrix_partition_of_unity():
         for e in range(m.n_elements):
             integrals[lay.element_dofs[e]] += np.einsum("ip,p->i", wv, rule.weights) * m.h**2
         np.testing.assert_allclose(row_sums, integrals, atol=1e-14)
+
+
+def _case_callables():
+    """(label, fn) of every field, f, div_sigma and callable alpha of make_case,
+    and two that do not depend on both coordinates."""
+    out = [("ignores-x", lambda x, y: np.exp(-y)), ("python-float", lambda x, y: 2.5)]
+    for name in ("poisson-sine", "poisson-sine10", "poisson-quartic", "poisson-alpha-sine", "acoustics-resonance"):
+        case = make_case(name)
+        out += [(f"{name}:{key}", fn) for key, fn in case.fields.items()]
+        out.append((f"{name}:f", case.f))
+        if case.kind == "poisson":
+            out.append((f"{name}:div_sigma", case.div_sigma))
+        if callable(case.alpha):
+            out.append((f"{name}:alpha", case.alpha))
+    return out
+
+
+@pytest.mark.parametrize("q", range(1, 8))
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_at_quadrature_points_equals_per_point_evaluation(n, q):
+    m = uniform_mesh(n)
+    rule = basis.gauss_rule(q)
+    origins = m.element_origins()
+    px = origins[:, 0:1] + m.h * rule.points[None, :, 0]
+    py = origins[:, 1:2] + m.h * rule.points[None, :, 1]
+    for label, fn in _case_callables():
+        ref = np.broadcast_to(fn(px, py), px.shape)
+        vals = m.at_quadrature_points(fn, rule)
+        assert (vals.shape, vals.dtype) == (ref.shape, ref.dtype), label
+        assert vals.tobytes() == ref.tobytes(), label

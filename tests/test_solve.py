@@ -21,14 +21,18 @@ from dlsfem.formulation import ManufacturedCase, make_case, make_formulation
 from dlsfem.blockqr import solve_blocked_ls
 from dlsfem.mesh import uniform_mesh
 from dlsfem.solve import (
+    NORM_EXTRA_ORDER,
     Solution,
     ZeroSolution,
+    discrete_norms,
     error_norms,
     residual_rho,
     solve_ls,
     solve_ne,
 )
+from dlsfem.studies import assemble_fosls_monolithic
 
+import norms_reference
 from dense_reference import ConstraintSystem, solve_saddle_constraints, solve_weighted_constraints
 from interpolate_reference import interpolate_case
 from window_reference import solve_window_ls
@@ -472,6 +476,75 @@ class TestErrorNorms:
             errs.append(error_norms(solve_ls(assemble_overdetermined(ctx)[0], ctx))["fields_l2_rel"])
         rate = np.polyfit(np.log([4, 8, 16]), np.log(errs), 1)[0]
         assert -rate == pytest.approx(p, abs=0.3)
+
+
+# one manufactured case per formulation, every case of make_case among them
+NORM_CASES = {
+    "fosls-strong": "poisson-alpha-sine",
+    "primal-dpg": "poisson-sine10",
+    "ultraweak-dpg": "poisson-quartic",
+    "bubnov-galerkin": "poisson-sine",
+    "acoustics-ultraweak": "acoustics-resonance",
+}
+
+
+def _norm_context(fname, n, options=None):
+    case = make_case(NORM_CASES[fname])
+    form = make_formulation(fname, p=2, dp=1, **({"alpha": case.alpha} if fname == "fosls-strong" else {}))
+    build = build_square_context if form.test_conforming else build_context
+    return build(uniform_mesh(n), form, case, options)
+
+
+def _bits(norms):
+    return {key: float(val).hex() for key, val in norms.items()}
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("condense", [True, False])
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("fname", list(NORM_CASES))
+def test_norms_match_per_point_reference(fname, precision, condense, n):
+    # the grid-evaluated, in-place norms equal the per-point formula they
+    # replaced bit for bit, on a solution and on random coefficients
+    ctx = _norm_context(fname, n, Options(condense=condense, precision=precision))
+    sol = solve_ne(assemble_ne(ctx)[0], ctx)
+    assert _bits(error_norms(sol)) == _bits(norms_reference.error_norms(ctx, sol.coefficients))
+    rng = np.random.default_rng(n)
+    coeffs = rng.standard_normal(ctx.n_total)
+    if np.iscomplexobj(sol.coefficients):
+        coeffs = coeffs + 1j * rng.standard_normal(ctx.n_total)
+    assert _bits(discrete_norms(ctx, coeffs)) == _bits(norms_reference.accumulate_norms(ctx, coeffs)[0])
+
+
+@pytest.mark.parametrize("fname", ["fosls-strong", "acoustics-ultraweak"])
+def test_case_data_is_evaluated_on_grid_lines(fname):
+    # every evaluation of f, alpha and the exact fields sees at most one
+    # coordinate per grid line (n g values), never all n^2 g^2 points
+    seen = {}
+
+    def recorder(name, fn):
+        def record(x, y):
+            seen[name] = max(seen.get(name, 0), np.size(x), np.size(y))
+            return fn(x, y)
+
+        return record
+
+    base = make_case(NORM_CASES[fname])
+    case = dataclasses.replace(
+        base,
+        f=recorder("f", base.f),
+        fields={key: recorder(key, fn) for key, fn in base.fields.items()},
+        alpha=recorder("alpha", base.alpha) if callable(base.alpha) else base.alpha,
+    )
+    n = 6
+    form = make_formulation(fname, p=2, dp=1, **({"alpha": case.alpha} if fname == "fosls-strong" else {}))
+    ctx = build_context(uniform_mesh(n), form, case, Options(condense=False))
+    error_norms(solve_ne(assemble_ne(ctx)[0], ctx))
+    if fname == "fosls-strong":
+        assemble_fosls_monolithic(ctx, case)
+    assert set(seen) == {"f", *base.fields} | ({"alpha"} if callable(base.alpha) else set())
+    g = max(form.quadrature_order + NORM_EXTRA_ORDER, form.p + 3)
+    assert max(seen.values()) <= n * g
 
 
 def test_residual_vector_matches_indicators():
