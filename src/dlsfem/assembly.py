@@ -424,7 +424,7 @@ def build_context(
     ne, m_test = mesh.n_elements, form.n_test_local
     # batched loads: f on the quadrature grid of every element at once
     l_all = np.zeros((ne, m_test), dtype=form.dtype)
-    l_all[:, kern["load_rows"]] = kern["load_scale"] * np.einsum(
+    l_all[:, kern["load_rows"]] = np.einsum(
         "ip,ep->ei", kern["load_table"] * rule.weights, mesh.at_quadrature_points(case.f, rule)
     )
     l_all *= row_scale[None, :]
@@ -434,8 +434,7 @@ def build_context(
         avals = mesh.at_quadrature_points(form.alpha, rule)
         b_scaled = np.repeat(b_scaled[None], ne, axis=0)
         b_scaled[:, av["rows"], av["cols"]] += (
-            av["scale"]
-            * np.einsum("ip,ep,jp->eij", av["test_tab"] * rule.weights, avals, av["trial_tab"])
+            np.einsum("ip,ep,jp->eij", av["test_tab"] * rule.weights, avals, av["trial_tab"])
             * row_scale[av["rows"], None]
         )
     bt_full, lt_all = element.whiten(

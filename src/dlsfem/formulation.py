@@ -15,12 +15,26 @@ them are posed on the unit square with uniform quad meshes:
     acoustics-ultraweak complex ultraweak first-order acoustics at
                         frequency omega, hard-wall boundary.
 
-Element matrices are produced on the master square once per (mesh size,
-formulation) pair; uniform meshes make them element independent except for
-load rows and variable-coefficient blocks.
+Forms are data.  A space kind's channels are h times the physical values
+the forms read, tabulated from its master basis at the quadrature points:
+[h y] for l2, [h w, grad w] for h1 (physical grad = master grad / h) and
+[div v / h, v] for hdiv (Piola: v / h and div v / h^2).  An element
+integral (a, b)_K = h^2 sum_q w_q a_q b_q is then the master sum
+sum_q w_q A_q B_q of the channels.  On an edge the broken test kinds carry
+the edge measure h instead: h v, and v.n (the Piola 1/h cancels h); the
+trial traces are the trace tables, a flux one signed by the outward normal.
 
-The inner products are Hermitian; bases are real, so Gram matrices are
-real symmetric even for the complex acoustics formulation.
+A volume term (test, channel, trial, channel, coefficient) adds the
+coefficient times its sum to the (test, trial) block of B; the coefficient
+"alpha" is the reaction coefficient, and a callable one is left to the
+element pipeline as ``alpha_var``.  An edge term (test, trial, sign) adds
+sign times its sum on each of the four edges.  Each test Gram block sums
+its component's channel products (the physical L2, H1 or H(div) norm) and
+is real symmetric, as the bases are real, even for complex acoustics; a
+conforming test space has the identity.  The load rows are h times channel
+0 of the load component.  The kernels are built once per (mesh size,
+quadrature rule); uniform meshes make them element independent except for
+load rows and variable-coefficient blocks.
 """
 
 from __future__ import annotations
@@ -56,16 +70,9 @@ RESONANCE_OMEGA = 0.5001 * 2.0 * np.pi
 
 
 @dataclass(frozen=True)
-class TrialComponent:
+class Component:
     name: str
     kind: str    # space kind from dlsfem.mesh
-    p: int
-
-
-@dataclass(frozen=True)
-class TestComponent:
-    name: str
-    kind: str
     p: int
 
 
@@ -79,6 +86,9 @@ class Formulation:
     dp: int
     trial: tuple
     test: tuple
+    volume_terms: tuple             # (test, channel, trial, channel, coefficient)
+    load_component: str             # test component whose rows carry the load
+    edge_terms: tuple = ()          # (test, trial, sign)
     alpha: object = 0.0             # number or callable(x, y) (fosls only)
     omega: Optional[float] = None   # acoustics frequency
     dirichlet_component: Optional[str] = None
@@ -137,6 +147,10 @@ def _slices(sizes, names):
     return out
 
 
+def _components(p, **kinds):
+    return tuple(Component(name, kind, p) for name, kind in kinds.items())
+
+
 def make_formulation(name: str, p: int, dp: int, alpha=0.0, omega=None) -> Formulation:
     """Build one of the five supported formulations."""
     if p < 1 or dp < 0:
@@ -145,65 +159,67 @@ def make_formulation(name: str, p: int, dp: int, alpha=0.0, omega=None) -> Formu
     if name == "fosls-strong":
         return Formulation(
             name=name, field="real", p=p, dp=dp,
-            trial=(TrialComponent("u", "h1", p), TrialComponent("sigma", "hdiv", p)),
-            test=(
-                TestComponent("v", "l2_broken", t),
-                TestComponent("taux", "l2_broken", t),
-                TestComponent("tauy", "l2_broken", t),
+            trial=_components(p, u="h1", sigma="hdiv"),
+            test=_components(t, v="l2_broken", taux="l2_broken", tauy="l2_broken"),
+            # -(div sigma, v) + (alpha u, v) and (sigma, tau) - (grad u, tau)
+            volume_terms=(
+                ("v", 0, "sigma", 0, -1), ("v", 0, "u", 0, "alpha"),
+                ("taux", 0, "sigma", 1, 1), ("tauy", 0, "sigma", 2, 1),
+                ("taux", 0, "u", 1, -1), ("tauy", 0, "u", 2, -1),
             ),
-            alpha=alpha,
-            dirichlet_component="u",
+            load_component="v", alpha=alpha, dirichlet_component="u",
         )
     if name == "primal-dpg":
         return Formulation(
             name=name, field="real", p=p, dp=dp,
-            trial=(
-                TrialComponent("u", "h1", p),
-                TrialComponent("sighat_n", "trace_flux", p),
-            ),
-            test=(TestComponent("v", "h1_broken", t),),
-            dirichlet_component="u",
+            trial=_components(p, u="h1", sighat_n="trace_flux"),
+            test=_components(t, v="h1_broken"),
+            # (grad u, grad v) - <sighat_n, v>
+            volume_terms=(("v", 1, "u", 1, 1), ("v", 2, "u", 2, 1)),
+            edge_terms=(("v", "sighat_n", -1),),
+            load_component="v", dirichlet_component="u",
         )
     if name == "ultraweak-dpg":
         return Formulation(
             name=name, field="real", p=p, dp=dp,
-            trial=(
-                TrialComponent("u", "l2", p),
-                TrialComponent("sigx", "l2", p),
-                TrialComponent("sigy", "l2", p),
-                TrialComponent("uhat", "trace_h1", p),
-                TrialComponent("sighat_n", "trace_flux", p),
+            trial=_components(
+                p, u="l2", sigx="l2", sigy="l2", uhat="trace_h1", sighat_n="trace_flux"
             ),
-            test=(
-                TestComponent("v", "h1_broken", t),
-                TestComponent("tau", "hdiv_broken", t),
+            test=_components(t, v="h1_broken", tau="hdiv_broken"),
+            # (sigma, grad v + tau) + (u, div tau) - <sighat_n, v> - <uhat, tau.n>
+            volume_terms=(
+                ("v", 1, "sigx", 0, 1), ("v", 2, "sigy", 0, 1),
+                ("tau", 1, "sigx", 0, 1), ("tau", 2, "sigy", 0, 1), ("tau", 0, "u", 0, 1),
             ),
-            dirichlet_component="uhat",
+            edge_terms=(("v", "sighat_n", -1), ("tau", "uhat", -1)),
+            load_component="v", dirichlet_component="uhat",
         )
     if name == "bubnov-galerkin":
         return Formulation(
             name=name, field="real", p=p, dp=0,
-            trial=(TrialComponent("u", "h1", p),),
-            test=(TestComponent("u", "h1", p),),
-            dirichlet_component="u",
-            test_conforming=True,
+            trial=_components(p, u="h1"),
+            test=_components(p, u="h1"),
+            volume_terms=(("u", 1, "u", 1, 1), ("u", 2, "u", 2, 1)),
+            load_component="u", dirichlet_component="u", test_conforming=True,
         )
     if name == "acoustics-ultraweak":
+        omega = float(omega) if omega is not None else RESONANCE_OMEGA
+        iw = 1j * omega
         return Formulation(
             name=name, field="complex", p=p, dp=dp,
-            trial=(
-                TrialComponent("pres", "l2", p),
-                TrialComponent("ux", "l2", p),
-                TrialComponent("uy", "l2", p),
-                TrialComponent("phat", "trace_h1", p),
-                TrialComponent("uhat_n", "trace_flux", p),
+            trial=_components(
+                p, pres="l2", ux="l2", uy="l2", phat="trace_h1", uhat_n="trace_flux"
             ),
-            test=(
-                TestComponent("q", "h1_broken", t),
-                TestComponent("v", "hdiv_broken", t),
+            test=_components(t, q="h1_broken", v="hdiv_broken"),
+            # -(p, i w q) - (p, div v) - (u, i w v) - (u, grad q) + <uhat_n, q>
+            # + <phat, v.n>; conjugation on the test argument flips the sign of i w
+            volume_terms=(
+                ("q", 0, "pres", 0, iw), ("v", 0, "pres", 0, -1),
+                ("v", 1, "ux", 0, iw), ("v", 2, "uy", 0, iw),
+                ("q", 1, "ux", 0, -1), ("q", 2, "uy", 0, -1),
             ),
-            omega=float(omega) if omega is not None else RESONANCE_OMEGA,
-            dirichlet_component="uhat_n",
+            edge_terms=(("q", "uhat_n", 1), ("v", "phat", 1)),
+            load_component="q", omega=omega, dirichlet_component="uhat_n",
         )
     raise UnsupportedCombination(f"unknown formulation {name!r}")
 
@@ -212,157 +228,84 @@ def make_formulation(name: str, p: int, dp: int, alpha=0.0, omega=None) -> Formu
 # Master element kernels
 # ---------------------------------------------------------------------------
 
+def _channels(kind: str, p: int, points: np.ndarray, h: float) -> np.ndarray:
+    """h times the physical channels of a kind's master basis, shape (n, c, q)."""
+    if kind in ("l2", "l2_broken"):
+        return (h * basis.y_table(p, points))[:, None]
+    if kind in ("h1", "h1_broken"):
+        vals, grads = basis.w_table(p, points)
+        return np.concatenate([(h * vals)[:, None], grads], axis=1)
+    vals, divs = basis.v_table(p, points)
+    return np.concatenate([(divs / h)[:, None], vals], axis=1)
+
+
+def _edge_channels(kind: str, p: int, t: np.ndarray, h: float) -> list:
+    """A kind's traces on the four local edges; broken test kinds carry the measure h."""
+    if kind == "trace_h1":
+        return basis.trace_h1_edge_tables(p, t)
+    if kind == "trace_flux":
+        return [s * tab for s, tab in zip(EDGE_NORMAL_SIGNS, basis.trace_flux_edge_tables(p, t))]
+    edges = [basis.edge_points(le, t) for le in range(4)]
+    if kind == "h1_broken":
+        return [h * basis.w_table(p, pts)[0] for pts in edges]
+    return [
+        np.einsum("icp,c->ip", basis.v_table(p, pts)[0], n)
+        for pts, n in zip(edges, basis.EDGE_NORMALS)
+    ]
+
+
 def _vol(test_tab, trial_tab, w):
     return np.einsum("ip,p,jp->ij", test_tab, w, trial_tab)
 
 
 def _build_kernels(form: Formulation, h: float, rule: QuadratureRule) -> dict:
-    w = rule.weights
-    t1 = rule.points_1d
-    w1 = rule.weights_1d
-    tsl = form.test_slices()
-    usl = form.trial_slices()
-    n_test, n_trial = form.n_test_local, form.n_trial_local
-    g = np.zeros((n_test, n_test))
-    b = np.zeros((n_test, n_trial), dtype=form.dtype)
-    alpha_var = None
+    tsl, usl = form.test_slices(), form.trial_slices()
+    test = {c.name: c for c in form.test}
+    trial = {c.name: c for c in form.trial}
+    tables = {}
 
-    if form.name == "fosls-strong":
-        t = form.p + form.dp
-        yv = basis.y_table(t, rule.points)
-        wv, wg = basis.w_table(form.p, rule.points)
-        vv, vd = basis.v_table(form.p, rule.points)
-        # L2 test inner product: diagonal h^2 Gram per component
-        gy = h * h * _vol(yv, yv, w)
-        for name in ("v", "taux", "tauy"):
-            g[tsl[name], tsl[name]] = gy
-        # -(div sigma, v) : physical div carries 1/h^2, measure h^2
-        b[tsl["v"], usl["sigma"]] = -_vol(yv, vd, w)
-        # (alpha u, v)
-        if form.has_variable_alpha:
-            alpha_var = {
-                "rows": tsl["v"],
-                "cols": usl["u"],
-                "test_tab": yv,
-                "trial_tab": wv,
-                "scale": h * h,
-            }
-        elif form.alpha:
-            b[tsl["v"], usl["u"]] = (form.alpha * h * h) * _vol(yv, wv, w)
-        # (sigma, tau) - (grad u, tau), both with one net factor of h
-        b[tsl["taux"], usl["sigma"]] = h * _vol(yv, vv[:, 0, :], w)
-        b[tsl["tauy"], usl["sigma"]] = h * _vol(yv, vv[:, 1, :], w)
-        b[tsl["taux"], usl["u"]] = -h * _vol(yv, wg[:, 0, :], w)
-        b[tsl["tauy"], usl["u"]] = -h * _vol(yv, wg[:, 1, :], w)
-        load_rows, load_table, load_scale = tsl["v"], yv, h * h
+    def table(comp, edge=False):
+        key = (comp.kind, comp.p, edge)
+        if key not in tables:
+            make = _edge_channels if edge else _channels
+            tables[key] = make(comp.kind, comp.p, rule.points_1d if edge else rule.points, h)
+        return tables[key]
 
-    elif form.name == "primal-dpg":
-        t = form.p + form.dp
-        vv, vg = basis.w_table(t, rule.points)
-        wv, wg = basis.w_table(form.p, rule.points)
-        g[tsl["v"], tsl["v"]] = h * h * _vol(vv, vv, w) + (
-            _vol(vg[:, 0, :], vg[:, 0, :], w) + _vol(vg[:, 1, :], vg[:, 1, :], w)
-        )
-        b[tsl["v"], usl["u"]] = _vol(vg[:, 0, :], wg[:, 0, :], w) + _vol(
-            vg[:, 1, :], wg[:, 1, :], w
-        )
-        flux_tabs = basis.trace_flux_edge_tables(form.p, t1)
-        for le in range(4):
-            v_edge, _ = basis.w_table(t, basis.edge_points(le, t1))
-            b[tsl["v"], usl["sighat_n"]] -= (EDGE_NORMAL_SIGNS[le] * h) * _vol(
-                v_edge, flux_tabs[le], w1
-            )
-        load_rows, load_table, load_scale = tsl["v"], vv, h * h
-
-    elif form.name == "ultraweak-dpg":
-        t = form.p + form.dp
-        vv, vg = basis.w_table(t, rule.points)
-        tv, td = basis.v_table(t, rule.points)
-        yv = basis.y_table(form.p, rule.points)
-        g[tsl["v"], tsl["v"]] = h * h * _vol(vv, vv, w) + (
-            _vol(vg[:, 0, :], vg[:, 0, :], w) + _vol(vg[:, 1, :], vg[:, 1, :], w)
-        )
-        g[tsl["tau"], tsl["tau"]] = (
-            _vol(tv[:, 0, :], tv[:, 0, :], w)
-            + _vol(tv[:, 1, :], tv[:, 1, :], w)
-            + _vol(td, td, w) / (h * h)
-        )
-        # (sigma, grad v + tau)
-        b[tsl["v"], usl["sigx"]] = h * _vol(vg[:, 0, :], yv, w)
-        b[tsl["v"], usl["sigy"]] = h * _vol(vg[:, 1, :], yv, w)
-        b[tsl["tau"], usl["sigx"]] = h * _vol(tv[:, 0, :], yv, w)
-        b[tsl["tau"], usl["sigy"]] = h * _vol(tv[:, 1, :], yv, w)
-        # (u, div tau)
-        b[tsl["tau"], usl["u"]] = _vol(td, yv, w)
-        trace_tabs = basis.trace_h1_edge_tables(form.p, t1)
-        flux_tabs = basis.trace_flux_edge_tables(form.p, t1)
-        for le in range(4):
-            v_edge, _ = basis.w_table(t, basis.edge_points(le, t1))
-            tau_edge, _ = basis.v_table(t, basis.edge_points(le, t1))
-            tau_n = np.einsum("icp,c->ip", tau_edge, basis.EDGE_NORMALS[le])
-            b[tsl["v"], usl["sighat_n"]] -= (EDGE_NORMAL_SIGNS[le] * h) * _vol(
-                v_edge, flux_tabs[le], w1
-            )
-            # <uhat, tau.n>: Piola 1/h cancels the edge measure h
-            b[tsl["tau"], usl["uhat"]] -= _vol(tau_n, trace_tabs[le], w1)
-        load_rows, load_table, load_scale = tsl["v"], vv, h * h
-
-    elif form.name == "acoustics-ultraweak":
-        t = form.p + form.dp
-        om = form.omega
-        qv, qg = basis.w_table(t, rule.points)
-        vv, vd = basis.v_table(t, rule.points)
-        yv = basis.y_table(form.p, rule.points)
-        g[tsl["q"], tsl["q"]] = h * h * _vol(qv, qv, w) + (
-            _vol(qg[:, 0, :], qg[:, 0, :], w) + _vol(qg[:, 1, :], qg[:, 1, :], w)
-        )
-        g[tsl["v"], tsl["v"]] = (
-            _vol(vv[:, 0, :], vv[:, 0, :], w)
-            + _vol(vv[:, 1, :], vv[:, 1, :], w)
-            + _vol(vd, vd, w) / (h * h)
-        )
-        # -(p, i w q): conjugation on the test argument flips the sign of i w
-        b[tsl["q"], usl["pres"]] = (1j * om * h * h) * _vol(qv, yv, w)
-        # -(p, div v)
-        b[tsl["v"], usl["pres"]] = -_vol(vd, yv, w)
-        # -(u, i w v)
-        b[tsl["v"], usl["ux"]] = (1j * om * h) * _vol(vv[:, 0, :], yv, w)
-        b[tsl["v"], usl["uy"]] = (1j * om * h) * _vol(vv[:, 1, :], yv, w)
-        # -(u, grad q)
-        b[tsl["q"], usl["ux"]] = -h * _vol(qg[:, 0, :], yv, w)
-        b[tsl["q"], usl["uy"]] = -h * _vol(qg[:, 1, :], yv, w)
-        trace_tabs = basis.trace_h1_edge_tables(form.p, t1)
-        flux_tabs = basis.trace_flux_edge_tables(form.p, t1)
-        for le in range(4):
-            q_edge, _ = basis.w_table(t, basis.edge_points(le, t1))
-            v_edge, _ = basis.v_table(t, basis.edge_points(le, t1))
-            v_n = np.einsum("icp,c->ip", v_edge, basis.EDGE_NORMALS[le])
-            b[tsl["q"], usl["uhat_n"]] += (EDGE_NORMAL_SIGNS[le] * h) * _vol(
-                q_edge, flux_tabs[le], w1
-            )
-            b[tsl["v"], usl["phat"]] += _vol(v_n, trace_tabs[le], w1)
-        load_rows, load_table, load_scale = tsl["q"], qv, h * h
-
-    elif form.name == "bubnov-galerkin":
-        wv, wg = basis.w_table(form.p, rule.points)
+    n_test = form.n_test_local
+    if form.test_conforming:
         g = np.eye(n_test)
-        b[tsl["u"], usl["u"]] = _vol(wg[:, 0, :], wg[:, 0, :], w) + _vol(
-            wg[:, 1, :], wg[:, 1, :], w
-        )
-        load_rows, load_table, load_scale = tsl["u"], wv, h * h
+    else:
+        g = np.zeros((n_test, n_test))
+        for c in form.test:
+            tab = table(c)
+            # rounds as channel 0 + (channel 1 + channel 2): singular dp = 0 NEs hinge on it
+            g[tsl[c.name], tsl[c.name]] = sum(
+                _vol(tab[:, k], tab[:, k], rule.weights) for k in reversed(range(tab.shape[1]))
+            )
 
-    else:  # pragma: no cover
-        raise UnsupportedCombination(form.name)
+    b = np.zeros((n_test, form.n_trial_local), dtype=form.dtype)
+    alpha_var = None
+    for vname, vc, uname, uc, coef in form.volume_terms:
+        v_tab, u_tab = table(test[vname])[:, vc], table(trial[uname])[:, uc]
+        if coef == "alpha" and form.has_variable_alpha:
+            alpha_var = dict(rows=tsl[vname], cols=usl[uname], test_tab=v_tab, trial_tab=u_tab)
+            continue
+        coef = form.alpha if coef == "alpha" else coef
+        if coef:
+            b[tsl[vname], usl[uname]] += coef * _vol(v_tab, u_tab, rule.weights)
+    for le in range(4):
+        for vname, uname, sign in form.edge_terms:
+            v_tab, u_tab = table(test[vname], True)[le], table(trial[uname], True)[le]
+            b[tsl[vname], usl[uname]] += sign * _vol(v_tab, u_tab, rule.weights_1d)
 
+    load = test[form.load_component]
     return {
         "G": g,
         "B": b,
         "alpha_var": alpha_var,
-        "load_rows": load_rows,
-        "load_table": load_table,
-        "load_scale": load_scale,
+        "load_rows": tsl[load.name],
+        "load_table": h * table(load)[:, 0],
     }
-
 
 # ---------------------------------------------------------------------------
 # Manufactured solutions

@@ -83,7 +83,7 @@ def _recover(ctx: AssemblyContext, u_solve: np.ndarray, solver: str) -> np.ndarr
     load, so the solve and the bubble recovery produce the homogeneous
     part, which is added on top of the lift (the affine-set split).
     """
-    out_dtype = np.complex128 if ctx.formulation.field == "complex" else np.float64
+    out_dtype = ctx.formulation.dtype
     lift = ctx.lift_full.astype(out_dtype)
     full = lift.copy()
     full[ctx.solve_ids] += u_solve.astype(out_dtype)

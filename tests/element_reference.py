@@ -38,12 +38,12 @@ def eval_forms(form, h: float, rule, origin=None, case=None):
         if ker["alpha_var"] is not None:
             av = ker["alpha_var"]
             avals = form.alpha(x, y)
-            b[av["rows"], av["cols"]] += av["scale"] * np.einsum(
+            b[av["rows"], av["cols"]] += np.einsum(
                 "ip,p,jp->ij", av["test_tab"], rule.weights * avals, av["trial_tab"]
             )
         if case is not None:
             fvals = case.f(x, y)
-            ell[ker["load_rows"]] = ker["load_scale"] * np.einsum(
+            ell[ker["load_rows"]] = np.einsum(
                 "ip,p->i", ker["load_table"], rule.weights * fvals
             )
     return g, b, ell

@@ -15,6 +15,7 @@ from dlsfem.formulation import (
 from dlsfem.mesh import uniform_mesh
 
 import interpolate_reference
+import kernels_reference
 from element_reference import eval_forms
 
 
@@ -71,6 +72,46 @@ class TestGramProperties:
         g = form.kernels(0.125, rule)["G"]
         off = g - np.diag(np.diag(g))
         assert np.abs(off).max() <= 1e-13 * np.diag(g).max()
+
+
+def _bump(x, y):
+    return 1.0 + x * x * y
+
+
+def _max_rel(new, old):
+    return np.abs(new - old).max() / np.abs(old).max()
+
+
+@pytest.mark.parametrize("h", [0.5, 1.0 / 96])
+@pytest.mark.parametrize("dp", [0, 1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize(
+    "name, alpha",
+    [("fosls-strong", 0.0), ("fosls-strong", 0.7), ("fosls-strong", _bump)]
+    + [(name, 0.0) for name in
+       ("primal-dpg", "ultraweak-dpg", "bubnov-galerkin", "acoustics-ultraweak")],
+)
+def test_kernels_match_reference(name, alpha, p, dp, h):
+    """The term tables give the hand-written kernels to round-off, and
+    bitwise at h = 1/2, where every factor h scales exactly."""
+    form = make_formulation(name, p, dp, alpha=alpha)
+    rule = basis.gauss_rule(form.quadrature_order)
+    new = form.kernels(h, rule)
+    old = kernels_reference._build_kernels(form, h, rule)
+    tol = 0.0 if h == 0.5 else 1e-14
+    assert _max_rel(new["G"], old["G"]) <= tol
+    assert _max_rel(new["B"], old["B"]) <= tol
+    assert new["load_rows"] == old["load_rows"]
+    assert _max_rel(new["load_table"], old["load_scale"] * old["load_table"]) <= tol
+    assert (new["alpha_var"] is None) == (old["alpha_var"] is None) == (not callable(alpha))
+    if callable(alpha):
+        wa = rule.weights * alpha(rule.points[:, 0], rule.points[:, 1])
+        na, oa = new["alpha_var"], old["alpha_var"]
+        assert (na["rows"], na["cols"]) == (oa["rows"], oa["cols"])
+        assert _max_rel(
+            np.einsum("ip,p,jp->ij", na["test_tab"], wa, na["trial_tab"]),
+            oa["scale"] * np.einsum("ip,p,jp->ij", oa["test_tab"], wa, oa["trial_tab"]),
+        ) <= tol
 
 
 class TestEvalForms:
