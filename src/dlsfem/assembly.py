@@ -46,7 +46,7 @@ import scipy.sparse
 
 from . import basis, element, linalg
 from .basis import gauss_rule
-from .blockqr import BlockStack, RowStack
+from .blockqr import BlockStack, RowStack, TreePlan
 from .element import NonpositiveDiagonal, RankDeficientBubbles, SingularBubbleBlock
 from .formulation import Formulation, ManufacturedCase
 from .mesh import Mesh, build_layout, entity_dofs
@@ -280,6 +280,7 @@ class AssemblyContext:
     # conforming-test (square) systems only: S with its load, and S* S
     square: Optional[SparseSymmetric] = None
     square_normal: Optional[scipy.sparse.csr_matrix] = None
+    tree: Optional[TreePlan] = dc_field(default=None, repr=False)   # see tree_plan
 
     @property
     def n_solve(self) -> int:
@@ -288,6 +289,18 @@ class AssemblyContext:
     @property
     def n_free(self) -> int:
         return self.free_ids.size
+
+    def tree_plan(self, stacks) -> TreePlan:
+        """The elimination tree's plan over ``stacks``, the blocks or row
+        panels of a system over the solve columns.  The context keeps it:
+        the NE's blocks and the QR's row panels come from the same classes,
+        cells and columns, so the solvers of a level analyse the tree once,
+        and stacks it does not fit (:meth:`TreePlan.fits`) get a plan of
+        their own.  Threads may build it twice; the plans are equal."""
+        plan = self.tree
+        if plan is None or not plan.fits(stacks, self.n_solve):
+            plan = self.tree = TreePlan.build(stacks, self.n_solve)
+        return plan
 
     def sort_keys(self) -> np.ndarray:
         """(x, y, component) keys of the solve columns, for solver orderings."""

@@ -7,50 +7,40 @@ own columns, and every panel carries its rows' loads and a mesh cell.
 ``solve_blocked_ne`` solves A x = f for A the sum of Hermitian
 positive-definite element blocks and f the sum of their loads
 (:class:`BlockStack`), such as the element normal equations (A_K, f_K) of
-B* B.  Both run one algorithm in two steps, each made of LAPACK calls on
-small dense arrays, and differ only in the kernel that factors a front.
+B* B.  Both run on one multifrontal elimination tree (George, 1973; Liu,
+1992; Davis, SuiteSparseQR, 2011), analysed once per structure and filled
+per system, as sparse direct solvers split it (Amestoy et al., MUMPS, 2001):
 
-1. Tree fronts to the root.  The panels (blocks) are merged in rounds of
-   2 x 2 groups of cells, the elimination tree of a multifrontal
-   factorization (George, 1973; George & Heath, 1980; Liu, 1992; Davis,
-   SuiteSparseQR, 2011), until one group holds all that is left.  A
-   column that only the panels of one group touch is private to it.  The
-   group's front holds its panels over its columns, private ones first,
-   with their loads, and one kernel finishes the private columns:
+1. Analysis (:class:`TreePlan`).  The panels (blocks) are merged in rounds
+   of 2 x 2 groups of cells until one group holds all that is left; a
+   column that one group's panels alone touch is private to it.  Groups
+   with panels of the same parts and the same patterns of equal and
+   private columns share a signature, for which the plan holds the groups,
+   their panels' parts and instances (gather), each panel column's front
+   position (scatter), the count p of private columns, each group's u
+   front columns (private first, by first appearance) and its cells.  It
+   reads no values, so the NE's blocks and the QR's row panels share it.
+2. Numeric pass.  A signature's front is filled and factored once for all
+   its groups (once each when a panel is per-element):
 
-   * a row front stacks the panels' rows and their loads; one ``?geqrt``
-     factors it in place, in compact-WY form (Schreiber & Van Loan, 1989)
-     with recursive level-3 panels (Elmroth & Gustavson, 2000), and
-     ``?gemqrt`` projects the loads.  The triangle over the other columns
-     goes on with its projected loads.  Since B D = Q (R D), the rows
-     [R11 | R12] solve for z = D u.
-   * a Hermitian front sums the blocks and their loads over their columns
-     (the summed element contributions of a multifrontal Cholesky).
-     ``?potrf`` factors A11 = R11* R11, one ``?trtrs`` gives
-     R12 = R11^-* A12 and the projected loads R11^-* f1, and the Schur
-     complement A22 - R12* R12 (``?syrk``/``?herk``) goes on with the
-     loads f2 - R12* R11^-* f1 (``?gemm``).  The rows [R11 | R12] solve
-     for x.
-
-   At the root every column left is private.  Groups whose panels are the
-   same arrays (never those of a per-element stack) at the same relative
-   column layout share a front, factored once per signature (once per
-   element class in round 1); their loads are projected in the same calls.
-   Signatures come from the data (panel identities, column incidence),
-   never from the cells: a poor grouping costs speed, not accuracy.
-2. Back-substitution.  One triangular solve per front, last front first,
+   * a row front stacks the panels' rows; one ``?geqrt`` factors it in
+     place, in compact-WY form (Schreiber & Van Loan, 1989) with recursive
+     level-3 panels (Elmroth & Gustavson, 2000), and ``?gemqrt`` projects
+     the loads.  The min(rows, u) - p rows of the triangle over the other
+     columns go on; since B D = Q (R D), [R11 | R12] solve for z = D u.
+   * a Hermitian front sums its blocks, one flat-index scatter each.
+     ``?potrf`` factors A11 = R11* R11, one ``?trtrs`` gives R12 = R11^-* A12
+     and the loads R11^-* f1, and the upper triangle of the Schur
+     complement A22 - R12* R12 (``?syrk``/``?herk``) goes on with the loads
+     f2 - R12* R11^-* f1 (``?gemm``); no kernel reads a lower triangle.
+3. Back-substitution.  One triangular solve per front, last front first,
    for all its groups; in least squares u = z / D.
 
-The work stays proportional to (front rows) x (front width)^2 summed over
-the fronts instead of rows x columns^2, and no global matrix or band is
-formed.  Every LAPACK/BLAS call of a front goes through scipy's wrappers
-in the dtype of the panels (single/double, real or complex), so
-single-precision systems are factored in single precision.  numpy and
-scipy bundle separate OpenBLAS libraries with separate thread pools.  At 2
-threads the workers left spinning after a threaded call share the cores
-with the small front calls: the QR fronts at p = 2 double n = 32 took
-28 ms against 18 ms at one thread.  Importing :mod:`dlsfem.linalg` sets
-both to one thread.
+The work is (front rows) x (front width)^2 summed over the fronts; no
+global matrix or band is formed.  Every LAPACK/BLAS call goes through
+scipy's wrappers in the panels' dtype (single precision stays single), at
+one OpenBLAS thread (:mod:`dlsfem.linalg`; at 2, the QR fronts at p = 2
+double n = 32 took 28 ms, not 18).  A poor grouping costs speed, not accuracy.
 """
 
 from __future__ import annotations
@@ -108,6 +98,8 @@ def _qr(a, loads, dtype):
     geqrt, gemqrt = scipy.linalg.get_lapack_funcs(("geqrt", "gemqrt"), dtype=dtype)
     trans = "C" if np.issubdtype(dtype, np.complexfloating) else "T"
     r = min(a.shape)
+    if not r:       # a front of parts with no rows left
+        return a[:0], loads[:0]
     # not np.linalg.qr, which factors float32/complex64 in double
     a, t = geqrt(min(32, r), a, overwrite_a=1)[:2]
     # a wide front (m < n) has m reflectors only: hand ?gemqrt those columns
@@ -123,9 +115,10 @@ def _qr_front(a, loads, p, dtype):
 
 
 def _cholesky_front(a, loads, p, dtype):
-    """Hermitian front a (u, u), first p columns private: (R11, R12, rhs
-    (G, p), the Schur complement A22 - R12* R12 and its loads (G, .),
-    passed up).  Raises NotPositiveDefinite at a nonpositive pivot."""
+    """Hermitian front a (u, u), first p columns private, of which only the
+    upper triangle is read: (R11, R12, rhs (G, p), the upper triangle of
+    the Schur complement A22 - R12* R12 and its loads (G, .), passed up).
+    Raises NotPositiveDefinite at a nonpositive pivot."""
     if not p:
         return a[:0, :0], a[:0], loads[:0].T, a.copy(), loads.T.copy()
     b = a.shape[0] - p
@@ -139,113 +132,161 @@ def _cholesky_front(a, loads, p, dtype):
     if b:
         rk = "herk" if np.issubdtype(dtype, np.complexfloating) else "syrk"
         syrk, gemm = scipy.linalg.get_blas_funcs((rk, "gemm"), dtype=dtype)
-        # ?syrk/?herk updates the upper triangle only; the next round places
-        # the block in another column order, so it goes on whole
-        schur = np.triu(syrk(-1.0, r12, beta=1.0, c=schur, trans=2))
-        schur += np.triu(schur, 1).conj().T
+        # ?syrk/?herk updates the upper triangle, the only one the next round reads
+        schur = syrk(-1.0, r12, beta=1.0, c=schur, trans=2)
         proj = gemm(-1.0, r12, x[:, b:], beta=1.0, c=proj, trans_a=2)
     # copies: no view keeps a front alive
     return r11, r12.copy(), x[:, b:].T.copy(), schur, proj.T
 
 
-def _cell_groups(cells):
-    """The 2 x 2 group of every nonnegative cell (x, y), numbered in
-    lexicographic order of (x // 2, y // 2).  The groups are found by one
-    integer key: np.unique(..., axis=0) compares rows field by field, about
-    20x slower."""
-    gx, gy = (cells // 2).T
-    return np.unique(gx * (gy.max() + 1) + gy, return_inverse=True)[1].ravel()
+@dataclass(frozen=True, eq=False)
+class _Signature:
+    """The G groups of a round that share a front: slot t of each is panel
+    inst[t] of part src[t], over the front columns at[t]; the front
+    finishes the first p of its columns cols (G, u) and passes the others
+    up on the groups' cells (G, 2), in one part (one each when own)."""
+
+    src: tuple
+    inst: np.ndarray           # (t, G)
+    at: tuple                  # (k_t,) per slot
+    p: int
+    cols: np.ndarray           # (G, u)
+    cells: np.ndarray          # (G, 2)
+    own: bool
+
+    def fronts(self):
+        return [slice(i, i + 1) for i in range(len(self.cols))] if self.own else [slice(None)]
 
 
-def _group_round(parts, n_cols, dtype, hermitian=False):
-    """One round of the tree: the parts' panels in 2 x 2 groups of cells,
-    row fronts (``_qr_front``), or Hermitian ones (``_cholesky_front``).
-    Returns (parts that go on, fronts)."""
-    sizes = [len(pt.cols) for pt in parts]
-    src = np.repeat(np.arange(len(parts)), sizes)
-    idx = np.concatenate([np.arange(e) for e in sizes])
-    cells = np.concatenate([pt.cells for pt in parts])
-    cells = cells - cells.min(0)    # from 0, so that halving reaches one group
-    cols = np.full((src.size, max(pt.cols.shape[1] for pt in parts)), -1)
-    for pt, start in zip(parts, np.cumsum(sizes) - sizes):
-        cols[start : start + len(pt.cols), : pt.cols.shape[1]] = pt.cols
-    group = _cell_groups(cells)
-    # the panels in canonical order: by group, cell within the group, part, index
-    order = np.lexsort((idx, src, (cells % 2) @ [1, 2], group))
-    src, idx, cells, cols, group = src[order], idx[order], cells[order], cols[order], group[order]
-    n_groups = int(group[-1]) + 1
-    first_panel = np.searchsorted(group, np.arange(n_groups))
-    n_panels = np.diff(np.append(first_panel, group.size))
+@dataclass(frozen=True, eq=False)
+class TreePlan:
+    """The tree over given stacks, analysed once: each round's signatures
+    (module notes), index arrays of O(panel columns) in all.  The parts of
+    round r + 1 are the fronts of round r with columns left, in order; a
+    Hermitian front passes up u - p columns, a row front min(rows, u) - p
+    rows of them, counted from its panels.  Serves all stacks it fits."""
 
-    # every panel column of every group, then one entry per (group, column):
-    # a column is private to a group when no panel of another group touches it
-    touched = cols >= 0
-    occ_group = np.broadcast_to(group[:, None], cols.shape)[touched]
-    pairs, first, inv = np.unique(occ_group * n_cols + cols[touched], return_index=True, return_inverse=True)
-    pair_group, pair_col = np.divmod(pairs, n_cols)
-    private = np.bincount(pair_col, minlength=n_cols)[pair_col] == 1
-    n_private = np.bincount(pair_group, weights=private, minlength=n_groups).astype(np.int64)
-    # local column ids in a group: private ones first, each in order of first appearance
-    rank = np.lexsort((first, ~private, pair_group))
-    local = np.empty(pairs.size, dtype=np.int64)
-    local[rank] = np.arange(pairs.size) - np.searchsorted(pair_group, pair_group[rank])
-    first_occ = np.searchsorted(occ_group, np.arange(n_groups))
-    layout = np.full((n_groups, int(np.diff(np.append(first_occ, occ_group.size)).max())), -1)
-    layout[occ_group, np.arange(occ_group.size) - first_occ[occ_group]] = local[inv.ravel()]
+    n_cols: int
+    inputs: tuple              # (cells, cols, per-element) of every nonempty stack
+    rounds: tuple              # of tuples of _Signature
 
-    # the signature of a group: its panels, its count of private columns and
-    # the local ids of its panels' columns.  The groups of one signature are
-    # filled together; they share one front unless a panel is per-element.
-    who = np.full((n_groups, int(n_panels.max())), -1)
+    @classmethod
+    def build(cls, stacks, n_cols):
+        parts = [(st.cells, st.cols, st.panel.ndim == 3) for st in stacks if st.panel.size]
+        inputs, rounds, first = tuple(parts), [], np.full(n_cols, np.iinfo(np.int64).max)
+        while parts:
+            rounds.append(_analyse(parts, first))
+            parts = [(s.cells[of], s.cols[of, s.p :], False) for s in rounds[-1] if s.cols.shape[1] > s.p for of in s.fronts()]
+        return cls(n_cols, inputs, tuple(rounds))
+
+    def fits(self, stacks, n_cols):
+        parts = [st for st in stacks if st.panel.size]
+        return n_cols == self.n_cols and len(parts) == len(self.inputs) and all(
+            own == (st.panel.ndim == 3) and np.array_equal(cells, st.cells) and np.array_equal(cols, st.cols)
+            for st, (cells, cols, own) in zip(parts, self.inputs))
+
+
+def _analyse(parts, first):
+    """The signatures of one round of (cells, cols, per-element) parts:
+    groups whose panels come from the same parts, in which the first
+    group's patterns of equal and of private columns repeat (a group that
+    fails starts a candidate of its own).  ``first``: work array, n_cols."""
+    sizes, ks = [len(c) for _, c, _ in parts], np.array([c.shape[1] for _, c, _ in parts])
+    src, idx = np.repeat(np.arange(len(parts)), sizes), np.concatenate([np.arange(e) for e in sizes])
+    flat, offset = np.concatenate([c.ravel() for _, c, _ in parts]), np.cumsum(sizes * ks) - sizes * ks
+    cells = np.concatenate([c for c, _, _ in parts])
+    cells = cells - [cells[:, 0].min(), cells[:, 1].min()]    # from 0, so that halving reaches one group
+    # the panels in canonical order: by group (in lexicographic order of
+    # (x // 2, y // 2)), cell within the group, part, index
+    key = ((cells[:, 0] >> 1) * ((cells[:, 1] >> 1).max() + 1) + (cells[:, 1] >> 1) << 2) + (cells & 1) @ [1, 2]
+    order = np.argsort(key, kind="stable")
+    src, idx, cells, key = src[order], idx[order], cells[order], key[order] >> 2
+    first_panel = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+    n_panels = np.diff(np.append(first_panel, key.size))
+    group = np.repeat(np.arange(first_panel.size), n_panels)
+    who = np.full((first_panel.size, int(n_panels.max())), -1)
     who[group, np.arange(group.size) - first_panel[group]] = src
-    sig = np.ascontiguousarray(np.column_stack([n_private, who, layout]))
-    sig_id = np.unique(sig.view(f"V{sig.shape[1] * sig.itemsize}").ravel(), return_inverse=True)[1].ravel()
 
+    candidates, classes = np.unique(who.view(f"V{who.shape[1] * who.itemsize}").ravel(), return_inverse=True)[1], []
+    for groups in np.split(np.argsort(candidates, kind="stable"), np.cumsum(np.bincount(candidates))[:-1]):
+        slots = who[groups[0], : n_panels[groups[0]]]
+        inst, k = idx[first_panel[groups] + np.arange(slots.size)[:, None]], ks[slots]
+        at = np.arange(k.sum())
+        cols = flat[(offset[slots, None] + inst * k[:, None] - (np.cumsum(k) - k)[:, None]).repeat(k, axis=0).T + at]
+        while groups.size:
+            # the first group's first entry of each column; the others agree
+            np.minimum.at(first, cols[0], at)
+            lead = first[cols[0]]
+            first[cols[0]] = np.iinfo(np.int64).max
+            heads = np.flatnonzero(lead == at)
+            fits, rest = slice(None), slice(0)
+            if len(groups) > 1:
+                distinct = np.sort(cols[:, heads], axis=1)
+                fits = (cols[:, lead] == cols).all(1) & (distinct[:, 1:] != distinct[:, :-1]).all(1)
+                fits, rest = (slice(None), slice(0)) if fits.all() else (fits, ~fits)
+            classes.append((groups[fits], slots, inst[:, fits], cols[fits].take(heads, axis=1), np.cumsum(lead == at)[lead] - 1))
+            groups, inst, cols = groups[rest], inst[:, rest], cols[rest]
+
+    # private columns (held by one group) first, each in order of first appearance
+    held = np.bincount(np.concatenate([c.ravel() for _, _, _, c, _ in classes]), minlength=first.size)
+    out = []
+    for groups, slots, inst, cols, lead in classes:
+        private, ends = held[cols] == 1, np.cumsum(ks[slots]).tolist()
+        while groups.size:
+            fits = (private == private[0]).all(1)
+            fits, rest = (slice(None), slice(0)) if fits.all() else (fits, ~fits)
+            rank = np.argsort(~private[0], kind="stable")
+            local = np.argsort(rank)
+            out.append(_Signature(
+                tuple(slots), inst[:, fits], tuple(local[lead][i:j] for i, j in zip([0] + ends, ends)), int(private[0].sum()),
+                cols[fits].take(rank, axis=1), cells[first_panel[groups[fits]]] >> 1, any(parts[s][2] for s in slots)))
+            groups, inst, cols, private = groups[rest], inst[:, rest], cols[rest], private[rest]
+    return tuple(out)
+
+
+def _factor_round(parts, signatures, dtype, hermitian, upper):
+    """One round's numeric pass: (parts that go on, fronts); ``upper``: the
+    parts are passed-up Hermitian blocks, holding their upper triangle."""
     factor = _cholesky_front if hermitian else _qr_front
+    for pt in parts if upper else ():     # conjugated below, once for all fronts
+        np.copyto(pt.panel, pt.panel.T.conj(), where=np.tri(len(pt.panel), k=-1, dtype=bool))
     out, fronts = [], []
-    for groups in np.split(np.argsort(sig_id, kind="stable"), np.cumsum(np.bincount(sig_id))[:-1]):
-        g, p = groups[0], int(n_private[groups[0]])
-        members = first_panel[groups][:, None] + np.arange(n_panels[g])   # (G, t)
-        at = layout[g][layout[g] >= 0]
-        u = int(at.max()) + 1
-        panels = [parts[s] for s in src[members[0]]]
+    for sig in signatures:
+        panels = [parts[s] for s in sig.src]
+        (n_groups, u), p = sig.cols.shape, sig.p
         # a row front stacks its panels' rows, a Hermitian one sums its blocks
         n_rows = u if hermitian else max(sum(pt.panel.shape[-2] for pt in panels), p)
-        own = any(pt.panel.ndim == 3 for pt in panels)
-        front = np.zeros((groups.size if own else 1, u, n_rows), dtype=dtype).transpose(0, 2, 1)  # F-ordered
-        loads = np.zeros((n_rows, groups.size), dtype=dtype, order="F")
-        ucols = np.empty((groups.size, u), dtype=np.int64)
-        row = col = 0
-        for pt, inst in zip(panels, idx[members].T):
-            m, k = pt.panel.shape[-2:]
-            c = at[col : col + k]
+        buf = np.zeros((n_groups if sig.own else 1, u * n_rows), dtype=dtype)
+        front = buf.reshape(len(buf), u, n_rows).transpose(0, 2, 1)     # F-ordered
+        loads = np.zeros((n_rows, n_groups), dtype=dtype, order="C" if hermitian else "F")
+        row = 0
+        for pt, inst, c in zip(panels, sig.inst, sig.at):
             panel = pt.panel if pt.panel.ndim == 2 else pt.panel[inst]
             if hermitian:
-                front[:, c[:, None], c] += panel
+                buf.reshape(-1)[(np.arange(len(buf)) * u * u)[:, None, None] + c[:, None] + c * u] += panel
                 loads[c] += pt.loads[inst].T
             else:
+                m = pt.panel.shape[-2]
                 front[:, row : row + m, c] = panel
                 loads[row : row + m] = pt.loads[inst].T
-            ucols[:, c] = pt.cols[inst]
-            row, col = row + m, col + k
-        for i, a in enumerate(front):
-            of = slice(i, i + 1) if own else slice(None)     # the groups of this front
+                row += m
+        for a, of in zip(front, sig.fronts()):
             r11, r12, rhs, up, up_loads = factor(a, loads[:, of], p, dtype)
             if p:
-                fronts.append(_Front(r11, r12, ucols[of, :p], ucols[of, p:], rhs))
-            if up.shape[0]:
-                out.append(BlockStack(up, ucols[of, p:], up_loads, cells[members[of, 0]] // 2))
+                fronts.append(_Front(r11, r12, sig.cols[of, :p], sig.cols[of, p:], rhs))
+            if u > p:
+                out.append(BlockStack(up, sig.cols[of, p:], up_loads, sig.cells[of]))
     return out, fronts
 
 
-def _tree(parts, n_cols, dtype, hermitian):
-    """The fronts of every round to the root, and the magnitudes of their
-    R diagonal on the n_cols columns (0 where no front finishes one)."""
-    fronts = []
-    while parts:
-        parts, done = _group_round(parts, n_cols, dtype, hermitian)
+def _tree(stacks, plan, dtype, hermitian):
+    """The fronts of every round of the plan, and the magnitudes of their R
+    diagonal on the n_cols columns (0 where no front finishes one)."""
+    parts, fronts = [st for st in stacks if st.panel.size], []
+    for r, signatures in enumerate(plan.rounds):
+        parts, done = _factor_round(parts, signatures, dtype, hermitian, upper=hermitian and r > 0)
         fronts += done
-    r_diag = np.zeros(n_cols)
+    r_diag = np.zeros(plan.n_cols)
     for f in fronts:
         r_diag[f.cols] = np.abs(np.diagonal(f.r11))
     return fronts, r_diag
@@ -259,11 +300,12 @@ def _back_substitute(fronts, n_cols, dtype):
     return z
 
 
-def solve_blocked_ls(stacks, n_cols, scale=None):
+def solve_blocked_ls(stacks, n_cols, scale=None, plan=None):
     """Minimize ||B D u - l||_2 for B and its load l given as a list of
     :class:`RowStack`.
 
-    ``scale`` is the positive column scale D (the identity when omitted).
+    ``scale`` is the positive column scale D (the identity when omitted),
+    ``plan`` the stacks' :class:`TreePlan` (built here when omitted).
     Returns (u, r_diag): the solution and the magnitudes of the R diagonal
     of B D (rank diagnostics), both of length n_cols.
     """
@@ -271,7 +313,7 @@ def solve_blocked_ls(stacks, n_cols, scale=None):
         return np.zeros(0), np.zeros(0)
     dtype = stacks[0].panel.dtype if stacks else np.float64
     scale = np.ones(n_cols, dtype=dtype) if scale is None else np.asarray(scale, dtype=dtype)
-    fronts, r_diag = _tree([st for st in stacks if st.panel.size], n_cols, dtype, hermitian=False)
+    fronts, r_diag = _tree(stacks, plan or TreePlan.build(stacks, n_cols), dtype, hermitian=False)
     r_diag *= np.abs(scale)
     # structural rank guard: legitimate ill-conditioning may push diagonal
     # entries to eps-level of the scale, but a lost column falls far below
@@ -282,10 +324,10 @@ def solve_blocked_ls(stacks, n_cols, scale=None):
     return _back_substitute(fronts, n_cols, dtype) / scale, r_diag
 
 
-def solve_blocked_ne(stacks, n_cols):
+def solve_blocked_ne(stacks, n_cols, plan=None):
     """Solve A x = f for A and f the sums of the Hermitian blocks of a list
     of :class:`BlockStack` and of their loads, by Cholesky on the
-    elimination tree.
+    elimination tree of ``plan`` (built here when omitted).
 
     Returns (x, r_diag): the solution and the magnitudes of the diagonal of
     the Cholesky factor R of A, both of length n_cols.  Raises
@@ -295,7 +337,7 @@ def solve_blocked_ne(stacks, n_cols):
     if n_cols == 0:
         return np.zeros(0), np.zeros(0)
     dtype = stacks[0].panel.dtype if stacks else np.float64
-    fronts, r_diag = _tree([st for st in stacks if st.panel.size], n_cols, dtype, hermitian=True)
+    fronts, r_diag = _tree(stacks, plan or TreePlan.build(stacks, n_cols), dtype, hermitian=True)
     missing = np.flatnonzero(r_diag == 0.0)
     if missing.size:
         raise NotPositiveDefinite(f"{missing.size} columns in no block (first: column {missing[0]})")

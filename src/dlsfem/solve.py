@@ -189,7 +189,7 @@ def solve_ne(a: SparseSymmetric, ctx: AssemblyContext) -> Solution:
             u = _banded_cholesky_solve(_scale_columns(a.matrix, s), a.rhs * s.astype(a.rhs.dtype), ctx.sort_keys())
             x = u * s.astype(u.dtype)
         else:
-            x, r_diag = solve_blocked_ne(a.blocks, a.n)
+            x, r_diag = solve_blocked_ne(a.blocks, a.n, ctx.tree_plan(a.blocks))
             r_diag *= np.abs(s)
     full = _recover(ctx, x, "NE")
     eta, rnorm, gal, rvec = _indicators(ctx, full, "NE")
@@ -208,7 +208,7 @@ def solve_ls(bt: RectangularRowBlocked, ctx: AssemblyContext) -> Solution:
     units of the unknowns, and rounds u.
     """
     s = precondition_global_rect(bt)
-    u, r_diag = solve_blocked_ls(bt.stacks, bt.n_cols, s)
+    u, r_diag = solve_blocked_ls(bt.stacks, bt.n_cols, s, ctx.tree_plan(bt.stacks))
     u = u * s.astype(u.dtype)
     full = _recover(ctx, u, "QR")
     eta, rnorm, gal, rvec = _indicators(ctx, full, "QR")

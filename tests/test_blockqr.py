@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from dlsfem.blockqr import RowStack, _cell_groups, _group_round, _qr, solve_blocked_ls
+from dlsfem.blockqr import RowStack, TreePlan, _factor_round, _qr, solve_blocked_ls
 from dlsfem.linalg import RankDeficient, eps
+from tree_reference import cell_groups
 
 
 def random_blocked(rng, ncols, nblocks, dtype=np.float64, kmax=8, max_rows=lambda k: k + 4):
@@ -473,10 +474,11 @@ def test_property_fronts_keep_no_factored_front_alive(dtype, data):
     projected loads of each finished front and the panel each group passes
     up own their data, so a factored front is freed once its round is over."""
     parts, ncols, _ = data.draw(patch_problems(dtype))
-    while parts:
-        parts, fronts = _group_round(parts, ncols, dtype)
+    for signatures in TreePlan.build(parts, ncols).rounds:
+        parts, fronts = _factor_round(parts, signatures, dtype, hermitian=False, upper=False)
         assert all(f.r11.base is None and f.r12.base is None and f.rhs.base is None for f in fronts)
         assert all(pt.panel.base is None for pt in parts)
+    assert not parts
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -487,4 +489,4 @@ def test_cell_groups_match_unique_rows(seed):
     n, hi = rng.integers(1, 300), rng.integers(1, 70, 2)
     cells = np.column_stack([rng.integers(0, hi[0], n), rng.integers(0, hi[1], n)])
     ref = np.unique(cells // 2, axis=0, return_inverse=True)[1].ravel()
-    assert np.array_equal(_cell_groups(cells), ref)
+    assert np.array_equal(cell_groups(cells), ref)

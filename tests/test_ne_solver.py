@@ -22,7 +22,7 @@ import scipy.sparse
 from hypothesis import given, strategies as st
 
 from dlsfem.assembly import Options, _scale_columns, assemble_ne, build_context, precondition_global
-from dlsfem.blockqr import BlockStack, _group_round, solve_blocked_ne
+from dlsfem.blockqr import BlockStack, TreePlan, _factor_round, solve_blocked_ne
 from dlsfem.formulation import make_case, make_formulation
 from dlsfem.linalg import NotPositiveDefinite
 from dlsfem.mesh import uniform_mesh
@@ -242,10 +242,11 @@ def test_property_tree_indefinite_sum_raises(dtype, data):
 def test_property_ne_fronts_keep_no_factored_front_alive(dtype, data):
     """As in the QR: every round keeps copies, never views of a front."""
     parts, ncols = data.draw(block_problems(dtype))
-    while parts:
-        parts, fronts = _group_round(parts, ncols, dtype, hermitian=True)
+    for r, signatures in enumerate(TreePlan.build(parts, ncols).rounds):
+        parts, fronts = _factor_round(parts, signatures, dtype, hermitian=True, upper=r > 0)
         assert all(f.r11.base is None and f.r12.base is None and f.rhs.base is None for f in fronts)
         assert all(pt.panel.base is None for pt in parts)
+    assert not parts
 
 
 def test_column_in_no_block_raises():
