@@ -175,16 +175,57 @@ class RectangularRowBlocked:
         return out
 
     @cached_property
-    def gram(self) -> scipy.sparse.csr_matrix:
-        """B* B, the sum of the panels' P* P in double (complex128 for complex
-        panels), built on first use; a square system's assembly gives S* S."""
-        if self.square_gram is not None:
-            return self.square_gram
+    def stack_grams(self) -> list:
+        """Each stack's P* P in double (complex128 for complex panels): one
+        (k, k) Gram of a shared panel, or an (E, k, k) stack of per-element
+        panels; formed on first use."""
         grams = []
         for st in self.stacks:
             p = st.panel.astype(np.result_type(st.panel.dtype, np.float64), copy=False)
-            grams.append((st.cols, p.conj().swapaxes(-1, -2) @ p))
-        return _sum_blocks(self.n_cols, grams)
+            g = linalg.adjoint(p) @ p
+            # a shared Gram in column order: normal_matvec multiplies by its transpose
+            grams.append(np.asfortranarray(g) if g.ndim == 2 else g)
+        return grams
+
+    @cached_property
+    def _flat_cols(self) -> np.ndarray:
+        """The stacks' columns, each flattened, in stack order."""
+        return np.concatenate([st.cols.ravel() for st in self.stacks])
+
+    @cached_property
+    def _complex_slots(self) -> np.ndarray:
+        """Each column c of :attr:`_flat_cols` as the slots 2c, 2c + 1 of a
+        real sum, which keep the real and imaginary parts of a complex sum
+        apart (its complex128 view is the complex sum)."""
+        return (2 * self._flat_cols[:, None] + np.arange(2)).ravel()
+
+    def normal_matvec(self, x: np.ndarray) -> np.ndarray:
+        """B* B x in double (complex128 for complex panels or x) on the
+        stacks' Grams: per stack, one gather of x and one batched product,
+        then one column sum over all stacks, of the real and imaginary parts
+        apart; no global matrix is formed.  A square system multiplies by
+        its S* S."""
+        if self.square_gram is not None:
+            return self.square_gram @ x
+        # np.dot: the least overhead per call, for the tiny stacks of coarse levels
+        y = np.concatenate([
+            (np.dot(x[st.cols], g.T) if g.ndim == 2 else linalg.matvec(g, x[st.cols])).ravel()
+            for st, g in zip(self.stacks, self.stack_grams)
+        ])
+        if np.iscomplexobj(y):
+            return np.bincount(self._complex_slots, y.view(np.float64), 2 * self.n_cols).view(np.complex128)
+        return np.bincount(self._flat_cols, y, self.n_cols)
+
+    @cached_property
+    def gram(self) -> scipy.sparse.csr_matrix:
+        """B* B as a CSR matrix, the sum of :attr:`stack_grams`, built on first
+        use; a square system's assembly gives S* S.  Only the condition
+        diagnostic at N <= ``studies.COND_LIMIT`` (it hands a matrix to a
+        sparse LU) and the tests read it; products run on
+        :meth:`normal_matvec`."""
+        if self.square_gram is not None:
+            return self.square_gram
+        return _sum_blocks(self.n_cols, [(st.cols, g) for st, g in zip(self.stacks, self.stack_grams)])
 
     def col_norms_sq(self) -> np.ndarray:
         return _sum_columns(self.n_cols, [(st.cols, np.sum(np.abs(st.panel) ** 2, axis=-2)) for st in self.stacks])
@@ -253,7 +294,7 @@ class ElementClass:
         The square matrix of a conforming test space is condensed as it is.
         """
         a, f = (self.bt, self.lt) if self.square else element.element_ne(self.bt, self.lt)
-        return element.condense_ne(a, f, self.bubble_pos, self.interf_pos)
+        return element.condense_ne(a, f, self.bubble_pos, self.interf_pos, hermitian=not self.square)
 
 
 @dataclass

@@ -160,11 +160,17 @@ class SchurElement:
     f_bubb: np.ndarray
 
 
-def condense_ne(a, f, bubble_idx, interface_idx):
+def condense_ne(a, f, bubble_idx, interface_idx, hermitian=True):
     """Schur complement of the bubble block of (A_K, f_K).
 
     The two index sets partition the columns, so without bubbles the
-    Schur complement and its load are ``a`` and ``f`` themselves.
+    Schur complement and its load are ``a`` and ``f`` themselves.  With
+    ``hermitian`` (an element normal equation) the complement is the
+    Hermitian part of A_ii - A_ib A_bb^-1 A_bi, which equals its conjugate
+    transpose exactly: the products round its two triangles differently,
+    while the tree reads the upper one only and Lanczos takes the sum of
+    the blocks for Hermitian.  The square matrix of a conforming test space
+    is condensed as it is (``hermitian=False``).
     """
     a = np.asarray(a)
     f = np.asarray(f)
@@ -186,6 +192,8 @@ def condense_ne(a, f, bubble_idx, interface_idx):
     yf = linalg.triangular_solve(chol, f_b[..., None])
     yh = linalg.adjoint(y)
     schur = a_ii - yh @ y
+    if hermitian:
+        schur = 0.5 * (schur + linalg.adjoint(schur))
     rhs = f_i - (yh @ yf)[..., 0]
     return SchurElement(schur, rhs, chol, a_bi, f_b)
 

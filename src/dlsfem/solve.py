@@ -219,10 +219,11 @@ def residual_rho(bt: RectangularRowBlocked, solution: Solution) -> float:
     """rho = ||Btilde u - ltilde|| / (||Btilde||_2 ||u||_2) of Eq.-(3.14) type,
     for the load ltilde that ``bt`` carries.
 
-    ||Btilde||_2 comes from a power iteration on the unscaled Gram matrix
-    Btilde* Btilde (:attr:`RectangularRowBlocked.gram`, built once per
-    system and shared with the condition diagnostic): a fixed
-    start (seed 1234), at most 60 steps, stopped at a 1e-10 relative change.
+    ||Btilde||_2 comes from a power iteration on the unscaled Gram
+    Btilde* Btilde, applied stack by stack
+    (:meth:`RectangularRowBlocked.normal_matvec`; no global Gram matrix is
+    built or read): a fixed start (seed 1234), at most 60 steps, stopped
+    at a 1e-10 relative change.
     The cap usually ends it before convergence: on the finer ultraweak
     levels the norm reads low by 0.5-0.7% against Lanczos, and rho high by
     the same factor.  The iteration is kept as it is on purpose: a sharper
@@ -240,7 +241,7 @@ def residual_rho(bt: RectangularRowBlocked, solution: Solution) -> float:
     x /= np.linalg.norm(x)
     smax = 0.0
     for _ in range(60):
-        y = bt.gram @ x
+        y = bt.normal_matvec(x)
         nrm = np.linalg.norm(y)
         if nrm == 0.0:
             break

@@ -134,6 +134,21 @@ class TestStructure:
         assert np.array_equal(a1.matrix.data, a2.matrix.data)
         assert np.array_equal(f1, f2)
 
+    @pytest.mark.parametrize(
+        "fname,precision",
+        [("acoustics-ultraweak", "double"), ("ultraweak-dpg", "single"), ("ultraweak-dpg", "double")],
+    )
+    def test_condensed_ne_blocks_are_exactly_hermitian(self, fname, precision):
+        """Every condensed element normal equation equals its conjugate
+        transpose bit for bit (complex Schur complements used not to)."""
+        form = make_formulation(fname, p=2, dp=1)
+        ctx = build_context(uniform_mesh(8), form, _case_for(fname), Options(precision=precision))
+        a, _ = assemble_ne(ctx)
+        assert len(a.blocks) == 9 and all(c.bubble_pos.size for c in ctx.classes)
+        for st in a.blocks:
+            assert st.panel.dtype == ctx.options.working_dtype(form)
+            np.testing.assert_array_equal(st.panel, st.panel.conj().swapaxes(-1, -2))
+
     def test_hermitian_invariant(self):
         form = make_formulation("acoustics-ultraweak", p=1, dp=1)
         ctx = build_context(uniform_mesh(2), form, _case_for("acoustics-ultraweak"))
@@ -265,6 +280,17 @@ STACK_SYSTEMS = {
 }
 
 
+NORMAL_SYSTEMS = {
+    # name: (formulation, p, n, case, precision)
+    "ultraweak-p1-single": ("ultraweak-dpg", 1, 8, "poisson-sine", "single"),
+    "ultraweak-p2-double": ("ultraweak-dpg", 2, 8, "poisson-sine", "double"),
+    "acoustics": ("acoustics-ultraweak", 2, 6, "acoustics-resonance", "double"),
+    "primal-dpg": ("primal-dpg", 2, 8, "poisson-sine", "double"),
+    "fosls-variable-alpha": ("fosls-strong", 2, 8, "poisson-alpha-sine", "double"),
+    "bubnov": ("bubnov-galerkin", 2, 8, "poisson-sine", "double"),
+}
+
+
 def _stack_system(name, precision):
     fname, p, n, cname = STACK_SYSTEMS[name]
     case = make_case(cname)
@@ -282,10 +308,10 @@ def _random_vector(rng, n, dtype):
 
 
 def check_stack_products(bt, rng, s=None):
-    """matvec, rmatvec and the Gram, with the columns scaled by ``s`` (none
-    by default) as the solvers and diagnostics apply it, against the dense
-    products of to_dense() * s, whose entries are rounded to the panels'
-    dtype."""
+    """matvec, rmatvec, the Gram and the Gram product, with the columns
+    scaled by ``s`` (none by default) as the solvers and diagnostics apply
+    it, against the dense products of to_dense() * s, whose entries are
+    rounded to the panels' dtype."""
     s = np.ones(bt.n_cols, dtype=bt.dtype) if s is None else s
     dense = bt.to_dense() * s
     eps = np.finfo(dense.dtype).eps
@@ -297,6 +323,9 @@ def check_stack_products(bt, rng, s=None):
     gram = _scale_columns(bt.gram, s.astype(bt.gram.dtype)).toarray()
     assert gram.dtype == d.dtype
     assert np.linalg.norm(gram - adj @ d) <= 64 * eps * np.linalg.norm(abs(adj) @ abs(d))
+    got = s.conj() * bt.normal_matvec(s * x)
+    assert got.dtype == d.dtype
+    assert np.linalg.norm(got - adj @ (d @ x)) <= 64 * eps * np.linalg.norm(abs(adj) @ (abs(d) @ abs(x)))
 
 
 class TestStackProducts:
@@ -327,6 +356,36 @@ class TestStackProducts:
         want = RectangularRowBlocked(bt.n_cols, bt.n_rows, bt.stacks).gram
         assert g.dtype == want.dtype == np.float64
         assert scipy.sparse.linalg.norm(g - want) <= 1e-14 * scipy.sparse.linalg.norm(want)
+
+    @pytest.mark.parametrize("name", list(NORMAL_SYSTEMS))
+    def test_normal_matvec_matches_gram(self, name):
+        """B* B x on the stacks' Grams equals the CSR Gram's product.
+
+        Both sum the same m_i products G_e[i, j] x_j into entry i, for G_e
+        the elements' Grams (the CSR adds the entries of each (i, j) first),
+        so each is within gamma(m_i) ~ m_i eps / 2 of the exact sum, relative
+        to M_i = sum |G_e[i, j]| |x_j|: the two differ by at most
+        2 m_i eps M_i, in double (m_i is k times the count of elements at
+        column i: at most 64 here).  A square system multiplies by its S* S."""
+        fname, p, n, cname, precision = NORMAL_SYSTEMS[name]
+        case = make_case(cname)
+        form = make_formulation(fname, p=p, dp=1, alpha=case.alpha)
+        bt = assemble_overdetermined(build_context(uniform_mesh(n), form, case, Options(precision=precision)))[0]
+        rng = np.random.default_rng(17)
+        for x in (rng.standard_normal(bt.n_cols), _random_vector(rng, bt.n_cols, np.complex128)):
+            got, want = bt.normal_matvec(x), bt.gram @ x
+            assert got.dtype == want.dtype == np.result_type(bt.dtype, x, np.float64)
+            if bt.square_gram is not None:
+                np.testing.assert_array_equal(got, want)
+                continue
+            terms, mag = np.zeros(bt.n_cols), np.zeros(bt.n_cols)
+            for st, g in zip(bt.stacks, bt.stack_grams):
+                np.add.at(terms, st.cols, g.shape[-1])
+                v = abs(x[st.cols])
+                np.add.at(mag, st.cols, v @ abs(g).T if g.ndim == 2 else (abs(g) @ v[..., None])[..., 0])
+            assert np.all(abs(got - want) <= 2 * terms * np.finfo(np.float64).eps * mag)
+        panels = {"shared" if st.panel.ndim == 2 else "row" if st.panel.shape[-2] == 1 else "per-element" for st in bt.stacks}
+        assert panels == {"fosls-variable-alpha": {"per-element"}, "bubnov": {"row"}}.get(name, {"shared"})
 
     @pytest.mark.parametrize("name", list(STACK_SYSTEMS))
     def test_ne_quadratic_form_matches_dense(self, name):

@@ -331,7 +331,8 @@ def test_assembled_load_is_the_stored_load(fname, dp, cname, condense, precision
 def power_rho(bt, solution):
     """rho with ||Btilde||_2 from the power iteration on Btilde, then
     Btilde*, through CSR copies of Btilde: the reference for residual_rho,
-    which runs the same iteration on the Gram matrix Btilde* Btilde."""
+    which runs the same iteration on the Gram Btilde* Btilde, applied on
+    the stacks' Grams (on S* S for a square system)."""
     ltilde = bt.rhs
     op = bt.to_coo().tocsr()
     op_adj = op.conj().T.tocsr()
@@ -365,6 +366,8 @@ RHO_SYSTEMS = {
     "acoustics": ("acoustics-ultraweak", 2, 6, "acoustics-resonance", "double"),
     "bubnov": ("bubnov-galerkin", 2, 8, "poisson-sine10", "double"),
     "failure-single": ("ultraweak-dpg", 1, 16, "poisson-quartic", "single"),
+    # per-element (E, M, k) panels, whose Grams form an (E, k, k) stack
+    "fosls-variable-alpha": ("fosls-strong", 2, 8, "poisson-alpha-sine", "double"),
 }
 
 
@@ -377,9 +380,12 @@ class TestRho:
     @pytest.mark.parametrize("name", list(RHO_SYSTEMS))
     def test_gram_power_iteration_matches_operator_pair(self, name):
         fname, p, n, cname, precision = RHO_SYSTEMS[name]
-        form = make_formulation(fname, p=p, dp=1)
-        ctx = build_context(uniform_mesh(n), form, make_case(cname), Options(precision=precision))
+        case = make_case(cname)
+        form = make_formulation(fname, p=p, dp=1, alpha=case.alpha)
+        ctx = build_context(uniform_mesh(n), form, case, Options(precision=precision))
         bt = assemble_overdetermined(ctx)[0]
+        per_element = any(st.panel.ndim == 3 and st.panel.shape[-2] > 1 for st in bt.stacks)
+        assert per_element == (name == "fosls-variable-alpha")
         sol = solve_ls(bt, ctx)
         if ctx.square is not None:
             # a square system leaves a round-off residual, which the two

@@ -117,17 +117,21 @@ class TestRunStudy:
             with pytest.raises(ValueError, match="bug"):
                 run_study(cfg)
 
-    def test_rho_and_cond_share_one_gram_per_level(self, tmp_path, monkeypatch):
-        """rho and cond(Btilde) read one Gram matrix per level, rho reads it
-        unscaled, a double-precision square level forms S* S once for both
-        solvers, and no study path copies Btilde into a COO/CSR matrix
-        unless it is dumped."""
-        builds, coo_calls, products, rho_scalings, in_rho = [], [], [], [], []
-        gram, to_coo, rho = RectangularRowBlocked.gram.func, RectangularRowBlocked.to_coo, studies.residual_rho
+    def test_only_the_condition_diagnostic_builds_a_gram(self, tmp_path, monkeypatch):
+        """rho builds no Gram matrix: its power iteration runs on the stacks.
+        A level at or below COND_LIMIT builds one, the condition diagnostic's,
+        and a level above it (qr-p2's n = 32) none.  rho scales no matrix, a
+        double-precision square level forms S* S once for both solvers, and
+        no study path copies Btilde into a COO/CSR matrix unless it is
+        dumped."""
+        builds, coo_calls, products, rho_scalings, rho_cols = [], [], [], [], []
+        in_rho, in_cond = [], []
+        gram, to_coo = RectangularRowBlocked.gram.func, RectangularRowBlocked.to_coo
+        rho, cond = studies.residual_rho, studies._cond_diagnostics
         scale_columns = assembly._scale_columns
 
         def counting_gram(self):
-            builds.append(self.n_cols)
+            builds.append((self.n_cols, bool(in_rho), bool(in_cond)))
             return gram(self)
 
         def counting_coo(self):
@@ -139,12 +143,18 @@ class TestRunStudy:
                 rho_scalings.append(csr.shape)
             return scale_columns(csr, s)
 
-        def tracking_rho(*args):
-            in_rho.append(True)
-            try:
-                return rho(*args)
-            finally:
-                in_rho.pop()
+        def inside(flag, func):
+            def wrapped(*args, **kwargs):
+                flag.append(True)
+                try:
+                    return func(*args, **kwargs)
+                finally:
+                    flag.pop()
+            return wrapped
+
+        def tracking_rho(bt, sol):
+            rho_cols.append(bt.n_cols)
+            return inside(in_rho, rho)(bt, sol)
 
         for cls in (scipy.sparse.csr_matrix, scipy.sparse.csc_matrix):
             def counting_matmul(self, other, matmul=cls.__matmul__):
@@ -160,23 +170,28 @@ class TestRunStudy:
         for mod in (assembly, solve, studies):
             monkeypatch.setattr(mod, "_scale_columns", counting_scale, raising=False)
         monkeypatch.setattr(studies, "residual_rho", tracking_rho)
+        monkeypatch.setattr(studies, "_cond_diagnostics", inside(in_cond, cond))
+        # qr-p2's configuration: n = 8 and 16 at or below COND_LIMIT, n = 32 above
         cfg = dict(
             study="converge", formulation="ultraweak-dpg", p=2, dp=1,
-            start_n=8, refinements=2, solvers=("qr",),
+            start_n=8, refinements=3, solvers=("qr",),
         )
         rows, _ = run_study(StudyConfig(out_dir=str(tmp_path / "a"), **cfg))
-        assert [r.n for r in rows] == [8, 16]
-        assert all(r.rho is not None and r.cond_btilde is not None for r in rows)
-        assert len(builds) == 2 and builds[0] < builds[1]
+        assert [r.n for r in rows] == [8, 16, 32]
+        assert all(r.rho is not None for r in rows)
+        assert [r.cond_btilde is not None for r in rows] == [True, True, False]
+        assert rho_cols[0] < rho_cols[1] <= studies.COND_LIMIT < rho_cols[2]
+        assert builds == [(rho_cols[0], False, True), (rho_cols[1], False, True)]
         assert coo_calls == [] and products == [] and rho_scalings == []
-        run_study(StudyConfig(out_dir=str(tmp_path / "b"), dump_matrices=True, **cfg))
+        run_study(StudyConfig(out_dir=str(tmp_path / "b"), dump_matrices=True, **dict(cfg, refinements=2)))
         assert len(coo_calls) == 2          # the dumps, one per level
         builds.clear()
-        square = dict(cfg, formulation="bubnov-galerkin", start_n=4, solvers=("ne", "qr"))
+        rho_cols.clear()
+        square = dict(cfg, formulation="bubnov-galerkin", start_n=4, refinements=2, solvers=("ne", "qr"))
         rows, _ = run_study(StudyConfig(out_dir=str(tmp_path / "c"), **square))
         assert [r.n for r in rows] == [4, 8]
         assert all(None not in (r.rho, r.cond_a, r.cond_btilde) for r in rows)
-        assert len(builds) == 2 and builds[0] < builds[1]
+        assert builds == [(rho_cols[0], False, True), (rho_cols[1], False, True)]
         assert len(products) == 2 and products[0] < products[1]     # S* S, one per level
         assert rho_scalings == []
 
