@@ -364,11 +364,10 @@ def edge_coefficients(mesh: Mesh, layout, edges, vertices, value, flux, dtype):
 
     For h1 and trace_h1: ``value`` interpolated at the vertices, and the
     edge-wise L2 projection of its remainder over the linear interpolant
-    onto the edge hats.  For trace_flux and hdiv: the normal ``flux(x, y,
-    nx, ny)`` projected onto the orthonormal edge Legendre basis, with the
-    global edge normals (+y on horizontal edges, +x on vertical ones); the
-    physical hdiv edge basis is P_k / h (Piola), so its coefficients pick
-    up h.
+    onto the edge hats.  For trace_flux: the normal ``flux(x, y, nx, ny)``
+    projected onto the orthonormal edge Legendre basis, with the global
+    edge normals (+y on horizontal edges, +x on vertical ones).  Other kinds
+    have no edge rule (ValueError).
     """
     out = np.zeros(layout.n_total, dtype=dtype)
     p = layout.p
@@ -393,11 +392,10 @@ def edge_coefficients(mesh: Mesh, layout, edges, vertices, value, flux, dtype):
             resid = value(x, y) - (u0 * hats[0] + u1 * hats[1])
             rhs = np.einsum("ip,ep->ie", hats[2:], w * resid)
             out[edge_ids] = np.linalg.solve(gram, rhs).T
-    elif layout.kind in ("trace_flux", "hdiv"):
+    elif layout.kind == "trace_flux":
         leg, _ = basis.legendre_shifted(p - 1, t)
         vals = flux(x, y, along[:, 1:], along[:, :1])
-        piola = mesh.h if layout.kind == "hdiv" else 1.0
-        out[edge_ids] = piola * np.einsum("ip,ep->ei", leg, w * vals)
+        out[edge_ids] = np.einsum("ip,ep->ei", leg, w * vals)
     else:
         raise ValueError(f"no edge rule for {layout.kind}")
     return out

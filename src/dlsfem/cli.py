@@ -39,9 +39,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        dp_values = tuple(int(tok) for tok in str(args.dp).split(",") if tok != "")
+        try:
+            dp_values = tuple(int(tok) for tok in str(args.dp).split(",") if tok != "")
+        except ValueError:
+            dp_values = ()
         if not dp_values:
-            raise ConfigError("dp: at least one value required")
+            raise ConfigError("dp: a comma list of one or more integers required")
         config = StudyConfig(
             study=args.study,
             formulation=args.formulation,

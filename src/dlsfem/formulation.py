@@ -15,14 +15,18 @@ them are posed on the unit square with uniform quad meshes:
     acoustics-ultraweak complex ultraweak first-order acoustics at
                         frequency omega, hard-wall boundary.
 
-Forms are data.  A space kind's channels are h times the physical values
-the forms read, tabulated from its master basis at the quadrature points:
-[h y] for l2, [h w, grad w] for h1 (physical grad = master grad / h) and
-[div v / h, v] for hdiv (Piola: v / h and div v / h^2).  An element
-integral (a, b)_K = h^2 sum_q w_q a_q b_q is then the master sum
-sum_q w_q A_q B_q of the channels.  On an edge the broken test kinds carry
-the edge measure h instead: h v, and v.n (the Piola 1/h cancels h); the
-trial traces are the trace tables, a flux one signed by the outward normal.
+Forms are data.  A space kind's master channels are its master basis
+values and derivatives at the quadrature points, [y] for l2, [w, grad w]
+for h1 and [div v, v] for hdiv, each with its derivative order k: the
+physical channel is master / h^k (grad w / h; Piola v / h, div v / h^2).
+The kernels read h times the physical channels, [h y], [h w, grad w] and
+[div v / h, v], so an element integral (a, b)_K = h^2 sum_q w_q a_q b_q is
+the master sum sum_q w_q A_q B_q of the channels.  The error norms (solve)
+scale a coefficient sum over a master channel by 1 / h^k, and the classical
+FOSLS system (studies) reads the physical channels.  On an edge the broken
+test kinds carry the edge measure h instead: h v, and v.n (the Piola 1/h
+cancels h); the trial traces are the trace tables, a flux one signed by the
+outward normal.
 
 A volume term (test, channel, trial, channel, coefficient) adds the
 coefficient times its sum to the (test, trial) block of B; the coefficient
@@ -228,15 +232,27 @@ def make_formulation(name: str, p: int, dp: int, alpha=0.0, omega=None) -> Formu
 # Master element kernels
 # ---------------------------------------------------------------------------
 
-def _channels(kind: str, p: int, points: np.ndarray, h: float) -> np.ndarray:
-    """h times the physical channels of a kind's master basis, shape (n, c, q)."""
+def master_channels(kind: str, p: int, points: np.ndarray):
+    """A kind's master channel table (n, c, q) and each channel's derivative
+    order k: the physical channel is the master one over h^k."""
     if kind in ("l2", "l2_broken"):
-        return (h * basis.y_table(p, points))[:, None]
+        return basis.y_table(p, points)[:, None], (0,)
     if kind in ("h1", "h1_broken"):
         vals, grads = basis.w_table(p, points)
-        return np.concatenate([(h * vals)[:, None], grads], axis=1)
+        return np.concatenate([vals[:, None], grads], axis=1), (0, 1, 1)
     vals, divs = basis.v_table(p, points)
-    return np.concatenate([(divs / h)[:, None], vals], axis=1)
+    return np.concatenate([divs[:, None], vals], axis=1), (2, 1, 1)
+
+
+def scale_h(t: np.ndarray, e: int, h: float) -> np.ndarray:
+    """h^e t for e in 1, 0, -1, -2, rounded as h * t, t, t / h and t / (h * h)."""
+    return h * t if e == 1 else t if e == 0 else t / h if e == -1 else t / (h * h)
+
+
+def channels(kind: str, p: int, points: np.ndarray, h: float, e: int = 1) -> np.ndarray:
+    """h^e times the physical channels of a kind's master basis, shape (n, c, q)."""
+    tab, orders = master_channels(kind, p, points)
+    return np.stack([scale_h(tab[:, c], e - k, h) for c, k in enumerate(orders)], axis=1)
 
 
 def _edge_channels(kind: str, p: int, t: np.ndarray, h: float) -> list:
@@ -267,7 +283,7 @@ def _build_kernels(form: Formulation, h: float, rule: QuadratureRule) -> dict:
     def table(comp, edge=False):
         key = (comp.kind, comp.p, edge)
         if key not in tables:
-            make = _edge_channels if edge else _channels
+            make = _edge_channels if edge else channels
             tables[key] = make(comp.kind, comp.p, rule.points_1d if edge else rule.points, h)
         return tables[key]
 

@@ -37,6 +37,7 @@ from .assembly import (
     precondition_global_rect,
 )
 from .blockqr import solve_blocked_ls, solve_blocked_ne
+from .formulation import master_channels, scale_h
 from .linalg import NotPositiveDefinite
 
 
@@ -266,19 +267,29 @@ def residual_rho(bt: RectangularRowBlocked, solution: Solution) -> float:
 # ---------------------------------------------------------------------------
 
 NORM_EXTRA_ORDER = 2    # quadrature orders of the error norms above the assembly rule
+#: a field kind's norm parts: (key suffix, master channels, exact fields; None its own field)
+NORM_PARTS = {
+    "l2": (("", (0,), (None,)),),
+    "h1": (("", (0,), (None,)), ("_grad", (1, 2), ("sigx", "sigy"))),
+    "hdiv": (("", (1, 2), ("sigx", "sigy")), ("_div", (0,), ("div_sigma",))),
+}
 
 
 def _accumulate_norms(ctx: AssemblyContext, coeffs, exact=False):
     """Element-quadrature L2/H1/H(div) norms per component of the context's
     trial space, by a rule NORM_EXTRA_ORDER orders above the assembly rule:
     of u_h - u_exact (of u_h alone unless ``exact``), and with ``exact`` of
-    u_exact (u_h = 0, bit for bit; else None).  The exact fields are taken on
-    the quadrature grid (:meth:`Mesh.at_quadrature_points`), and each term
-    of an integral is one new (ne, nq) array, squared, summed and weighted in place."""
+    u_exact (u_h = 0, bit for bit; else None).  Each part of a norm
+    (NORM_PARTS) reads channels of the kind's master table
+    (:func:`formulation.master_channels`): the coefficients times the master
+    channel, then over h^k.  The exact fields are taken on the quadrature
+    grid (:meth:`Mesh.at_quadrature_points`), and each term of an integral
+    is one new (ne, nq) array, squared, summed and weighted in place."""
     form, case, h = ctx.formulation, ctx.case, ctx.mesh.h
     rule = basis.gauss_rule(form.quadrature_order + NORM_EXTRA_ORDER)
     w = rule.weights * h * h
     sq, sq_exact = {}, {}
+    fields = dict(case.fields, **({"div_sigma": case.div_sigma} if case.kind == "poisson" else {}))
 
     def quadrature(mags):
         """Quadrature of sum m^2 over fresh arrays m, in the first of them."""
@@ -296,30 +307,19 @@ def _accumulate_norms(ctx: AssemblyContext, coeffs, exact=False):
             sq_exact[key] = quadrature(np.abs(np.broadcast_to(f, fh.shape)) for fh, f in pairs)
 
     def field(name):
-        return ctx.mesh.at_quadrature_points(case.fields[name], rule) if exact and name in case.fields else 0.0
+        return ctx.mesh.at_quadrature_points(fields[name], rule) if exact and name in fields else 0.0
 
     comps = form.field_components()
     for comp, lay, off in zip(form.trial, ctx.layouts, ctx.offsets):
         if comp not in comps:
             continue
         call = coeffs[off + lay.element_dofs]  # (ne, nloc)
-        if comp.kind == "l2":
-            vals = basis.y_table(comp.p, rule.points)
-            integrate(comp.name, [(np.einsum("ei,ip->ep", call, vals), field(comp.name))])
-        elif comp.kind == "h1":
-            vals, grads = basis.w_table(comp.p, rule.points)
-            integrate(comp.name, [(np.einsum("ei,ip->ep", call, vals), field(comp.name))])
-            gx = np.einsum("ei,ip->ep", call, grads[:, 0, :]) / h
-            gy = np.einsum("ei,ip->ep", call, grads[:, 1, :]) / h
-            integrate(comp.name + "_grad", [(gx, field("sigx")), (gy, field("sigy"))])
-        else:  # hdiv vector component
-            vals, divs = basis.v_table(comp.p, rule.points)
-            vx = np.einsum("ei,ip->ep", call, vals[:, 0, :]) / h
-            vy = np.einsum("ei,ip->ep", call, vals[:, 1, :]) / h
-            dv = np.einsum("ei,ip->ep", call, divs) / (h * h)
-            ex_d = ctx.mesh.at_quadrature_points(case.div_sigma, rule) if exact and case.kind == "poisson" else 0.0
-            integrate(comp.name, [(vx, field("sigx")), (vy, field("sigy"))])
-            integrate(comp.name + "_div", [(dv, ex_d)])
+        tab, orders = master_channels(comp.kind, comp.p, rule.points)
+        for suffix, chans, names in NORM_PARTS[comp.kind]:
+            integrate(comp.name + suffix, [
+                (scale_h(np.einsum("ei,ip->ep", call, tab[:, c]), -orders[c], h), field(name or comp.name))
+                for c, name in zip(chans, names)
+            ])
 
     def norms(sq):
         out = {}

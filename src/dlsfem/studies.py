@@ -56,7 +56,7 @@ from .assembly import (
 )
 from .blockqr import BlockStack
 from .element import NonpositiveDiagonal
-from .formulation import FORMULATION_NAMES, make_case, make_formulation
+from .formulation import FORMULATION_NAMES, channels, make_case, make_formulation
 from .linalg import NotPositiveDefinite, RankDeficient
 from .mesh import uniform_mesh
 from .solve import ZeroSolution, discrete_norms, error_norms, residual_rho, solve_ls, solve_ne
@@ -95,8 +95,10 @@ class StudyConfig:
             raise ConfigError(f"formulation: unknown formulation {self.formulation!r}")
         if self.p < 1:
             raise ConfigError("p: must be >= 1")
-        if self.dp < 0:
+        if min((self.dp, *self.dp_list)) < 0:
             raise ConfigError("dp: must be >= 0")
+        if len(self.dp_list) > 1 and self.study != "compare-fosls":
+            raise ConfigError("dp: a list of values is for compare-fosls only")
         if self.refinements < 1:
             raise ConfigError("refinements: must be >= 1")
         if self.precision not in ("single", "double"):
@@ -104,10 +106,8 @@ class StudyConfig:
         solvers = tuple(self.solvers)
         if not solvers or any(s not in ("ne", "qr") for s in solvers):
             raise ConfigError("solvers: subset of ne, qr required")
-        if self.study == "failure":
+        if self.study in ("failure", "condition"):
             self.solvers = ("ne", "qr")
-        if self.study == "condition":
-            self.solvers = tuple(sorted(set(solvers) | {"ne", "qr"}))
         return self
 
 
@@ -304,14 +304,12 @@ def run_study(config: StudyConfig):
                     row.rho = residual_rho(bt, sol_by.get("qr") or pick)
                 except ZeroSolution:
                     row.rho = None
-        need_cond = config.study in ("condition", "converge", "failure", "acoustics")
-        if need_cond:
-            row.cond_a, row.cond_btilde = _cond_diagnostics(
-                mesh, form, case, options,
-                need_a="ne" in config.solvers,
-                need_b="qr" in config.solvers,
-                assembled=(ctx, a, bt),
-            )
+        row.cond_a, row.cond_btilde = _cond_diagnostics(
+            mesh, form, case, options,
+            need_a="ne" in config.solvers,
+            need_b="qr" in config.solvers,
+            assembled=(ctx, a, bt),
+        )
         if config.dump_matrices:
             if "ne" in config.solvers and "ne" not in row.failed:
                 write_matrix_market(out_dir / f"A_{n}.mtx", a)
@@ -338,38 +336,37 @@ def assemble_fosls_monolithic(ctx, case):
     """Classical first-order-system least-squares stiffness and load.
 
     A_ij = (L u_j, L u_i)_L2 with L(u, sigma) = (-div sigma + alpha u,
-    sigma - grad u); no test space is discretized.  Assembled sparse over
-    the columns of ``ctx``, an uncondensed fosls-strong context of the
-    same mesh and p: its element classes drop the Dirichlet columns, so
-    the two systems share their unknowns.  The study's cases have zero
-    boundary data, so no lift enters the load.  The quadrature rule is
-    that of dp = 1 (order p + 3) for every dp.  The element matrices h^2 C* W C,
-    C = L(u, sigma) at the quadrature points, are formed in one batch (one
-    per element only where alpha varies), and kept as one block stack per
-    element class with the elements' mesh cells and loads.  Returns the
-    SparseSymmetric.
+    sigma - grad u); no test space is discretized.  ``ctx`` must be an
+    uncondensed fosls-strong context of the mesh and p: the system is
+    assembled sparse over its columns (its element classes drop the
+    Dirichlet columns, so the two systems share their unknowns), and L is
+    its formulation's volume terms with the test function dropped: each
+    coefficient (alpha the formulation's) times its physical trial channel
+    (:func:`formulation.channels`), in the row of its test component.  The
+    study's cases have zero boundary data, so no lift enters the load.  The
+    quadrature rule is that of dp = 1 (order p + 3) for every dp.  The
+    element matrices h^2 C* W C, C = L(u, sigma) at the quadrature points,
+    are formed in one batch and kept as one block stack per element class
+    with the elements' mesh cells and loads.  Returns the SparseSymmetric.
     """
-    p, h = ctx.formulation.p, ctx.mesh.h
-    rule = basis.gauss_rule(p + 3)
-    wv, wg = basis.w_table(p, rule.points)
-    vv, vd = basis.v_table(p, rule.points)
-    nu = wv.shape[0]
-    # C: (local dof, component, point), components -div sigma + alpha u and sigma - grad u
-    c = np.zeros((nu + vv.shape[0], 3, rule.n_points))
-    c[nu:, 0] = -vd / (h * h)
-    c[:nu, 1:] = -wg / h
-    c[nu:, 1:] = vv / h
-    if callable(case.alpha):
-        c = np.repeat(c[None], ctx.mesh.n_elements, axis=0)
-        c[:, :nu, 0] += ctx.mesh.at_quadrature_points(case.alpha, rule)[:, None, :] * wv
-    else:
-        c[:nu, 0] += case.alpha * wv
+    form, mesh, h = ctx.formulation, ctx.mesh, ctx.mesh.h
+    rule = basis.gauss_rule(form.p + 3)
+    var = form.has_variable_alpha
+    alpha = mesh.at_quadrature_points(form.alpha, rule)[:, None, :] if var else form.alpha
+    rows, comp = form.trial_slices(), {v.name: i for i, v in enumerate(form.test)}
+    trial = {u.name: channels(u.kind, u.p, rule.points, h, e=0) for u in form.trial}
+    # C: ([element,] local dof, component of L, point); alpha's term last, so only it is per element
+    c = np.zeros((form.n_trial_local, len(form.test), rule.n_points))
+    for vname, _, uname, uc, coef in sorted(form.volume_terms, key=lambda term: term[4] == "alpha"):
+        if coef == "alpha" and var:
+            c = np.repeat(c[None], mesh.n_elements, axis=0)
+        c[..., rows[uname], comp[vname], :] += (alpha if coef == "alpha" else coef) * trial[uname][:, uc]
     w = rule.weights * h * h
     # component by component: the study's smallest distances (about 1e-9)
     # move by 1e-6 relative under a one-ulp change of these entries
     a_k = sum(np.einsum("...ip,p,...jp->...ij", c[..., k, :], w, c[..., k, :]) for k in range(3))
-    f_k = np.einsum("...ip,...p->...i", c[..., 0, :], w * ctx.mesh.at_quadrature_points(case.f, rule))
-    cells = element_cells(ctx.mesh)
+    f_k = np.einsum("...ip,...p->...i", c[..., 0, :], w * mesh.at_quadrature_points(case.f, rule))
+    cells = element_cells(mesh)
     blocks = []
     for cl in ctx.classes:
         fl = cl.free_local
@@ -415,27 +412,12 @@ def compare_fosls(p: int, dp_list, refinements: int, alpha="sine", out_dir="."):
             else:
                 sol_dist = discrete_norms(ctx, sol.coefficients - u_ls)["U"]
                 sol_dist_rel = sol_dist / error_norms(sol)["U_exact"]
-            rows.append(
-                {
-                    "n": n,
-                    "h": mesh.h,
-                    "dp": dp,
-                    "mat_dist_rel": mat_dist,
-                    "sol_dist_U": sol_dist,
-                    "sol_dist_U_rel": sol_dist_rel,
-                }
-            )
+            rows.append(dict(
+                n=n, h=mesh.h, dp=dp, mat_dist_rel=mat_dist, sol_dist_U=sol_dist, sol_dist_U_rel=sol_dist_rel
+            ))
     csv_path = out_dir / "compare_fosls.csv"
     with open(csv_path, "w") as fh:
         fh.write("n,h,dp,mat_dist_rel,sol_dist_U,sol_dist_U_rel\n")
         for r in rows:
-            fh.write(
-                "%d,%s,%d,%s,%s,%s\n"
-                % (
-                    r["n"], format(r["h"], ".17g"), r["dp"],
-                    format(r["mat_dist_rel"], ".17g"),
-                    format(r["sol_dist_U"], ".17g"),
-                    format(r["sol_dist_U_rel"], ".17g"),
-                )
-            )
+            fh.write(",".join(format(v, ".17g") for v in r.values()) + "\n")
     return rows, csv_path

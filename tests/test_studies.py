@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import functools
 import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from dlsfem import assembly, cli, element, linalg, solve, studies
+from dlsfem import assembly, basis, cli, element, linalg, solve, studies
 from dlsfem.assembly import (
     AssemblyError,
     Options,
@@ -403,6 +404,20 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "compare_fosls.csv").exists()
 
+    @pytest.mark.parametrize("study,dp,message", [
+        ("compare-fosls", "1,-1", "dp: must be >= 0"),
+        ("converge", "1,2", "dp: a list of values is for compare-fosls only"),
+        ("compare-fosls", "1,x", "dp: a comma list of one or more integers required"),
+    ])
+    def test_cli_rejects_bad_dp_list(self, tmp_path, capsys, study, dp, message):
+        """A negative or non-integer value anywhere in a --dp list, and a
+        list outside compare-fosls, are configuration errors that name dp:
+        exit 2, and no study runs."""
+        rc = cli_main([study, "--p", "1", "--dp", dp, "--refinements", "2", "--out", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_cli_toggles(self, tmp_path):
         rc = cli_main([
             "converge", "--formulation", "fosls-strong", "--p", "1", "--dp", "1",
@@ -440,6 +455,37 @@ class TestCli:
         set_by_workloads = set().union(*workloads.values())
         for field in dataclasses.fields(StudyConfig):
             assert field.name in passed | set_by_workloads, field.name
+
+
+def test_basis_tables_are_read_through_the_channel_table(tmp_path, monkeypatch):
+    """Every master basis table that a study reads, for the kernels, the
+    error norms and the classical FOSLS system, is read by the formulation
+    module, which owns the channels' h-scaling."""
+    callers = set()
+
+    def recorded(table):
+        def wrapper(*args):
+            callers.add(sys._getframe(1).f_globals["__name__"])
+            return table(*args)
+
+        return wrapper
+
+    for name in ("w_table", "v_table", "y_table"):
+        monkeypatch.setattr(basis, name, recorded(getattr(basis, name)))
+    sine, default_case = make_case("poisson-alpha-sine"), studies.case_for
+    monkeypatch.setattr(
+        studies, "case_for",
+        lambda config: (sine, 1) if config.formulation == "fosls-strong" else default_case(config),
+    )
+    for name in FORMULATION_NAMES:
+        rows, _ = run_study(StudyConfig(
+            study="acoustics" if name == "acoustics-ultraweak" else "converge", formulation=name,
+            p=1, refinements=2, solvers=("ne", "qr"), out_dir=str(tmp_path),
+        ))
+        assert len(rows) == 2 and rows[-1].err_ne is not None and rows[-1].err_qr is not None
+    rows, _ = compare_fosls(p=1, dp_list=(1,), refinements=1, out_dir=tmp_path)
+    assert rows[0]["sol_dist_U"] > 0
+    assert callers == {"dlsfem.formulation"}
 
 
 def test_acoustics_study_complex_cond_squaring(tmp_path):
